@@ -196,9 +196,7 @@ def _cmd_poset(args) -> int:
 
 def _cmd_mincost(args) -> int:
     inst = load_instance(args.instance)
-    with open(args.costs, encoding="utf-8") as fh:
-        costs = CostVector.from_doc(inst, json.load(fh))
-    result = min_cost_stable(inst, costs)
+    result = min_cost_stable(inst, CostVector.load(inst, args.costs))
     doc = _assignment_doc(inst, result.assignment)
     doc["cost"] = fraction_str(result.cost)
     _emit(doc)

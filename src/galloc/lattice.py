@@ -119,17 +119,11 @@ def _growth_invariants_broken(inst: Instance, x: Assignment) -> str | None:
     for f in inst.firms:
         if not evaluator_for(inst, f).accepts(inst.local_values(x, f)):
             return f"firm {f} rejects its restriction"
-    idx = inst.edge_index
     for w in inst.workers:
-        order = inst.worker_orders[w]
-        last = None
-        for r in range(len(order) - 1, -1, -1):
-            if x.values[idx[order[r]]] > 0:
-                last = r
-                break
+        last = inst.last_supported(x, w)
         if last is None:
             continue  # holds nothing: nothing strictly above its first edge
-        for eid in order[:last]:
+        for eid in inst.worker_orders[w][:last]:
             if is_interesting(inst, x, inst.edge(eid).firm, eid):
                 return f"edge {eid} above {w}'s last supported edge is interesting"
     return None
@@ -283,11 +277,7 @@ def build_reversal_sets(inst: Instance, x: Assignment) -> ReversalSets:
         if inst.size_at(x, w) != inst.quota(w):
             continue
         order = inst.worker_orders[w]
-        last = None
-        for r in range(len(order) - 1, -1, -1):
-            if x.values[idx[order[r]]] > 0:
-                last = r
-                break
+        last = inst.last_supported(x, w)
         if last is None:
             continue  # at quota zero: no supported edge to give up
         u_minus.append(order[last])
@@ -362,13 +352,7 @@ def _reversal_arcs(
     for a in rs.u_minus:
         add(("F", a), ("W", a))
     for w, ups in rs.u_plus.items():
-        ell = inst.worker_orders[w][
-            max(
-                r
-                for r in range(len(inst.worker_orders[w]))
-                if x.values[inst.edge_index[inst.worker_orders[w][r]]] > 0
-            )
-        ]
+        ell = inst.worker_orders[w][inst.last_supported(x, w)]
         for c in ups:
             add(("W", c), ("F", c))
             add(("W", ell), ("W", c))
@@ -535,9 +519,6 @@ class Route:
     start: Assignment
     steps: tuple[RouteStep, ...]
     end: Assignment
-
-
-RoutePairMultiset = Counter
 
 
 def route_pairs(route: Route) -> "Counter[tuple[tuple[str, ...], int]]":

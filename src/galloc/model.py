@@ -57,19 +57,6 @@ class Assignment:
         return sum(self.values)
 
 
-@dataclass(frozen=True)
-class LocalVector:
-    """Restriction of an assignment to one vertex's incident edges."""
-
-    owner: str
-    edges: tuple[str, ...]
-    values: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return sum(self.values)
-
-
 class Instance:
     """A validated allocation problem.
 
@@ -176,6 +163,17 @@ class Instance:
     def size_at(self, x: Assignment, v: str) -> int:
         return sum(self.local_values(x, v))
 
+    def last_supported(self, x: Assignment, w: str) -> int | None:
+        """Position of w's least preferred edge with positive value.
+
+        None when the worker holds nothing.
+        """
+        order = self.worker_orders[w]
+        for r in range(len(order) - 1, -1, -1):
+            if x.values[self.edge_index[order[r]]] > 0:
+                return r
+        return None
+
     def to_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
             "workers": list(self.workers),
@@ -191,11 +189,6 @@ class Instance:
         if self.meta:
             doc["meta"] = dict(self.meta)
         return doc
-
-
-def restrict(inst: Instance, x: Assignment, v: str) -> LocalVector:
-    """Restriction of an assignment to one vertex."""
-    return LocalVector(v, inst.edges_of(v), inst.local_values(x, v))
 
 
 def shift(
@@ -317,6 +310,17 @@ def validate_instance(inst: Instance) -> None:
 # -- JSON ----------------------------------------------------------------
 
 
+def _read_json(path: str | Path) -> Any:
+    """Parsed JSON of a file; unreadable or malformed files raise GallocError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise GallocError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
     """Build an Instance from a parsed JSON document."""
     if not isinstance(doc, Mapping):
@@ -353,14 +357,7 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
 
 
 def load_instance(path: str | Path) -> Instance:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise GallocError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    return instance_from_dict(doc)
+    return instance_from_dict(_read_json(path))
 
 
 def assignment_from_doc(inst: Instance, doc: Mapping[str, Any]) -> Assignment:
@@ -386,14 +383,7 @@ def assignment_from_doc(inst: Instance, doc: Mapping[str, Any]) -> Assignment:
 
 
 def load_assignment(inst: Instance, path: str | Path) -> Assignment:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise GallocError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    return assignment_from_doc(inst, doc)
+    return assignment_from_doc(inst, _read_json(path))
 
 
 def solution_doc(inst: Instance, x: Assignment, stable: bool) -> dict[str, Any]:
@@ -438,14 +428,7 @@ class CostVector:
 
     @classmethod
     def load(cls, inst: Instance, path: str | Path) -> "CostVector":
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise GallocError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_doc(inst, doc)
+        return cls.from_doc(inst, _read_json(path))
 
     def cost_of(self, x: Assignment) -> Fraction:
         return sum((c * v for c, v in zip(self.values, x.values)), Fraction(0))

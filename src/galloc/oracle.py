@@ -17,7 +17,6 @@ import numpy as np
 from .choice import evaluator_for, iter_box
 from .errors import InvariantViolation, LimitError
 from .model import Assignment, Instance
-from .poset import enumerate_closed_functions
 from .stability import compare_F, compare_W
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "LatticeReport",
     "enumerate_stable",
     "verify_lattice_properties",
-    "enumerate_closed_functions",
 ]
 
 DEFAULT_LIMIT = 10**7

@@ -17,11 +17,11 @@ from fractions import Fraction
 import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
 
-from .errors import GallocError, GaplessnessError, InvariantViolation, LimitError
+from .errors import GallocError, InvariantViolation, LimitError
 from .lattice import build_full_route, route_pairs, route_to_target
 from .lattice import xmin_by_capacity_reduction
 from .model import Assignment, CostVector, Instance
-from .rotation import applicable_rotations, apply_rotation, max_feasible_weight
+from .rotation import Rotation, applicable_rotations, apply_rotation, max_feasible_weight
 from .stability import check_stability
 
 
@@ -67,9 +67,6 @@ class RotationPoset:
             if el.key == key and el.occurrence == occurrence:
                 return i
         raise KeyError((key, occurrence))
-
-    def predecessors(self, j: int) -> tuple[int, ...]:
-        return tuple(a for a, b in self.hasse if b == j)
 
     def successors(self, i: int) -> tuple[int, ...]:
         return tuple(b for a, b in self.hasse if a == i)
@@ -164,81 +161,49 @@ def _coverage_check(
 def build_poset_gapless(inst: Instance) -> RotationPoset:
     """Rotation poset of a gapless instance, one element per rotation.
 
-    For each rotation, every other applicable rotation is exhausted
-    first; the rotations applicable right after it are its immediate
-    successors.  A repeated key on any route raises GaplessnessError.
+    The general construction, with its base route built under the
+    gapless assumption: the first repeated rotation raises
+    GaplessnessError before any deferred route is walked.
     """
-    xmin = xmin_by_capacity_reduction(inst).assignment
-    full = build_full_route(inst, xmin, assume_gapless=True)
-    tau_of: dict[tuple[str, ...], int] = {}
-    for step in full.steps:
-        tau_of[step.rotation.key] = step.weight
-    keys = sorted(tau_of)
-    elements = [PosetElement(k, 0, tau_of[k]) for k in keys]
-    index = {k: i for i, k in enumerate(keys)}
-    edges: set[tuple[int, int]] = set()
-    for key in keys:
-        x = xmin
-        used: set[tuple[str, ...]] = set()
-        while True:
-            rotations = applicable_rotations(inst, x)
-            others = [r for r in rotations if r.key != key]
-            if not others:
-                if not rotations:
-                    raise GaplessnessError(
-                        f"rotation {key} vanished while being deferred; "
-                        "the instance is not gapless"
-                    )
-                break
-            rot = others[0]
-            if rot.key in used or rot.key not in index:
-                raise GaplessnessError(
-                    f"rotation {rot.key} repeated on a route; "
-                    "the instance is not gapless"
-                )
-            used.add(rot.key)
-            x = apply_rotation(inst, x, rot, max_feasible_weight(inst, x, rot))
-        target = next(r for r in applicable_rotations(inst, x) if r.key == key)
-        tau = max_feasible_weight(inst, x, target)
-        if tau != tau_of[key]:
-            raise InvariantViolation(
-                f"rotation {key} had weight {tau} after deferral "
-                f"but {tau_of[key]} on the full route"
-            )
-        x2 = apply_rotation(inst, x, target, tau)
-        for succ in applicable_rotations(inst, x2):
-            if succ.key not in index:
-                raise InvariantViolation(
-                    f"successor rotation {succ.key} never occurred on the full route"
-                )
-            edges.add((index[key], index[succ.key]))
-    _check_reduction(edges, len(elements))
-    _coverage_check(inst, elements, xmin, full.end)
-    poset = RotationPoset(tuple(elements), tuple(sorted(edges)), "gapless", xmin, full.end)
-    first = {index[r.key] for r in applicable_rotations(inst, xmin)}
-    if set(poset.minimal_elements()) != first:
-        raise InvariantViolation(
-            "minimal poset elements differ from the rotations applicable "
-            "at the minimum"
-        )
-    return poset
+    return _build_poset(inst, "gapless")
 
 
 def build_poset_general(inst: Instance) -> RotationPoset:
-    """Rotation poset with repeated occurrences allowed.
+    """Rotation poset with repeated occurrences allowed."""
+    return _build_poset(inst, "general")
+
+
+def _build_poset(inst: Instance, mode: str) -> RotationPoset:
+    """The rotation poset, from routes that defer one rotation each.
 
     One full route fixes the occurrence counts and the (key, weight)
     multiset.  For each rotation a route deferring it maximally locates
     its occurrence points; the rotations applicable at each point give
     the successor occurrences, counted back from the route's tail.
+    The deferred routes pass the same stable points many times, so the
+    build searches each point for rotations, and each rotation there
+    for its maximal weight, only once.
     """
     xmin = xmin_by_capacity_reduction(inst).assignment
-    base = build_full_route(inst, xmin)
+    base = build_full_route(inst, xmin, assume_gapless=mode == "gapless")
     pair_multiset = route_pairs(base)
     counts = Counter(step.rotation.key for step in base.steps)
     keys = sorted(counts)
     e2 = max(1, len(inst.edges)) ** 2
     bound = max(1, inst.b_max) * e2
+
+    found: dict[tuple[int, ...], tuple[Rotation, ...]] = {}
+    weights: dict[tuple[tuple[int, ...], tuple[str, ...]], int] = {}
+
+    def rotations_at(x: Assignment) -> tuple[Rotation, ...]:
+        if x.values not in found:
+            found[x.values] = applicable_rotations(inst, x)
+        return found[x.values]
+
+    def weight_at(x: Assignment, rot: Rotation) -> int:
+        if (x.values, rot.key) not in weights:
+            weights[(x.values, rot.key)] = max_feasible_weight(inst, x, rot)
+        return weights[(x.values, rot.key)]
 
     elements: list[PosetElement] = []
     index: dict[tuple[tuple[str, ...], int], int] = {}
@@ -249,7 +214,7 @@ def build_poset_general(inst: Instance) -> RotationPoset:
         steps: list[tuple[tuple[str, ...], int]] = []
         occs: list[tuple[int, Assignment]] = []
         while True:
-            rotations = applicable_rotations(inst, x)
+            rotations = rotations_at(x)
             if not rotations:
                 break
             if len(steps) >= bound:
@@ -258,7 +223,7 @@ def build_poset_general(inst: Instance) -> RotationPoset:
                 )
             others = [r for r in rotations if r.key != key]
             rot = others[0] if others else rotations[0]
-            tau = max_feasible_weight(inst, x, rot)
+            tau = weight_at(x, rot)
             x = apply_rotation(inst, x, rot, tau)
             steps.append((rot.key, tau))
             if rot.key == key:
@@ -289,7 +254,7 @@ def build_poset_general(inst: Instance) -> RotationPoset:
     for key in keys:
         steps = traces[key]
         for i, (p, x_here) in enumerate(per_key[key]):
-            for succ in applicable_rotations(inst, x_here):
+            for succ in rotations_at(x_here):
                 later = sum(1 for q in range(p + 1, len(steps)) if steps[q][0] == succ.key)
                 j = counts[succ.key] - later
                 if not 0 <= j < counts[succ.key]:
@@ -300,7 +265,14 @@ def build_poset_general(inst: Instance) -> RotationPoset:
                 edges.add((index[(key, i)], index[(succ.key, j)]))
     _check_reduction(edges, len(elements))
     _coverage_check(inst, elements, xmin, base.end)
-    return RotationPoset(tuple(elements), tuple(sorted(edges)), "general", xmin, base.end)
+    poset = RotationPoset(tuple(elements), tuple(sorted(edges)), mode, xmin, base.end)
+    first = {index[(r.key, 0)] for r in rotations_at(xmin)}
+    if set(poset.minimal_elements()) != first:
+        raise InvariantViolation(
+            "minimal poset elements differ from the rotations applicable "
+            "at the minimum"
+        )
+    return poset
 
 
 def build_poset(inst: Instance, *, general: bool = False) -> RotationPoset:

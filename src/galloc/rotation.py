@@ -104,20 +104,12 @@ def admissible_edge(
     ``empty_support="first"`` a worker holding nothing scans its whole
     order; with "skip" it has no admissible edge.
     """
-    order = inst.worker_orders[w]
-    if not order:
-        return None
-    idx = inst.edge_index
-    start = None
-    for r in range(len(order) - 1, -1, -1):
-        if x.values[idx[order[r]]] > 0:
-            start = r
-            break
+    start = inst.last_supported(x, w)
     if start is None:
         if empty_support == "skip":
             return None
         start = 0
-    for eid in order[start:]:
+    for eid in inst.worker_orders[w][start:]:
         if is_interesting(inst, x, inst.edge(eid).firm, eid):
             return eid
     return None

@@ -20,10 +20,6 @@ from .errors import GallocError
 from .model import Assignment, Instance
 
 
-def is_acceptable(inst: Instance, x: Assignment) -> bool:
-    return not unacceptable_vertices(inst, x)
-
-
 def unacceptable_vertices(inst: Instance, x: Assignment) -> tuple[str, ...]:
     bad = []
     for v in inst.workers + inst.firms:
@@ -115,7 +111,3 @@ def compare_F(inst: Instance, x: Assignment, y: Assignment) -> str:
 def compare_W(inst: Instance, x: Assignment, y: Assignment) -> str:
     """Position of x against y in the worker-side order."""
     return _side_compare(inst, x, y, inst.workers)
-
-
-def weakly_below_F(inst: Instance, x: Assignment, y: Assignment) -> bool:
-    return compare_F(inst, x, y) in ("less", "equal")

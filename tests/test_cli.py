@@ -145,6 +145,23 @@ def test_mincost_refuses_the_ring(ring_file, tmp_path, capsys):
     assert "galloc: error:" in err
 
 
+def test_mincost_missing_costs_file_exits_one(swaps_file, tmp_path, capsys):
+    rc, _, err = run(capsys, ["mincost", swaps_file, str(tmp_path / "nope.json")])
+    assert rc == 1
+    assert err.startswith("galloc: error: cannot read")
+    assert err.count("\n") == 1
+
+
+def test_mincost_non_json_costs_file_exits_one(swaps_file, tmp_path, capsys):
+    costs = tmp_path / "c.json"
+    for content in (b"{not json", b"\xff\xfe"):
+        costs.write_bytes(content)
+        rc, _, err = run(capsys, ["mincost", swaps_file, str(costs)])
+        assert rc == 1
+        assert err.startswith("galloc: error:") and "is not valid JSON" in err
+        assert err.count("\n") == 1
+
+
 def test_brute_counts_the_chain(ring_file, capsys):
     rc, out, _ = run(capsys, ["brute", ring_file])
     assert rc == 0

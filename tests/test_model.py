@@ -14,7 +14,7 @@ from galloc import (
     make_ring_instance,
     solution_doc,
 )
-from galloc.model import assignment_from_doc, restrict, shift
+from galloc.model import assignment_from_doc, shift
 
 from conftest import one_on_one, parallel_pair
 
@@ -96,10 +96,9 @@ def test_shift_checks_the_box():
 
 def test_restrict_uses_canonical_local_order(ring4):
     x = ring4.assignment((1, 2, 0, 1, 2, 0, 1, 2, 0))
-    loc = restrict(ring4, x, "f1")
-    assert loc.edges == ("a1", "d2", "c3")
-    assert loc.values == (1, 0, 2)
-    assert loc.size == 3
+    assert ring4.edges_of("f1") == ("a1", "d2", "c3")
+    assert ring4.local_values(x, "f1") == (1, 0, 2)
+    assert ring4.size_at(x, "f1") == 3
 
 
 def test_cost_vector_parsing_and_exactness():

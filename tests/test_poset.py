@@ -1,10 +1,14 @@
 import pytest
+from collections import Counter
 from fractions import Fraction
 
+import galloc.lattice
+import galloc.poset
 from galloc import (
     CostVector,
     GallocError,
     GaplessnessError,
+    GeneratorConfig,
     LimitError,
     build_poset,
     build_poset_gapless,
@@ -12,6 +16,7 @@ from galloc import (
     check_stability,
     enumerate_closed_functions,
     from_closed_function,
+    generate,
     make_ring_instance,
     min_cost_stable,
     to_closed_function,
@@ -75,13 +80,53 @@ def test_disjoint_swaps_make_an_antichain():
 
 
 def test_general_mode_agrees_on_a_gapless_instance():
-    inst = two_swaps()
-    a = build_poset_gapless(inst)
-    b = build_poset(inst, general=True)
-    assert [(e.key, e.occurrence, e.weight) for e in a.elements] == [
-        (e.key, e.occurrence, e.weight) for e in b.elements
+    # Seeds whose posets are not empty; seed 100 gives a two-chain.
+    generated = [
+        generate(
+            GeneratorConfig(
+                seed=s,
+                density=1.0,
+                quota_bound=2,
+                family="mixed",
+                b_cap_for_gapless=2,
+            )
+        )
+        for s in (37, 46, 100)
     ]
-    assert a.hasse == b.hasse
+    for inst in [
+        two_swaps(),
+        make_ring_instance(2),
+        parallel_pair(3),
+        two_swaps(1, 3),
+        *generated,
+    ]:
+        a = build_poset_gapless(inst)
+        b = build_poset(inst, general=True)
+        assert (a.mode, b.mode) == ("gapless", "general")
+        assert [(e.key, e.occurrence, e.weight) for e in a.elements] == [
+            (e.key, e.occurrence, e.weight) for e in b.elements
+        ]
+        assert a.hasse == b.hasse
+        assert a.xmax == b.xmax
+
+
+def test_builds_search_each_stable_point_at_most_twice(monkeypatch, ring4):
+    # Once on the base route and once in the construction, however many
+    # deferred routes pass the point.
+    searched = Counter()
+    search = galloc.poset.applicable_rotations
+
+    def counted(inst, x):
+        searched[x.values] += 1
+        return search(inst, x)
+
+    for module in (galloc.lattice, galloc.poset):
+        monkeypatch.setattr(module, "applicable_rotations", counted)
+    for inst, general in ((two_swaps(), False), (ring4, True)):
+        searched.clear()
+        build_poset(inst, general=general)
+        assert searched
+        assert max(searched.values()) <= 2, searched
 
 
 def test_small_ring_poset_is_a_two_chain():
