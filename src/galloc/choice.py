@@ -22,6 +22,7 @@ only, which is what the oracle-call budgets meter.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -129,8 +130,10 @@ class ChoiceEvaluator:
         got = self._memo.get(zt)
         if got is not None:
             return got
-        if len(zt) != len(self.caps) or any(
-            v < 0 or v > c for v, c in zip(zt, self.caps)
+        if (
+            len(zt) != len(self.caps)
+            or min(zt, default=0) < 0
+            or any(map(operator.gt, zt, self.caps))
         ):
             raise GallocError(
                 f"choice function of {self.owner} queried outside its box: {zt}"
@@ -195,12 +198,18 @@ def validate_cf_spec(inst: Instance, f: str) -> None:
             raise ValidationError(f"firm {f!r}: negative quota {q}")
         return q
 
-    def need_columns(key: str) -> tuple[str, ...]:
-        cols = spec.get(key)
+    def need_columns(key: str, default: Any = None) -> tuple[str, ...]:
+        cols = spec.get(key, default)
         if cols is None:
             raise ValidationError(f"firm {f!r}: missing {key!r}")
+        if not isinstance(cols, (list, tuple)):
+            raise ValidationError(f"firm {f!r}: {key!r} must be a list of edge ids")
         cols = tuple(cols)
-        if sorted(cols) != sorted(incident):
+        try:
+            permutation = sorted(cols) == sorted(incident)
+        except TypeError:  # an entry that is not a string
+            permutation = False
+        if not permutation:
             raise ValidationError(
                 f"firm {f!r}: {key!r} is not a permutation of its incident edges"
             )
@@ -253,11 +262,7 @@ def validate_cf_spec(inst: Instance, f: str) -> None:
         q = need_quota()
         if q % 2 != 0 or q < 2:
             raise ValidationError(f"firm {f!r}: tableau-a3 quota must be even and >= 2")
-        cols = tuple(spec.get("columns", incident))
-        if sorted(cols) != sorted(incident):
-            raise ValidationError(
-                f"firm {f!r}: columns is not a permutation of its incident edges"
-            )
+        cols = need_columns("columns", incident)
         if len(cols) != 3:
             raise ValidationError(f"firm {f!r}: tableau-a3 needs exactly 3 edges")
         caps = tuple(inst.edge(eid).capacity for eid in cols)

@@ -58,7 +58,6 @@ def xmin_by_capacity_reduction(inst: Instance) -> CapacityReductionRun:
     """
     caps = [e.capacity for e in inst.edges]
     bound = max(1, len(inst.edges) * max(inst.b_max, 1))
-    idx = inst.edge_index
     rounds = 0
     while True:
         rounds += 1
@@ -68,19 +67,17 @@ def xmin_by_capacity_reduction(inst: Instance) -> CapacityReductionRun:
             )
         x = [0] * len(inst.edges)
         for w in inst.workers:
-            cf = evaluator_for(inst, w)
-            picked = cf(tuple(caps[idx[eid]] for eid in inst.edges_of(w)))
-            for eid, v in zip(inst.edges_of(w), picked):
-                x[idx[eid]] = v
-        y = list(x)
+            ids = inst.edge_indices(w)
+            picked = evaluator_for(inst, w)(tuple([caps[i] for i in ids]))
+            for i, v in zip(ids, picked):
+                x[i] = v
         changed = False
         for f in inst.firms:
-            cf = evaluator_for(inst, f)
-            kept = cf(tuple(x[idx[eid]] for eid in inst.edges_of(f)))
-            for eid, v in zip(inst.edges_of(f), kept):
-                if v < x[idx[eid]]:
-                    y[idx[eid]] = v
-                    caps[idx[eid]] = v
+            ids = inst.edge_indices(f)
+            kept = evaluator_for(inst, f)(tuple([x[i] for i in ids]))
+            for i, v in zip(ids, kept):
+                if v < x[i]:
+                    caps[i] = v
                     changed = True
         if not changed:
             out = Assignment(tuple(x))

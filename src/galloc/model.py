@@ -15,11 +15,12 @@ that same order.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from .errors import GallocError, ValidationError
 
@@ -27,6 +28,14 @@ _INSTANCE_KEYS = frozenset(
     {"workers", "firms", "edges", "worker_quotas", "worker_orders", "firm_cfs", "meta"}
 )
 _EDGE_KEYS = frozenset({"id", "worker", "firm", "capacity"})
+_REQUIRED_FIELDS = (
+    ("workers", (list, tuple), "a list"),
+    ("firms", (list, tuple), "a list"),
+    ("edges", (list, tuple), "a list"),
+    ("worker_quotas", Mapping, "an object"),
+    ("worker_orders", Mapping, "an object"),
+    ("firm_cfs", Mapping, "an object"),
+)
 
 
 @dataclass(frozen=True)
@@ -61,8 +70,9 @@ class Instance:
     """A validated allocation problem.
 
     Construction validates everything and raises ``ValidationError``
-    listing all problems found.  Instances are immutable by convention;
-    derived lookup tables are built once here.
+    listing all problems found.  Instances are immutable by convention,
+    except for the memoizing evaluators :mod:`galloc.choice` keeps in
+    them; derived lookup tables are built once here.
     """
 
     def __init__(
@@ -90,23 +100,23 @@ class Instance:
 
         # Derived tables; built defensively so validation can run after.
         self.edge_index: dict[str, int] = {}
+        incident: dict[str, list[int]] = {v: [] for v in self.workers + self.firms}
         for i, e in enumerate(self.edges):
             self.edge_index.setdefault(e.id, i)
-        self.worker_index: dict[str, int] = {w: i for i, w in enumerate(self.workers)}
-        self.firm_index: dict[str, int] = {f: i for i, f in enumerate(self.firms)}
-        self._edges_of: dict[str, tuple[str, ...]] = {v: () for v in self.workers + self.firms}
-        for e in self.edges:
             for v in (e.worker, e.firm):
-                if v in self._edges_of:
-                    self._edges_of[v] = self._edges_of[v] + (e.id,)
+                if v in incident:
+                    incident[v].append(i)
+        self.worker_index: dict[str, int] = {w: i for i, w in enumerate(self.workers)}
+        self._indices_of: dict[str, tuple[int, ...]] = {
+            v: tuple(ii) for v, ii in incident.items()
+        }
+        self._edges_of: dict[str, tuple[str, ...]] = {
+            v: tuple([self.edges[i].id for i in ii]) for v, ii in incident.items()
+        }
         self._local_pos: dict[str, dict[str, int]] = {
             v: {eid: i for i, eid in enumerate(ids)} for v, ids in self._edges_of.items()
         }
         self._worker_set = frozenset(self.workers)
-        self._rank: dict[str, dict[str, int]] = {
-            w: {eid: i for i, eid in enumerate(order)}
-            for w, order in self.worker_orders.items()
-        }
         self._evaluators: dict[str, Any] = {}  # filled lazily by galloc.choice
 
         validate_instance(self)
@@ -120,8 +130,13 @@ class Instance:
         """Incident edge ids of a vertex, in canonical order."""
         return self._edges_of[v]
 
+    def edge_indices(self, v: str) -> tuple[int, ...]:
+        """Positions in ``edges`` of a vertex's incident edges, canonical order."""
+        return self._indices_of[v]
+
     def caps_of(self, v: str) -> tuple[int, ...]:
-        return tuple(self.edges[self.edge_index[eid]].capacity for eid in self._edges_of[v])
+        edges = self.edges
+        return tuple([edges[i].capacity for i in self._indices_of[v]])
 
     def edge(self, eid: str) -> Edge:
         return self.edges[self.edge_index[eid]]
@@ -134,10 +149,6 @@ class Instance:
 
     def firm_quota(self, f: str) -> int:
         return int(self.firm_cfs[f]["quota"])
-
-    def rank(self, w: str, eid: str) -> int:
-        """Position of an edge in the worker's order; 0 is most preferred."""
-        return self._rank[w][eid]
 
     @property
     def b_max(self) -> int:
@@ -157,8 +168,8 @@ class Instance:
         return Assignment(vals)
 
     def local_values(self, x: Assignment, v: str) -> tuple[int, ...]:
-        idx = self.edge_index
-        return tuple(x.values[idx[eid]] for eid in self._edges_of[v])
+        vals = x.values
+        return tuple([vals[i] for i in self._indices_of[v]])
 
     def size_at(self, x: Assignment, v: str) -> int:
         return sum(self.local_values(x, v))
@@ -274,7 +285,11 @@ def validate_instance(inst: Instance) -> None:
             errors.append(f"order for unknown worker {w!r}")
             continue
         incident = set(inst.edges_of(w))
-        listed = set(order)
+        try:
+            listed = set(order)
+        except TypeError:
+            errors.append(f"order for worker {w!r} lists a non-string edge id")
+            continue
         if len(order) != len(listed):
             errors.append(f"order for worker {w!r} repeats an edge")
         for eid in sorted(listed - incident):
@@ -328,20 +343,28 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
     unknown = set(doc) - _INSTANCE_KEYS
     if unknown:
         raise ValidationError(f"unknown instance keys: {sorted(unknown)}")
-    for key in ("workers", "firms", "edges", "worker_quotas", "worker_orders", "firm_cfs"):
+    for key, kind, what in _REQUIRED_FIELDS:
         if key not in doc:
             raise ValidationError(f"missing instance key {key!r}")
+        if not isinstance(doc[key], kind):
+            raise ValidationError(f"{key} must be {what}")
     edges = []
     for i, e in enumerate(doc["edges"]):
         if not isinstance(e, Mapping):
             raise ValidationError(f"edge #{i} is not an object")
-        bad = set(e) - _EDGE_KEYS
-        if bad:
-            raise ValidationError(f"edge #{i} has unknown keys {sorted(bad)}")
-        missing = _EDGE_KEYS - set(e)
-        if missing:
+        if e.keys() != _EDGE_KEYS:
+            bad = set(e) - _EDGE_KEYS
+            if bad:
+                raise ValidationError(f"edge #{i} has unknown keys {sorted(bad)}")
+            missing = _EDGE_KEYS - set(e)
             raise ValidationError(f"edge #{i} missing keys {sorted(missing)}")
         edges.append(Edge(str(e["id"]), str(e["worker"]), str(e["firm"]), e["capacity"]))
+    for w, order in doc["worker_orders"].items():
+        if not isinstance(order, (list, tuple)):
+            raise ValidationError(f"order for worker {w!r} must be a list of edge ids")
+    for f, spec in doc["firm_cfs"].items():
+        if not isinstance(spec, Mapping):
+            raise ValidationError(f"choice function for firm {f!r} must be an object")
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, Mapping):
         raise ValidationError("meta must be an object")

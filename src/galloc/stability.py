@@ -9,6 +9,10 @@ assignment is acceptable and free of blocking edges.
 Acceptable assignments are compared sidewise: x is below y on the firm
 side when every firm, offered the union, keeps exactly its share of y.
 The worker-side order is defined the same way over workers.
+
+A check builds each vertex's local vector once and probes every edge at
+most twice: the worker side, then the firm side only when the worker is
+interested.
 """
 
 from __future__ import annotations
@@ -20,12 +24,28 @@ from .errors import GallocError
 from .model import Assignment, Instance
 
 
+def _local_vectors(inst: Instance, x: Assignment) -> dict[str, tuple[int, ...]]:
+    """Every vertex's local vector, workers then firms."""
+    return {v: inst.local_values(x, v) for v in inst.workers + inst.firms}
+
+
+def _unacceptable(inst: Instance, local: dict[str, tuple[int, ...]]) -> tuple[str, ...]:
+    return tuple(v for v, z in local.items() if not evaluator_for(inst, v).accepts(z))
+
+
+def _blocking(inst: Instance, local: dict[str, tuple[int, ...]]) -> tuple[str, ...]:
+    out = []
+    for e in inst.edges:
+        w, f, eid = e.worker, e.firm, e.id
+        if not interesting_at(evaluator_for(inst, w), local[w], inst.local_pos(w, eid)):
+            continue
+        if interesting_at(evaluator_for(inst, f), local[f], inst.local_pos(f, eid)):
+            out.append(eid)
+    return tuple(out)
+
+
 def unacceptable_vertices(inst: Instance, x: Assignment) -> tuple[str, ...]:
-    bad = []
-    for v in inst.workers + inst.firms:
-        if not evaluator_for(inst, v).accepts(inst.local_values(x, v)):
-            bad.append(v)
-    return tuple(bad)
+    return _unacceptable(inst, _local_vectors(inst, x))
 
 
 def is_interesting(inst: Instance, x: Assignment, v: str, eid: str) -> bool:
@@ -41,13 +61,7 @@ def is_interesting(inst: Instance, x: Assignment, v: str, eid: str) -> bool:
 
 def blocking_edges(inst: Instance, x: Assignment) -> tuple[str, ...]:
     """Edges interesting for both endpoints, canonical order."""
-    out = []
-    for e in inst.edges:
-        if is_interesting(inst, x, e.worker, e.id) and is_interesting(
-            inst, x, e.firm, e.id
-        ):
-            out.append(e.id)
-    return tuple(out)
+    return _blocking(inst, _local_vectors(inst, x))
 
 
 @dataclass(frozen=True)
@@ -66,10 +80,11 @@ class StabilityReport:
 
 
 def check_stability(inst: Instance, x: Assignment) -> StabilityReport:
-    bad = unacceptable_vertices(inst, x)
+    local = _local_vectors(inst, x)
+    bad = _unacceptable(inst, local)
     if bad:
         return StabilityReport(False, bad, ())
-    blocking = blocking_edges(inst, x)
+    blocking = _blocking(inst, local)
     return StabilityReport(not blocking, (), blocking)
 
 

@@ -72,8 +72,10 @@ def test_evaluator_kinds_and_memo(ring4):
     w((0, 0, 0))
     w((0, 0, 0))
     assert w.call_count == 1
-    with pytest.raises(GallocError, match="outside its box"):
-        w((9, 0, 0))
+    for z in ((9, 0, 0), (0, -1, 0), (0, 0), (0, 0, 0, 0)):
+        with pytest.raises(GallocError, match="outside its box"):
+            w(z)
+    assert w.call_count == 1
 
 
 def test_single_unit_response_trichotomy():

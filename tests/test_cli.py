@@ -138,6 +138,54 @@ def test_missing_files_exit_one(tmp_path, capsys):
     assert "galloc: error:" in err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("worker_quotas", [1], "worker_quotas must be an object"),
+        ("edges", 5, "edges must be a list"),
+        ("firm_cfs", {"f": 3}, "choice function for firm 'f' must be an object"),
+        # One-character ids: read as strings, these used to pass silently.
+        ("workers", "w", "workers must be a list"),
+        ("worker_orders", {"w": "e"}, "order for worker 'w' must be a list"),
+        ("worker_orders", {"w": [["e"]]}, "order for worker 'w' lists a non-string"),
+        (
+            "firm_cfs",
+            {"f": {"type": "linear", "order": "e", "quota": 1}},
+            "firm 'f': 'order' must be a list",
+        ),
+        (
+            "firm_cfs",
+            {"f": {"type": "linear", "order": [["e"], "e"], "quota": 1}},
+            "firm 'f': 'order' is not a permutation",
+        ),
+        (
+            "firm_cfs",
+            {"f": {"type": "tableau-a3", "columns": 5, "quota": 2}},
+            "firm 'f': 'columns' must be a list",
+        ),
+    ],
+    ids=["quotas-list", "edges-int", "cf-int", "workers-string", "order-string",
+         "order-list-entry", "firm-order-string", "firm-order-list-entry",
+         "firm-columns-int"],
+)
+def test_mistyped_instance_fields_exit_one(key, value, message, tmp_path, capsys):
+    doc = {
+        "workers": ["w"],
+        "firms": ["f"],
+        "edges": [{"id": "e", "worker": "w", "firm": "f", "capacity": 1}],
+        "worker_quotas": {"w": 1},
+        "worker_orders": {"w": ["e"]},
+        "firm_cfs": {"f": {"type": "linear", "order": ["e"], "quota": 1}},
+    }
+    rc, _, _ = run(capsys, ["solve", write_json(tmp_path / "ok.json", doc)])
+    assert rc == 0
+    doc[key] = value
+    rc, out, err = run(capsys, ["solve", write_json(tmp_path / "bad.json", doc)])
+    assert (rc, out) == (1, "")
+    assert err.startswith("galloc: error:") and message in err
+    assert err.count("\n") == 1
+
+
 def test_mincost_refuses_the_ring(ring_file, tmp_path, capsys):
     costs = write_json(tmp_path / "c.json", {"a1": 1})
     rc, _, err = run(capsys, ["mincost", ring_file, costs])

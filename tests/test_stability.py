@@ -1,6 +1,19 @@
+import random
+
 import pytest
 
-from galloc import GallocError, check_stability, compare_F, compare_W
+from galloc import (
+    GallocError,
+    GeneratorConfig,
+    Instance,
+    apply_rotation,
+    build_full_route,
+    check_stability,
+    compare_F,
+    compare_W,
+    generate,
+)
+from galloc.choice import evaluator_for
 from galloc.stability import (
     blocking_edges,
     is_interesting,
@@ -96,3 +109,71 @@ def test_unacceptable_vertices_lists_both_sides():
     x = inst.assignment((1, 1, 0, 0))
     assert unacceptable_vertices(inst, x) == ("w1", "f1")
     assert unacceptable_vertices(inst, inst.assignment((0, 1, 0, 1))) == ()
+
+
+def corpus_points():
+    """Instances of every family, each with zero, minimum, route and box points."""
+    rng = random.Random(7)
+    for s in range(30):
+        inst = generate(
+            GeneratorConfig(
+                seed=40_000 + s,
+                workers=2 + s % 3,
+                firms=2 + (s // 3) % 2,
+                density=0.8,
+                capacity_bound=3,
+                quota_bound=4,
+                family=("linear", "tableau", "mixed")[s % 3],
+            )
+        )
+        route = build_full_route(inst)
+        points = [inst.zero(), route.start]
+        for step in route.steps:
+            points.append(apply_rotation(inst, points[-1], step.rotation, step.weight))
+        for _ in range(5):
+            points.append(inst.assignment(rng.randint(0, e.capacity) for e in inst.edges))
+        yield inst, points
+
+
+def test_one_pass_check_matches_the_definition():
+    unacceptable_seen = blocking_seen = 0
+    for inst, points in corpus_points():
+        for x in points:
+            bad = tuple(
+                v
+                for v in inst.workers + inst.firms
+                if not evaluator_for(inst, v).accepts(inst.local_values(x, v))
+            )
+            want = tuple(
+                e.id
+                for e in inst.edges
+                if is_interesting(inst, x, e.worker, e.id)
+                and is_interesting(inst, x, e.firm, e.id)
+            )
+            assert unacceptable_vertices(inst, x) == bad
+            assert blocking_edges(inst, x) == want
+            report = check_stability(inst, x)
+            assert report.unacceptable_vertices == bad
+            assert report.blocking == (() if bad else want)
+            assert report.stable == (not bad and not want)
+            unacceptable_seen += bool(bad)
+            blocking_seen += bool(want) and not bad
+    assert unacceptable_seen and blocking_seen
+
+
+def test_check_builds_each_local_vector_once(monkeypatch):
+    inst = generate(GeneratorConfig(seed=3, workers=4, firms=4, density=1.0))
+    assert len(inst.edges) > len(inst.workers) + len(inst.firms)
+    calls = 0
+    local_values = Instance.local_values
+
+    def counted(self, x, v):
+        nonlocal calls
+        calls += 1
+        return local_values(self, x, v)
+
+    monkeypatch.setattr(Instance, "local_values", counted)
+    for x in (inst.zero(), build_full_route(inst).end):
+        calls = 0
+        check_stability(inst, x)
+        assert 0 < calls <= len(inst.workers) + len(inst.firms)
