@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
-from .errors import GallocError, LimitError, ValidationError
+from .errors import GallocError, InvariantViolation, LimitError, ValidationError
 from .model import Instance
 
 Vec = tuple[int, ...]
@@ -340,8 +340,6 @@ def single_unit_response(
     ]
     if out[pos] == bumped[pos] and len(drops) == 1 and out[drops[0]] == bumped[drops[0]] - 1:
         return "swap", drops[0]
-    from .errors import InvariantViolation
-
     raise InvariantViolation(
         f"choice of {cf.owner} moved by more than one unit on a single-unit probe: "
         f"{zt} + unit at {pos} -> {out}"
@@ -521,10 +519,3 @@ def check_gapless(cf: ChoiceEvaluator, triple_limit: int = 10**6) -> GaplessRepo
                             GaplessViolation(z1, z2, z3, pos, (c1, c2, c3))
                         )
     return GaplessReport(not violations, n, tuple(violations))
-
-
-def instance_gapless_report(
-    inst: Instance, triple_limit: int = 10**6
-) -> dict[str, GaplessReport]:
-    """Gapless reports for every firm of an instance."""
-    return {f: check_gapless(evaluator_for(inst, f), triple_limit) for f in inst.firms}

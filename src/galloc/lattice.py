@@ -21,14 +21,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .choice import evaluator_for, single_unit_response
+from .choice import evaluator_for, interesting_at, single_unit_response
 from .errors import GallocError, GaplessnessError, InvariantViolation
-from .model import Assignment, Instance, shift
+from .model import Assignment, Instance, shift, shift_room
 from .rotation import (
     Rotation,
     admissible_edge,
     applicable_rotations,
     apply_rotation,
+    largest_weight,
     max_feasible_weight,
 )
 from .stability import check_stability, compare_F, is_interesting
@@ -84,9 +85,7 @@ def xmin_by_capacity_reduction(inst: Instance) -> CapacityReductionRun:
             report = check_stability(inst, out)
             if not report.stable:
                 raise InvariantViolation(
-                    "capacity reduction fixpoint is not stable: "
-                    f"unacceptable={list(report.unacceptable_vertices)} "
-                    f"blocking={list(report.blocking)}"
+                    f"capacity reduction fixpoint is not stable: {report}"
                 )
             return CapacityReductionRun(out, rounds)
 
@@ -194,7 +193,6 @@ def stage1_find_stable(inst: Instance, start: Assignment | None = None) -> Assig
     broken = _growth_invariants_broken(inst, x)
     if broken is not None:
         raise GallocError(f"start violates the growth invariants: {broken}")
-    idx = inst.edge_index
     guard = _step_monitor(inst)
     steps = 0
     while True:
@@ -209,40 +207,26 @@ def stage1_find_stable(inst: Instance, start: Assignment | None = None) -> Assig
             report = check_stability(inst, x)
             if not report.stable:
                 raise InvariantViolation(
-                    "growth stage stopped on an unstable assignment: "
-                    f"unacceptable={list(report.unacceptable_vertices)} "
-                    f"blocking={list(report.blocking)}"
+                    f"growth stage stopped on an unstable assignment: {report}"
                 )
             return x
         steps += 1
         if steps > guard:
             raise InvariantViolation(f"growth stage exceeded {guard} iterations")
         plus, minus, is_path = _admissible_path(inst, x, chosen)
-        nu = min(inst.edge(e).capacity - x.values[idx[e]] for e in plus)
-        if minus:
-            nu = min(nu, min(x.values[idx[e]] for e in minus))
+        nu = shift_room(inst, x, plus, minus)
         if is_path:
             nu = min(nu, inst.quota(chosen) - inst.size_at(x, chosen))
 
         def feasible(mu: int) -> bool:
-            try:
-                y = shift(inst, x, plus, minus, mu)
-            except GallocError:
-                return False
+            y = shift(inst, x, plus, minus, mu)
             return _growth_invariants_broken(inst, y) is None
 
         if nu < 1 or not feasible(1):
             raise InvariantViolation(
                 f"unit shift along {plus}/{minus} breaks the growth invariants"
             )
-        lo, hi = 1, nu
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        x = shift(inst, x, plus, minus, lo)
+        x = shift(inst, x, plus, minus, largest_weight(nu, feasible))
 
 
 # -- Stage II ------------------------------------------------------------
@@ -320,18 +304,11 @@ def essential_f_pairs(
             trial[pa] -= 1
             if not cf.accepts(trial):
                 continue
-            essential = True
-            for d in wanted:
-                if d == c:
-                    continue
-                pd = inst.local_pos(f, d)
-                if trial[pd] < cf.caps[pd]:
-                    probe = list(trial)
-                    probe[pd] += 1
-                    if cf(tuple(probe)) != tuple(trial):
-                        essential = False
-                        break
-            if essential:
+            if not any(
+                interesting_at(cf, trial, inst.local_pos(f, d))
+                for d in wanted
+                if d != c
+            ):
                 out.append((c, a))
     return tuple(out)
 
@@ -421,7 +398,6 @@ def stage2_descend_to_xmin(inst: Instance, x: Assignment) -> Assignment:
     report = check_stability(inst, x)
     if not report.stable:
         raise GallocError("descent needs a stable assignment")
-    idx = inst.edge_index
     guard = _step_monitor(inst)
     steps = 0
     while True:
@@ -446,17 +422,10 @@ def stage2_descend_to_xmin(inst: Instance, x: Assignment) -> Assignment:
         minus = tuple(e for e in edges_on if e not in u_plus_set)
         if not plus or len(plus) != len(minus):
             raise InvariantViolation(f"reversal cycle is degenerate: {cycle}")
-        nu = min(
-            min(inst.edge(e).capacity - x.values[idx[e]] for e in plus),
-            min(x.values[idx[e]] for e in minus),
-        )
+        nu = shift_room(inst, x, plus, minus)
 
         def feasible(mu: int) -> bool:
-            try:
-                y = shift(inst, x, plus, minus, mu)
-            except GallocError:
-                return False
-            if not check_stability(inst, y).stable:
+            if not check_stability(inst, shift(inst, x, plus, minus, mu)).stable:
                 return False
             if mu >= 2:
                 prev = shift(inst, x, plus, minus, mu - 1)
@@ -467,14 +436,8 @@ def stage2_descend_to_xmin(inst: Instance, x: Assignment) -> Assignment:
 
         if nu < 1 or not feasible(1):
             raise InvariantViolation("unit reversal step is infeasible")
-        lo, hi = 1, nu
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        y = shift(inst, x, plus, minus, lo)
+        weight = largest_weight(nu, feasible)
+        y = shift(inst, x, plus, minus, weight)
         if compare_F(inst, y, x) != "less":
             raise InvariantViolation("reversal step did not move down the firm order")
         for w in inst.workers:
@@ -483,7 +446,7 @@ def stage2_descend_to_xmin(inst: Instance, x: Assignment) -> Assignment:
             if zw == zw2:
                 continue
             diff = [b - a for a, b in zip(zw, zw2)]
-            if sorted(diff) != [-lo] + [0] * (len(diff) - 2) + [lo]:
+            if sorted(diff) != [-weight] + [0] * (len(diff) - 2) + [weight]:
                 raise InvariantViolation(
                     f"reversal step changed worker {w} by more than one swap"
                 )
@@ -597,13 +560,13 @@ def route_to_target(
         if found is None:
             raise InvariantViolation("no rotation moves toward the target")
         full = max_feasible_weight(inst, x, found)
-        lam = 1
-        while lam < full:
-            y = apply_rotation(inst, x, found, lam + 1)
-            if compare_F(inst, y, target) in ("less", "equal"):
-                lam += 1
-            else:
-                break
+        # The points x + lam * found form a chain, so staying weakly below
+        # the target holds on a prefix of the weights.
+        lam = largest_weight(
+            full,
+            lambda mu: compare_F(inst, apply_rotation(inst, x, found, mu), target)
+            in ("less", "equal"),
+        )
         x = apply_rotation(inst, x, found, lam, debug=debug)
         steps.append(RouteStep(found, lam, full))
     return Route(start, tuple(steps), x)

@@ -15,6 +15,8 @@ that same order.
 from __future__ import annotations
 
 import json
+import math
+import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +30,12 @@ _INSTANCE_KEYS = frozenset(
     {"workers", "firms", "edges", "worker_quotas", "worker_orders", "firm_cfs", "meta"}
 )
 _EDGE_KEYS = frozenset({"id", "worker", "firm", "capacity"})
+# Costs, their common denominator and their scaled integers stay below
+# this many digits, so every printed total stays far from Python's
+# int-to-string limit; a decimal exponent is checked before expansion.
+_COST_DIGITS = 1000
+_COST_BOUND = 10**_COST_DIGITS
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 _REQUIRED_FIELDS = (
     ("workers", (list, tuple), "a list"),
     ("firms", (list, tuple), "a list"),
@@ -60,10 +68,6 @@ class Assignment:
 
     def to_mapping(self, inst: "Instance") -> dict[str, int]:
         return {e.id: v for e, v in zip(inst.edges, self.values)}
-
-    @property
-    def total(self) -> int:
-        return sum(self.values)
 
 
 class Instance:
@@ -229,6 +233,21 @@ def shift(
     return Assignment(tuple(vals))
 
 
+def shift_room(
+    inst: Instance, x: Assignment, plus: Iterable[str], minus: Iterable[str]
+) -> int:
+    """The largest weight ``shift`` accepts for these edges.
+
+    That is the least room left on the added edges and the least load on
+    the subtracted ones.
+    """
+    vals, idx = x.values, inst.edge_index
+    return min(
+        [inst.edges[idx[e]].capacity - vals[idx[e]] for e in plus]
+        + [vals[idx[e]] for e in minus]
+    )
+
+
 # -- validation ----------------------------------------------------------
 
 
@@ -332,7 +351,7 @@ def _read_json(path: str | Path) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise GallocError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an overlong integer
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -422,9 +441,15 @@ def _as_fraction(v: Any, where: str) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValidationError(f"cost for {where} is not finite: {v!r}")
         # Read the float through its shortest decimal repr so 0.1 means 1/10.
         return Fraction(str(v))
     if isinstance(v, str):
+        m = _EXPONENT.search(v)
+        exp = m.group(1).replace("_", "").lstrip("0") if m else ""
+        if len(exp) > len(str(_COST_DIGITS)) or int(exp or 0) > _COST_DIGITS:
+            raise ValidationError(f"cost for {where} has an exponent over {_COST_DIGITS}")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
@@ -443,10 +468,18 @@ class CostVector:
         if not isinstance(doc, Mapping):
             raise ValidationError("cost document must be a JSON object")
         vals = [Fraction(0)] * len(inst.edges)
+        scale = 1
         for eid, v in doc.items():
             if eid not in inst.edge_index:
                 raise ValidationError(f"cost references unknown edge {eid!r}")
-            vals[inst.edge_index[eid]] = _as_fraction(v, f"edge {eid!r}")
+            c = vals[inst.edge_index[eid]] = _as_fraction(v, f"edge {eid!r}")
+            scale = lcm(scale, c.denominator)
+            if scale >= _COST_BOUND:
+                break
+        if scale >= _COST_BOUND or any(abs(c * scale) >= _COST_BOUND for c in vals):
+            raise ValidationError(
+                f"costs need over {_COST_DIGITS} digits over a common denominator"
+            )
         return cls(tuple(vals))
 
     @classmethod

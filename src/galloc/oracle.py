@@ -50,12 +50,6 @@ class EnumeratedLattice:
     def leq(self, i: int, j: int) -> bool:
         return self.order[i][j] in ("less", "equal")
 
-    def index_of(self, x: Assignment) -> int:
-        for i, el in enumerate(self.elements):
-            if el.values == x.values:
-                return i
-        raise KeyError(x.values)
-
     def join_index(self, i: int, j: int) -> int | None:
         uppers = [k for k in range(len(self.elements)) if self.leq(i, k) and self.leq(j, k)]
         least = [k for k in uppers if all(self.leq(k, m) for m in uppers)]

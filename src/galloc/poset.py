@@ -68,9 +68,6 @@ class RotationPoset:
                 return i
         raise KeyError((key, occurrence))
 
-    def successors(self, i: int) -> tuple[int, ...]:
-        return tuple(b for a, b in self.hasse if a == i)
-
     def minimal_elements(self) -> tuple[int, ...]:
         targets = {b for _, b in self.hasse}
         return tuple(i for i in range(len(self.elements)) if i not in targets)

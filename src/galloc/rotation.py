@@ -15,10 +15,11 @@ metered against a hard budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .choice import evaluator_for, single_unit_response, total_choice_calls
 from .errors import GallocError, InvariantViolation
-from .model import Assignment, Instance, shift
+from .model import Assignment, Instance, shift, shift_room
 from .stability import check_stability, is_interesting
 
 
@@ -119,11 +120,7 @@ def build_auxiliary(inst: Instance, x: Assignment) -> AuxiliaryGraph:
     """Admissible edges and displacement pairs at a stable assignment."""
     report = check_stability(inst, x)
     if not report.stable:
-        raise GallocError(
-            "auxiliary structure needs a stable assignment; "
-            f"unacceptable={list(report.unacceptable_vertices)} "
-            f"blocking={list(report.blocking)}"
-        )
+        raise GallocError(f"auxiliary structure needs a stable assignment; {report}")
     pairs: list[tuple[str, str]] = []
     tandems: list[Tandem] = []
     absorbing: list[str] = []
@@ -286,9 +283,36 @@ def weight_budget(inst: Instance, rot: Rotation) -> int:
     return len(rot.plus_edges) * (b - 1).bit_length() + 2
 
 
-def max_feasible_weight(
-    inst: Instance, x: Assignment, rot: Rotation, *, budget_check: bool = True
-) -> int:
+def _swaps(inst: Instance, x: Assignment, t: Tandem, mu: int) -> bool:
+    """Whether the pair still swaps at weight ``mu``.
+
+    That is, whether the firm takes ``mu`` more units on ``t.plus`` by
+    dropping ``mu`` units of ``t.minus``.
+    """
+    z = list(inst.local_values(x, t.firm))
+    z[inst.local_pos(t.firm, t.plus)] += mu
+    want = list(z)
+    want[inst.local_pos(t.firm, t.minus)] -= mu
+    return evaluator_for(inst, t.firm)(tuple(z)) == tuple(want)
+
+
+def largest_weight(nu: int, holds: Callable[[int], bool]) -> int:
+    """The largest mu in [1, nu] where ``holds``, by bisection.
+
+    ``holds`` must hold at 1 and on a prefix of the range; callers check
+    the unit step themselves.
+    """
+    lo, hi = 1, nu
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def max_feasible_weight(inst: Instance, x: Assignment, rot: Rotation) -> int:
     """The largest weight the rotation can shift in one move.
 
     Bounded by the capacity room on added edges and the load on
@@ -297,43 +321,19 @@ def max_feasible_weight(
     threshold is found by binary search, which keeps the number of fresh
     evaluations within ``weight_budget``.
     """
-    idx = inst.edge_index
-    nu = min(
-        min(x.values[idx[c]] for c in rot.minus_edges),
-        min(inst.edge(a).capacity - x.values[idx[a]] for a in rot.plus_edges),
-    )
-    if nu < 1:
+    tau = shift_room(inst, x, rot.plus_edges, rot.minus_edges)
+    if tau < 1:
         raise GallocError("rotation is not applicable: no room for a unit shift")
     before = total_choice_calls(inst)
-    tau = nu
     for t in rotation_tandems(inst, rot):
-        cf = evaluator_for(inst, t.firm)
-        z = inst.local_values(x, t.firm)
-        pa = inst.local_pos(t.firm, t.plus)
-        pc = inst.local_pos(t.firm, t.minus)
-
-        def holds(mu: int) -> bool:
-            bumped = list(z)
-            bumped[pa] += mu
-            want = list(bumped)
-            want[pc] -= mu
-            return cf(tuple(bumped)) == tuple(want)
-
-        if not holds(1):
+        if not _swaps(inst, x, t, 1):
             raise GallocError(
                 f"rotation is not applicable: pair ({t.plus}, {t.minus}) "
                 f"does not swap at {t.firm}"
             )
-        lo, hi = 1, tau
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if holds(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        tau = lo
+        tau = largest_weight(tau, lambda mu: _swaps(inst, x, t, mu))
     spent = total_choice_calls(inst) - before
-    if budget_check and spent > weight_budget(inst, rot):
+    if spent > weight_budget(inst, rot):
         raise InvariantViolation(
             f"weight search spent {spent} evaluations, over its budget "
             f"{weight_budget(inst, rot)}"
@@ -351,32 +351,12 @@ def linear_scan_feasible_weight(
     feasible again after a failure (which would contradict the
     monotonicity the binary search relies on).
     """
-    idx = inst.edge_index
-    nu = min(
-        min(x.values[idx[c]] for c in rot.minus_edges),
-        min(inst.edge(a).capacity - x.values[idx[a]] for a in rot.plus_edges),
-    )
     tandems = rotation_tandems(inst, rot)
-
-    def feasible(mu: int) -> bool:
-        for t in tandems:
-            cf = evaluator_for(inst, t.firm)
-            z = inst.local_values(x, t.firm)
-            pa = inst.local_pos(t.firm, t.plus)
-            pc = inst.local_pos(t.firm, t.minus)
-            bumped = list(z)
-            bumped[pa] += mu
-            want = list(bumped)
-            want[pc] -= mu
-            if cf(tuple(bumped)) != tuple(want):
-                return False
-        return True
-
     tau = 0
     gaps: list[int] = []
     failed = False
-    for mu in range(1, nu + 1):
-        if feasible(mu):
+    for mu in range(1, shift_room(inst, x, rot.plus_edges, rot.minus_edges) + 1):
+        if all(_swaps(inst, x, t, mu) for t in tandems):
             if failed:
                 gaps.append(mu)
             else:
@@ -395,9 +375,7 @@ def apply_rotation(
         report = check_stability(inst, out)
         if not report.stable:
             raise InvariantViolation(
-                f"shift of {weight} around {rot.key} broke stability: "
-                f"unacceptable={list(report.unacceptable_vertices)} "
-                f"blocking={list(report.blocking)}"
+                f"shift of {weight} around {rot.key} broke stability: {report}"
             )
     return out
 
@@ -416,20 +394,8 @@ def classify_events(
         if x.values[idx[a]] + tau == inst.edge(a).capacity:
             events.append(Event("positive-saturated", a))
     for t in rotation_tandems(inst, rot):
-        room = min(
-            inst.edge(t.plus).capacity - x.values[idx[t.plus]],
-            x.values[idx[t.minus]],
-        )
-        if tau >= room:
-            continue
-        cf = evaluator_for(inst, t.firm)
-        z = list(inst.local_values(out, t.firm))
-        pa = inst.local_pos(t.firm, t.plus)
-        pc = inst.local_pos(t.firm, t.minus)
-        z[pa] += 1
-        want = list(z)
-        want[pc] -= 1
-        if cf(tuple(z)) != tuple(want):
+        room = shift_room(inst, x, (t.plus,), (t.minus,))
+        if tau < room and not _swaps(inst, out, t, 1):
             events.append(Event("tandem-destroyed", t.plus, t.minus))
     if not events:
         raise InvariantViolation(

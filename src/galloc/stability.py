@@ -78,6 +78,12 @@ class StabilityReport:
     unacceptable_vertices: tuple[str, ...]
     blocking: tuple[str, ...]
 
+    def __str__(self) -> str:
+        return (
+            f"unacceptable={list(self.unacceptable_vertices)} "
+            f"blocking={list(self.blocking)}"
+        )
+
 
 def check_stability(inst: Instance, x: Assignment) -> StabilityReport:
     local = _local_vectors(inst, x)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -208,6 +209,44 @@ def test_mincost_non_json_costs_file_exits_one(swaps_file, tmp_path, capsys):
         assert rc == 1
         assert err.startswith("galloc: error:") and "is not valid JSON" in err
         assert err.count("\n") == 1
+
+
+LONG_INT = "1" + "0" * 4400  # over the 4,300-digit int-to-string limit
+
+
+def long_capacity_instance():
+    doc = two_swaps().to_dict()
+    doc["edges"][0]["capacity"] = "CAP"
+    return json.dumps(doc).replace('"CAP"', LONG_INT)
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("mincost", '{"a1": Infinity}', "is not finite"),
+        ("mincost", '{"a1": NaN}', "is not finite"),
+        ("mincost", '{"a1": "1e1000000"}', "exponent over 1000"),
+        (
+            "mincost",
+            json.dumps({"a1": f"1/{3**4000}", "a2": f"1/{7**3000}", "b1": f"1/{11**2500}"}),
+            "over 1000 digits",
+        ),
+        ("solve", long_capacity_instance(), "is not valid JSON"),
+        ("check", '{"a1": ' + LONG_INT + "}", "is not valid JSON"),
+    ],
+    ids=["cost-infinity", "cost-nan", "cost-exponent", "cost-denominators",
+         "solve-long-capacity", "check-long-value"],
+)
+def test_oversized_numbers_exit_one(command, text, message, swaps_file, tmp_path, capsys):
+    path = tmp_path / "arg.json"
+    path.write_text(text)
+    argv = [command, str(path)] if command == "solve" else [command, swaps_file, str(path)]
+    start = time.perf_counter()
+    rc, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (1, "")
+    assert err.startswith("galloc: error:") and message in err
+    assert err.count("\n") == 1
 
 
 def test_brute_counts_the_chain(ring_file, capsys):

@@ -5,8 +5,10 @@ from collections import Counter
 from galloc import (
     GallocError,
     GaplessnessError,
+    apply_rotation,
     build_full_route,
     compare_F,
+    enumerate_stable,
     make_ring_instance,
     route_pairs,
     route_to_target,
@@ -132,6 +134,36 @@ def test_route_to_target_truncates_the_weight():
     route = route_to_target(inst, inst.assignment((0, 3)), inst.assignment((1, 2)))
     assert [(s.weight, s.full_weight) for s in route.steps] == [(1, 3)]
     assert route.end.values == (1, 2)
+
+
+def test_route_to_target_takes_the_largest_weight_below_the_target():
+    truncated = 0
+    for inst in (
+        parallel_pair(3),
+        parallel_pair(5),
+        parallel_pair(8),
+        two_swaps(3, 5),
+        make_ring_instance(2),
+        make_ring_instance(4),
+        make_ring_instance(6),
+    ):
+        lat = enumerate_stable(inst)
+        for i, start in enumerate(lat.elements):
+            for j, target in enumerate(lat.elements):
+                if not lat.leq(i, j):
+                    continue
+                route = route_to_target(inst, start, target)
+                assert route.end == target
+                x = start
+                for s in route.steps:
+                    if s.weight < s.full_weight:
+                        over = apply_rotation(inst, x, s.rotation, s.weight + 1)
+                        assert compare_F(inst, over, target) not in ("less", "equal")
+                        truncated += s.weight > 1
+                    x = apply_rotation(inst, x, s.rotation, s.weight)
+    # Steps cut strictly between 1 and their full weight: 28 on the
+    # parallel pairs, 81 on the two swaps.
+    assert truncated == 109
 
 
 def test_route_to_target_rejects_points_not_below(ring4):

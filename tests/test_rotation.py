@@ -6,6 +6,7 @@ from galloc import (
     Rotation,
     applicable_rotations,
     apply_rotation,
+    build_full_route,
     classify_events,
     linear_scan_feasible_weight,
     make_ring_instance,
@@ -61,14 +62,28 @@ def test_ring_stops_by_tandem_destruction(ring4):
 
 
 def test_scan_matches_bisection_on_small_instances():
-    for inst, x in [
-        (two_swaps(), two_swaps().assignment((0, 1, 0, 1))),
-        (parallel_pair(3), parallel_pair(3).assignment((0, 3))),
-    ]:
-        for rot in applicable_rotations(inst, x):
-            tau, gaps = linear_scan_feasible_weight(inst, x, rot)
-            assert gaps == ()
-            assert tau == max_feasible_weight(inst, x, rot)
+    kinds = set()
+    for inst in (
+        two_swaps(),
+        two_swaps(3, 5),
+        parallel_pair(3),
+        parallel_pair(5),
+        make_ring_instance(2),
+        make_ring_instance(4),
+        make_ring_instance(6),
+    ):
+        # Every rotation at every point of the canonical full route.
+        route = build_full_route(inst)
+        points = [route.start]
+        for step in route.steps:
+            points.append(apply_rotation(inst, points[-1], step.rotation, step.weight))
+        for x in points:
+            for rot in applicable_rotations(inst, x):
+                tau, gaps = linear_scan_feasible_weight(inst, x, rot)
+                assert gaps == ()
+                assert tau == max_feasible_weight(inst, x, rot)
+                kinds |= {e.kind for e in classify_events(inst, x, rot, tau)}
+    assert kinds == {"negative-exhausted", "positive-saturated", "tandem-destroyed"}
 
 
 def test_parallel_edges_swap_at_full_weight():
