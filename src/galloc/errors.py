@@ -23,7 +23,7 @@ class ValidationError(GallocError):
 
 
 class LimitError(GallocError):
-    """An enumeration guard tripped before the work was attempted."""
+    """An enumeration guard tripped before the costly work was attempted."""
 
 
 class GaplessnessError(GallocError):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 from .choice import evaluator_for, interesting_at, single_unit_response
 from .errors import GallocError, GaplessnessError, InvariantViolation
@@ -169,15 +170,10 @@ def _admissible_path(
         seq = seq[cycle_from:]
         if len(seq) < 2 or len(seq) % 2 != 0:
             raise InvariantViolation(f"walk closed a degenerate cycle: {seq}")
-        return (
-            tuple(e for e in seq if e in plus),
-            tuple(e for e in seq if e not in plus),
-            False,
-        )
     return (
         tuple(e for e in seq if e in plus),
         tuple(e for e in seq if e not in plus),
-        True,
+        cycle_from is None,
     )
 
 
@@ -463,7 +459,7 @@ def solve_xmin_by_stages(inst: Instance) -> Assignment:
 
 @dataclass(frozen=True)
 class RouteStep:
-    """One rotation shift on a route.
+    """One rotation shift on a route, and the stable point it reaches.
 
     ``weight`` is what was shifted; ``full_weight`` is the maximum that
     was available.  They differ only on routes truncated by a target.
@@ -472,6 +468,7 @@ class RouteStep:
     rotation: Rotation
     weight: int
     full_weight: int
+    end: Assignment
 
 
 @dataclass(frozen=True)
@@ -486,13 +483,58 @@ def route_pairs(route: Route) -> "Counter[tuple[tuple[str, ...], int]]":
     return Counter((s.rotation.key, s.weight) for s in route.steps)
 
 
+def walk_route(
+    inst: Instance,
+    start: Assignment,
+    *,
+    pick: Callable[[tuple[Rotation, ...]], Rotation] | None = None,
+    assume_gapless: bool = False,
+    rotations_at: Callable[[Assignment], tuple[Rotation, ...]] | None = None,
+    weight_at: Callable[[Assignment, Rotation], int] | None = None,
+) -> Route:
+    """Maximal-weight route from ``start`` until no rotation applies.
+
+    At each point ``pick`` chooses one of the applicable rotations (in
+    canonical key order; the first by default), which is shifted by its
+    maximal weight.  ``rotations_at`` and ``weight_at`` stand in for the
+    two searches when a caller memoizes them.  Route length is monitored
+    against (|W|+|F|)·|E|² under the gapless assumption, where a
+    repeated rotation key raises GaplessnessError before its weight
+    search, and against b_max·|E|² otherwise.
+    """
+    mult = len(inst.workers) + len(inst.firms) if assume_gapless else max(1, inst.b_max)
+    bound = mult * max(1, len(inst.edges)) ** 2
+    # The searches are looked up at call time, so rebinding them is seen.
+    search = rotations_at or (lambda y: applicable_rotations(inst, y))
+    weigh = weight_at or (lambda y, rot: max_feasible_weight(inst, y, rot))
+    steps: list[RouteStep] = []
+    seen_keys: set[tuple[str, ...]] = set()
+    x = start
+    while True:
+        rotations = search(x)
+        if not rotations:
+            return Route(start, tuple(steps), x)
+        if len(steps) >= bound:
+            raise InvariantViolation(
+                f"route exceeded its length monitor of {bound} steps"
+            )
+        rot = rotations[0] if pick is None else pick(rotations)
+        if assume_gapless and rot.key in seen_keys:
+            raise GaplessnessError(
+                f"rotation {rot.key} repeated on a route; the instance is not gapless"
+            )
+        seen_keys.add(rot.key)
+        tau = weigh(x, rot)
+        x = apply_rotation(inst, x, rot, tau)
+        steps.append(RouteStep(rot, tau, tau, x))
+
+
 def build_full_route(
     inst: Instance,
     start: Assignment | None = None,
     *,
     assume_gapless: bool = False,
     rng=None,
-    debug: bool = False,
 ) -> Route:
     """Maximal-weight route from the lattice minimum to the maximum.
 
@@ -502,41 +544,11 @@ def build_full_route(
     GaplessnessError; route length is monitored either way.
     """
     x = start if start is not None else xmin_by_capacity_reduction(inst).assignment
-    e2 = max(1, len(inst.edges)) ** 2
-    bound = (len(inst.workers) + len(inst.firms)) * e2 if assume_gapless else max(
-        1, inst.b_max
-    ) * e2
-    steps: list[RouteStep] = []
-    seen_keys: set[tuple[str, ...]] = set()
-    x0 = x
-    while True:
-        rotations = applicable_rotations(inst, x)
-        if not rotations:
-            return Route(x0, tuple(steps), x)
-        if len(steps) >= bound:
-            raise InvariantViolation(
-                f"route exceeded its length monitor of {bound} steps"
-            )
-        rot = (
-            rotations[int(rng.integers(len(rotations)))]
-            if rng is not None
-            else rotations[0]
-        )
-        if assume_gapless:
-            if rot.key in seen_keys:
-                raise GaplessnessError(
-                    f"rotation {rot.key} repeated on a route; "
-                    "the instance is not gapless"
-                )
-            seen_keys.add(rot.key)
-        tau = max_feasible_weight(inst, x, rot)
-        x = apply_rotation(inst, x, rot, tau, debug=debug)
-        steps.append(RouteStep(rot, tau, tau))
+    pick = None if rng is None else (lambda rots: rots[int(rng.integers(len(rots)))])
+    return walk_route(inst, x, pick=pick, assume_gapless=assume_gapless)
 
 
-def route_to_target(
-    inst: Instance, start: Assignment, target: Assignment, *, debug: bool = False
-) -> Route:
+def route_to_target(inst: Instance, start: Assignment, target: Assignment) -> Route:
     """Route from one stable assignment up to another it sits below.
 
     Each step takes the first rotation whose unit shift stays weakly
@@ -567,8 +579,8 @@ def route_to_target(
             lambda mu: compare_F(inst, apply_rotation(inst, x, found, mu), target)
             in ("less", "equal"),
         )
-        x = apply_rotation(inst, x, found, lam, debug=debug)
-        steps.append(RouteStep(found, lam, full))
+        x = apply_rotation(inst, x, found, lam)
+        steps.append(RouteStep(found, lam, full, x))
     return Route(start, tuple(steps), x)
 
 

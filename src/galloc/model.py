@@ -31,10 +31,14 @@ _INSTANCE_KEYS = frozenset(
 )
 _EDGE_KEYS = frozenset({"id", "worker", "firm", "capacity"})
 # Costs, their common denominator and their scaled integers stay below
-# this many digits, so every printed total stays far from Python's
-# int-to-string limit; a decimal exponent is checked before expansion.
+# this many digits; a decimal exponent is checked before expansion.
 _COST_DIGITS = 1000
 _COST_BOUND = 10**_COST_DIGITS
+# Over such a denominator a total prints in at most 2,322 more digits than
+# its scaled integer (a decimal expansion multiplies by up to 5**3322), so
+# the largest reachable scaled total, sum |c_e| * b_e, stays below this
+# many digits and every printed cost below Python's int-to-string limit.
+_TOTAL_DIGITS = 1900
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 _REQUIRED_FIELDS = (
     ("workers", (list, tuple), "a list"),
@@ -304,11 +308,10 @@ def validate_instance(inst: Instance) -> None:
             errors.append(f"order for unknown worker {w!r}")
             continue
         incident = set(inst.edges_of(w))
-        try:
-            listed = set(order)
-        except TypeError:
+        if not all(isinstance(eid, str) for eid in order):
             errors.append(f"order for worker {w!r} lists a non-string edge id")
             continue
+        listed = set(order)
         if len(order) != len(listed):
             errors.append(f"order for worker {w!r} repeats an edge")
         for eid in sorted(listed - incident):
@@ -479,6 +482,12 @@ class CostVector:
         if scale >= _COST_BOUND or any(abs(c * scale) >= _COST_BOUND for c in vals):
             raise ValidationError(
                 f"costs need over {_COST_DIGITS} digits over a common denominator"
+            )
+        reach = sum(abs(c * scale) * e.capacity for c, e in zip(vals, inst.edges))
+        if reach >= 10**_TOTAL_DIGITS:
+            raise ValidationError(
+                f"costs times capacities reach over {_TOTAL_DIGITS} digits "
+                "over a common denominator"
             )
         return cls(tuple(vals))
 

@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 DEFAULT_LIMIT = 10**7
+# Larger stable sets are refused once swept: the order table below is
+# quadratic in their size and verify_lattice_properties is quartic.
+_STABLE_LIMIT = 128
 _CHUNK = 250_000
 
 
@@ -100,7 +103,8 @@ def _firm_tables(inst: Instance, f: str) -> tuple[np.ndarray, np.ndarray, np.nda
 def enumerate_stable(inst: Instance, limit: int = DEFAULT_LIMIT) -> EnumeratedLattice:
     """Every stable assignment, elements sorted in mixed-radix order.
 
-    Refuses when the raw capacity box exceeds ``limit`` points.  The
+    Refuses when the raw capacity box exceeds ``limit`` points, and
+    after the sweep when it found over ``_STABLE_LIMIT`` points.  The
     sweep runs over combinations of per-worker accepted local vectors
     in fixed-size chunks; firms are handled through lookup tables
     indexed by the mixed-radix code of their restriction.
@@ -171,6 +175,11 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_LIMIT) -> EnumeratedLa
         for row in grid[ok & ~blocked]:
             found.append(tuple(int(v) for v in row))
 
+    if len(found) > _STABLE_LIMIT:
+        raise LimitError(
+            f"enumeration found {len(found)} stable assignments, "
+            f"over the limit {_STABLE_LIMIT}"
+        )
     if not found:
         raise InvariantViolation(
             "no stable assignment exists; the choice functions likely "

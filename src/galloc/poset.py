@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,10 +19,10 @@ import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
 
 from .errors import GallocError, InvariantViolation, LimitError
-from .lattice import build_full_route, route_pairs, route_to_target
+from .lattice import Route, route_pairs, route_to_target, walk_route
 from .lattice import xmin_by_capacity_reduction
 from .model import Assignment, CostVector, Instance
-from .rotation import Rotation, applicable_rotations, apply_rotation, max_feasible_weight
+from .rotation import Rotation, applicable_rotations, max_feasible_weight
 from .stability import check_stability
 
 
@@ -136,23 +137,17 @@ def _check_reduction(edges: set[tuple[int, int]], n: int) -> None:
         )
 
 
-def _coverage_check(
-    inst: Instance,
-    elements: list[PosetElement],
-    xmin: Assignment,
-    xmax: Assignment,
-) -> None:
-    delta = [0] * len(inst.edges)
-    for el in elements:
+def _shift_sum(
+    inst: Instance, xmin: Assignment, weighted: Iterable[tuple[PosetElement, int]]
+) -> tuple[int, ...]:
+    """xmin plus the shift of each element, taken at its paired value."""
+    vals = list(xmin.values)
+    for el, v in weighted:
         for e in el.plus_edges:
-            delta[inst.edge_index[e]] += el.weight
+            vals[inst.edge_index[e]] += v
         for e in el.minus_edges:
-            delta[inst.edge_index[e]] -= el.weight
-    got = tuple(a + d for a, d in zip(xmin.values, delta))
-    if got != xmax.values:
-        raise InvariantViolation(
-            "poset weights do not carry the minimum to the maximum"
-        )
+            vals[inst.edge_index[e]] -= v
+    return tuple(vals)
 
 
 def build_poset_gapless(inst: Instance) -> RotationPoset:
@@ -177,18 +172,11 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     multiset.  For each rotation a route deferring it maximally locates
     its occurrence points; the rotations applicable at each point give
     the successor occurrences, counted back from the route's tail.
-    The deferred routes pass the same stable points many times, so the
-    build searches each point for rotations, and each rotation there
-    for its maximal weight, only once.
+    These routes pass the same stable points many times, so the build
+    searches each point for rotations, and each rotation there for its
+    maximal weight, only once.
     """
     xmin = xmin_by_capacity_reduction(inst).assignment
-    base = build_full_route(inst, xmin, assume_gapless=mode == "gapless")
-    pair_multiset = route_pairs(base)
-    counts = Counter(step.rotation.key for step in base.steps)
-    keys = sorted(counts)
-    e2 = max(1, len(inst.edges)) ** 2
-    bound = max(1, inst.b_max) * e2
-
     found: dict[tuple[int, ...], tuple[Rotation, ...]] = {}
     weights: dict[tuple[tuple[int, ...], tuple[str, ...]], int] = {}
 
@@ -202,66 +190,58 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
             weights[(x.values, rot.key)] = max_feasible_weight(inst, x, rot)
         return weights[(x.values, rot.key)]
 
+    def walk(**how) -> Route:
+        return walk_route(
+            inst, xmin, rotations_at=rotations_at, weight_at=weight_at, **how
+        )
+
+    base = walk(assume_gapless=mode == "gapless")
+    pair_multiset = route_pairs(base)
+    counts = Counter(step.rotation.key for step in base.steps)
+
     elements: list[PosetElement] = []
-    index: dict[tuple[tuple[str, ...], int], int] = {}
-    per_key: dict[tuple[str, ...], list[tuple[int, Assignment]]] = {}
-    traces: dict[tuple[str, ...], list[tuple[tuple[str, ...], int]]] = {}
-    for key in keys:
-        x = xmin
-        steps: list[tuple[tuple[str, ...], int]] = []
-        occs: list[tuple[int, Assignment]] = []
-        while True:
-            rotations = rotations_at(x)
-            if not rotations:
-                break
-            if len(steps) >= bound:
-                raise InvariantViolation(
-                    f"deferred route exceeded its length monitor of {bound} steps"
-                )
-            others = [r for r in rotations if r.key != key]
-            rot = others[0] if others else rotations[0]
-            tau = weight_at(x, rot)
-            x = apply_rotation(inst, x, rot, tau)
-            steps.append((rot.key, tau))
-            if rot.key == key:
-                occs.append((len(steps) - 1, x))
-        if x.values != base.end.values:
+    arcs: set[tuple[tuple, tuple]] = set()  # between (key, occurrence) pairs
+    for key in sorted(counts):
+        route = walk(
+            pick=lambda rots, key=key: next((r for r in rots if r.key != key), rots[0])
+        )
+        steps = route.steps
+        if route.end.values != base.end.values:
             raise InvariantViolation("a deferred route ended away from the maximum")
-        if Counter(steps) != pair_multiset:
+        if route_pairs(route) != pair_multiset:
             raise InvariantViolation(
                 "route weight multisets differ between full routes"
             )
+        occs = [p for p, s in enumerate(steps) if s.rotation.key == key]
         if len(occs) != counts[key]:
             raise InvariantViolation(
                 f"rotation {key} occurred {len(occs)} times deferred "
                 f"but {counts[key]} times on the base route"
             )
-        per_key[key] = occs
-        traces[key] = steps
-        for i, (p, _) in enumerate(occs):
-            index[(key, i)] = len(elements)
-            elements.append(PosetElement(key, i, steps[p][1]))
-
-    if Counter((el.key, el.weight) for el in elements) != pair_multiset:
-        raise InvariantViolation(
-            "element weights do not reproduce the route weight multiset"
-        )
-
-    edges: set[tuple[int, int]] = set()
-    for key in keys:
-        steps = traces[key]
-        for i, (p, x_here) in enumerate(per_key[key]):
-            for succ in rotations_at(x_here):
-                later = sum(1 for q in range(p + 1, len(steps)) if steps[q][0] == succ.key)
+        for i, p in enumerate(occs):
+            elements.append(PosetElement(key, i, steps[p].weight))
+            for succ in rotations_at(steps[p].end):
+                later = sum(1 for s in steps[p + 1:] if s.rotation.key == succ.key)
                 j = counts[succ.key] - later
                 if not 0 <= j < counts[succ.key]:
                     raise InvariantViolation(
                         f"successor occurrence of {succ.key} after {key} "
                         "falls outside its occurrence range"
                     )
-                edges.add((index[(key, i)], index[(succ.key, j)]))
+                arcs.add(((key, i), (succ.key, j)))
+
+    if Counter((el.key, el.weight) for el in elements) != pair_multiset:
+        raise InvariantViolation(
+            "element weights do not reproduce the route weight multiset"
+        )
+    index = {(el.key, el.occurrence): i for i, el in enumerate(elements)}
+    edges = {(index[a], index[b]) for a, b in arcs}
     _check_reduction(edges, len(elements))
-    _coverage_check(inst, elements, xmin, base.end)
+    reached = _shift_sum(inst, xmin, [(el, el.weight) for el in elements])
+    if reached != base.end.values:
+        raise InvariantViolation(
+            "poset weights do not carry the minimum to the maximum"
+        )
     poset = RotationPoset(tuple(elements), tuple(sorted(edges)), mode, xmin, base.end)
     first = {index[(r.key, 0)] for r in rotations_at(xmin)}
     if set(poset.minimal_elements()) != first:
@@ -375,20 +355,13 @@ def from_closed_function(
     problem = closedness_problem(poset, xi.values)
     if problem is not None:
         raise GallocError(f"not a closed function: {problem}")
-    vals = list(poset.xmin.values)
-    for v, el in zip(xi.values, poset.elements):
-        if v == 0:
-            continue
-        for e in el.plus_edges:
-            vals[inst.edge_index[e]] += v
-        for e in el.minus_edges:
-            vals[inst.edge_index[e]] -= v
+    vals = _shift_sum(inst, poset.xmin, zip(poset.elements, xi.values))
     for v, e in zip(vals, inst.edges):
         if v < 0 or v > e.capacity:
             raise InvariantViolation(
                 f"closed function leaves edge {e.id} outside its capacity"
             )
-    x = Assignment(tuple(vals))
+    x = Assignment(vals)
     if not check_stability(inst, x).stable:
         raise InvariantViolation("closed function produced an unstable assignment")
     return x

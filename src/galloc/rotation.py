@@ -367,17 +367,10 @@ def linear_scan_feasible_weight(
 
 
 def apply_rotation(
-    inst: Instance, x: Assignment, rot: Rotation, weight: int, *, debug: bool = False
+    inst: Instance, x: Assignment, rot: Rotation, weight: int
 ) -> Assignment:
-    """Shift ``weight`` around the rotation; optionally re-verify stability."""
-    out = shift(inst, x, rot.plus_edges, rot.minus_edges, weight)
-    if debug:
-        report = check_stability(inst, out)
-        if not report.stable:
-            raise InvariantViolation(
-                f"shift of {weight} around {rot.key} broke stability: {report}"
-            )
-    return out
+    """Shift ``weight`` around the rotation."""
+    return shift(inst, x, rot.plus_edges, rot.minus_edges, weight)
 
 
 def classify_events(

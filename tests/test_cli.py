@@ -2,11 +2,13 @@ import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from galloc import InvariantViolation, make_ring_instance
+from galloc import InvariantViolation, make_ring_instance, xmin_by_capacity_reduction
 from galloc.cli import main
 
-from conftest import two_swaps
+from conftest import one_on_one, two_swaps
 
 X0 = {"a1": 0, "c1": 2, "d1": 2, "a2": 0, "c2": 2, "d2": 2, "a3": 0, "c3": 2, "d3": 2}
 X4 = {"a1": 4, "c1": 0, "d1": 0, "a2": 4, "c2": 0, "d2": 0, "a3": 4, "c3": 0, "d3": 0}
@@ -149,6 +151,8 @@ def test_missing_files_exit_one(tmp_path, capsys):
         ("workers", "w", "workers must be a list"),
         ("worker_orders", {"w": "e"}, "order for worker 'w' must be a list"),
         ("worker_orders", {"w": [["e"]]}, "order for worker 'w' lists a non-string"),
+        # Sorting the stray entries for the message used to raise TypeError.
+        ("worker_orders", {"w": ["e", False]}, "order for worker 'w' lists a non-string"),
         (
             "firm_cfs",
             {"f": {"type": "linear", "order": "e", "quota": 1}},
@@ -166,7 +170,7 @@ def test_missing_files_exit_one(tmp_path, capsys):
         ),
     ],
     ids=["quotas-list", "edges-int", "cf-int", "workers-string", "order-string",
-         "order-list-entry", "firm-order-string", "firm-order-list-entry",
+         "order-list-entry", "order-bool-entry", "firm-order-string", "firm-order-list-entry",
          "firm-columns-int"],
 )
 def test_mistyped_instance_fields_exit_one(key, value, message, tmp_path, capsys):
@@ -220,6 +224,14 @@ def long_capacity_instance():
     return json.dumps(doc).replace('"CAP"', LONG_INT)
 
 
+def wide_edge_instance():
+    """One edge whose capacity and quotas are 10**3500, under the JSON limit."""
+    doc = one_on_one().to_dict()
+    doc["edges"][0]["capacity"] = doc["worker_quotas"]["w1"] = "CAP"
+    doc["firm_cfs"]["f1"]["quota"] = "CAP"
+    return json.dumps(doc).replace('"CAP"', "1" + "0" * 3500)
+
+
 @pytest.mark.parametrize(
     "command, text, message",
     [
@@ -233,14 +245,21 @@ def long_capacity_instance():
         ),
         ("solve", long_capacity_instance(), "is not valid JSON"),
         ("check", '{"a1": ' + LONG_INT + "}", "is not valid JSON"),
+        # Each cost is in bounds, but cost times capacity is not printable.
+        (("mincost", wide_edge_instance()), '{"e1": "1e999"}', "over 1900 digits"),
     ],
     ids=["cost-infinity", "cost-nan", "cost-exponent", "cost-denominators",
-         "solve-long-capacity", "check-long-value"],
+         "solve-long-capacity", "check-long-value", "cost-times-capacity"],
 )
 def test_oversized_numbers_exit_one(command, text, message, swaps_file, tmp_path, capsys):
     path = tmp_path / "arg.json"
     path.write_text(text)
-    argv = [command, str(path)] if command == "solve" else [command, swaps_file, str(path)]
+    inst_file = swaps_file
+    if isinstance(command, tuple):  # a command with its own instance text
+        command, inst_text = command
+        inst_file = tmp_path / "inst.json"
+        inst_file.write_text(inst_text)
+    argv = [command, str(path)] if command == "solve" else [command, str(inst_file), str(path)]
     start = time.perf_counter()
     rc, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 1.0
@@ -258,6 +277,35 @@ def test_brute_counts_the_chain(ring_file, capsys):
     assert doc["xmax"] == X4
     assert doc["properties_ok"] is True
     assert doc["problems"] == []
+
+
+def test_brute_refuses_large_stable_sets(tmp_path, capsys):
+    # Five disjoint capacity-3 swaps: a 4**10-cell box, under the box
+    # limit, holding 4**5 = 1024 stable points.
+    n = range(5)
+    doc = {
+        "workers": [f"w{i}" for i in n],
+        "firms": [f"f{i}" for i in n],
+        "edges": [
+            {"id": f"{s}{i}", "worker": f"w{i}", "firm": f"f{i}", "capacity": 3}
+            for i in n
+            for s in "ab"
+        ],
+        "worker_quotas": {f"w{i}": 3 for i in n},
+        "worker_orders": {f"w{i}": [f"b{i}", f"a{i}"] for i in n},
+        "firm_cfs": {
+            f"f{i}": {"type": "linear", "order": [f"a{i}", f"b{i}"], "quota": 3}
+            for i in n
+        },
+    }
+    path = write_json(tmp_path / "pairs.json", doc)
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["brute", path])
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (1, "")
+    assert err == (
+        "galloc: error: enumeration found 1024 stable assignments, over the limit 128\n"
+    )
 
 
 def test_brute_respects_the_limit(ring_file, capsys, monkeypatch):
@@ -319,3 +367,65 @@ def test_internal_failures_exit_two(ring_file, capsys, monkeypatch):
     rc, _, err = run(capsys, ["solve", ring_file])
     assert rc == 2
     assert "invariant violation" in err
+
+
+# -- fuzzing the instance boundary ----------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=5)
+    | st.sampled_from(["w1", "f1", "a1", "linear", "tableau", "tableau-a3"]),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+FUZZ_BASES = [two_swaps(1, 2), make_ring_instance(2)]
+
+
+def field_paths(doc, prefix=()):
+    """Paths to every value inside a parsed JSON document, nested ones too."""
+    children = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ()
+    )
+    out = []
+    for key, value in children:
+        out.append(prefix + (key,))
+        out += field_paths(value, prefix + (key,))
+    return out
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_any_one_field_replaced_exits_cleanly(data, tmp_path, capsys):
+    inst = data.draw(st.sampled_from(FUZZ_BASES))
+    doc = json.loads(json.dumps(inst.to_dict()))  # nested lists are shared
+    path = data.draw(st.sampled_from(field_paths(doc)))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(JSON_VALUES)
+    inst_path = write_json(tmp_path / "inst.json", doc)
+    xmin = xmin_by_capacity_reduction(inst).assignment.to_mapping(inst)
+    x_path = write_json(tmp_path / "x.json", xmin)
+    costs = write_json(tmp_path / "costs.json", {eid: 1 for eid in xmin})
+    for argv in (
+        ["solve", inst_path],
+        ["route", inst_path],
+        ["rotations", inst_path, x_path],
+        ["poset", inst_path],
+        ["mincost", inst_path, costs],
+        ["check", inst_path, x_path],
+        ["brute", inst_path],
+    ):
+        rc, _, err = run(capsys, argv)
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in err
+        if rc != 0:
+            assert err.count("\n") == 1 and err.startswith("galloc: "), (argv, err)

@@ -7,6 +7,7 @@ from galloc import (
     GaplessnessError,
     apply_rotation,
     build_full_route,
+    check_stability,
     compare_F,
     enumerate_stable,
     make_ring_instance,
@@ -30,6 +31,15 @@ def ring_point(inst, a, c, d):
     return inst.assignment((a, c, d) * 3)
 
 
+def assert_steps_reach_stable_points(inst, route):
+    x = route.start
+    for s in route.steps:
+        x = apply_rotation(inst, x, s.rotation, s.weight)
+        assert s.end == x
+        assert check_stability(inst, s.end).stable
+    assert route.end == x
+
+
 def test_capacity_reduction_reaches_the_bottom(ring4):
     run = xmin_by_capacity_reduction(ring4)
     assert run.assignment.values == (0, 2, 2) * 3
@@ -38,8 +48,6 @@ def test_capacity_reduction_reaches_the_bottom(ring4):
 
 def test_stage1_finds_a_stable_point(ring4):
     x = stage1_find_stable(ring4)
-    from galloc import check_stability
-
     assert check_stability(ring4, x).stable
     assert stage1_find_stable(ring4, ring4.zero()).values == x.values
 
@@ -81,7 +89,8 @@ def test_reversal_sets_on_the_ring(ring4):
 
 
 def test_full_route_up_the_ring(ring4):
-    route = build_full_route(ring4, debug=True)
+    route = build_full_route(ring4)
+    assert_steps_reach_stable_points(ring4, route)
     assert route.start.values == (0, 2, 2) * 3
     assert route.end.values == (4, 0, 0) * 3
     assert [s.rotation.key for s in route.steps] == [RING_L, RING_LP, RING_L, RING_LP]
@@ -107,7 +116,9 @@ def test_random_routes_share_the_pair_multiset(ring4):
     canonical = route_pairs(build_full_route(ring4))
     for seed in range(5):
         rng = np.random.Generator(np.random.PCG64(seed))
-        assert route_pairs(build_full_route(ring4, rng=rng)) == canonical
+        route = build_full_route(ring4, rng=rng)
+        assert_steps_reach_stable_points(ring4, route)
+        assert route_pairs(route) == canonical
 
 
 def test_single_step_route_carries_full_weight():
@@ -121,7 +132,8 @@ def test_single_step_route_carries_full_weight():
 def test_route_to_target_stops_midway(ring4):
     x0 = ring_point(ring4, 0, 2, 2)
     x2 = ring_point(ring4, 2, 1, 1)
-    route = route_to_target(ring4, x0, x2, debug=True)
+    route = route_to_target(ring4, x0, x2)
+    assert_steps_reach_stable_points(ring4, route)
     assert route.end.values == x2.values
     assert [s.rotation.key for s in route.steps] == [RING_L, RING_LP]
     empty = route_to_target(ring4, x2, x2)

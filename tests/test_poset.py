@@ -110,9 +110,9 @@ def test_general_mode_agrees_on_a_gapless_instance():
         assert a.xmax == b.xmax
 
 
-def test_builds_search_each_stable_point_at_most_twice(monkeypatch, ring4):
-    # Once on the base route and once in the construction, however many
-    # deferred routes pass the point.
+def test_builds_search_each_stable_point_exactly_once(monkeypatch, ring4):
+    # The base route, every deferred route and the successor lookups
+    # share one search per point, however many routes pass it.
     searched = Counter()
     search = galloc.poset.applicable_rotations
 
@@ -126,7 +126,7 @@ def test_builds_search_each_stable_point_at_most_twice(monkeypatch, ring4):
         searched.clear()
         build_poset(inst, general=general)
         assert searched
-        assert max(searched.values()) <= 2, searched
+        assert set(searched.values()) == {1}, searched
 
 
 def test_small_ring_poset_is_a_two_chain():

@@ -2,11 +2,11 @@ import pytest
 
 from galloc import (
     GallocError,
-    InvariantViolation,
     Rotation,
     applicable_rotations,
     apply_rotation,
     build_full_route,
+    check_stability,
     classify_events,
     linear_scan_feasible_weight,
     make_ring_instance,
@@ -48,7 +48,8 @@ def test_ring_rotations_alternate_up_the_chain(ring4):
         assert [r.key for r in rots] == [want]
         tau = max_feasible_weight(ring4, x, rots[0])
         assert tau == 1
-        x = apply_rotation(ring4, x, rots[0], tau, debug=True)
+        x = apply_rotation(ring4, x, rots[0], tau)
+        assert check_stability(ring4, x).stable
     assert applicable_rotations(ring4, x) == ()
     assert x.values == ring_point(ring4, 4, 0, 0).values
 
@@ -92,8 +93,9 @@ def test_parallel_edges_swap_at_full_weight():
     (rot,) = applicable_rotations(inst, x)
     assert rot.key == ("e1", "e2")
     assert max_feasible_weight(inst, x, rot) == 3
-    y = apply_rotation(inst, x, rot, 3, debug=True)
+    y = apply_rotation(inst, x, rot, 3)
     assert y.values == (3, 0)
+    assert check_stability(inst, y).stable
     events = classify_events(inst, x, rot, 3)
     assert {e.kind for e in events} == {"negative-exhausted", "positive-saturated"}
 
@@ -145,9 +147,3 @@ def test_weight_search_rejects_inapplicable_rotations(ring4):
         max_feasible_weight(ring4, x0, Rotation(("c1", "a1")))
     with pytest.raises(GallocError, match="does not swap"):
         max_feasible_weight(ring4, x0, Rotation(("a1", "c3")))
-
-
-def test_apply_rotation_debug_catches_bad_shifts(ring4):
-    x0 = ring_point(ring4, 0, 2, 2)
-    with pytest.raises(InvariantViolation, match="broke stability"):
-        apply_rotation(ring4, x0, Rotation(("a1", "c1")), 1, debug=True)
