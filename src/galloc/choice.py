@@ -21,10 +21,11 @@ only, which is what the oracle-call budgets meter.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import GallocError, InvariantViolation, LimitError, ValidationError
 from .model import Instance
@@ -149,10 +150,6 @@ class ChoiceEvaluator:
     def accepts(self, z: Sequence[int]) -> bool:
         return self(z) == tuple(z)
 
-    @property
-    def box_size(self) -> int:
-        return box_size(self.caps)
-
 
 class LinearChoice(ChoiceEvaluator):
     def __init__(self, owner: str, kind: str, caps: Vec, order: Vec, quota: int) -> None:
@@ -174,6 +171,7 @@ class TableauChoice(ChoiceEvaluator):
         return eval_tableau_cf(z, self.filling, self.quota)
 
 
+@functools.cache
 def a3_filling(quota: int) -> tuple[Vec, Vec, Vec]:
     """Filling of the built-in three-column tableau for an even quota."""
     q = quota
@@ -184,61 +182,71 @@ def a3_filling(quota: int) -> tuple[Vec, Vec, Vec]:
     return col1, col2, col3
 
 
-def validate_cf_spec(inst: Instance, f: str) -> None:
-    """Validate one firm's choice-function spec; raise ValidationError."""
+_SPEC_KEYS = {
+    "linear": {"type", "order", "quota"},
+    "tableau": {"type", "columns", "quota", "filling"},
+    "tableau-a3": {"type", "columns", "quota"},
+}
+
+
+def read_firm_spec(inst: Instance, f: str) -> tuple[str, int, tuple]:
+    """Validate and read one firm's spec; raise ValidationError.
+
+    The only reader of ``inst.firm_cfs``.  Returns the evaluator kind, the
+    quota and the rule's table: for "firm-linear" the order as local
+    positions, for "tableau" the filling columns in canonical order.
+    """
     spec = inst.firm_cfs[f]
     kind = spec.get("type")
-    incident = inst.edges_of(f)
+    allowed = _SPEC_KEYS.get(kind) if isinstance(kind, str) else None
+    if allowed is None:
+        raise ValidationError(f"firm {f!r}: unknown choice function type {kind!r}")
+    if set(spec) - allowed:
+        raise ValidationError(f"firm {f!r}: unknown keys {sorted(set(spec) - allowed)}")
+    q = spec.get("quota")
+    if not isinstance(q, int) or isinstance(q, bool):
+        raise ValidationError(f"firm {f!r}: quota is not an integer")
+    if q < 0:
+        raise ValidationError(f"firm {f!r}: negative quota {q}")
+    if kind == "tableau-a3" and (q % 2 != 0 or q < 2):
+        raise ValidationError(f"firm {f!r}: tableau-a3 quota must be even and >= 2")
 
-    def need_quota() -> int:
-        q = spec.get("quota")
-        if not isinstance(q, int) or isinstance(q, bool):
-            raise ValidationError(f"firm {f!r}: quota is not an integer")
-        if q < 0:
-            raise ValidationError(f"firm {f!r}: negative quota {q}")
-        return q
-
-    def need_columns(key: str, default: Any = None) -> tuple[str, ...]:
-        cols = spec.get(key, default)
-        if cols is None:
-            raise ValidationError(f"firm {f!r}: missing {key!r}")
-        if not isinstance(cols, (list, tuple)):
-            raise ValidationError(f"firm {f!r}: {key!r} must be a list of edge ids")
-        cols = tuple(cols)
-        try:
-            permutation = sorted(cols) == sorted(incident)
-        except TypeError:  # an entry that is not a string
-            permutation = False
-        if not permutation:
-            raise ValidationError(
-                f"firm {f!r}: {key!r} is not a permutation of its incident edges"
-            )
-        return cols
-
+    key = "order" if kind == "linear" else "columns"
+    # tableau-a3 columns default to the incident edges in canonical order.
+    cols = spec.get(key, inst.edges_of(f) if kind == "tableau-a3" else None)
+    if cols is None:
+        raise ValidationError(f"firm {f!r}: missing {key!r}")
+    if not isinstance(cols, (list, tuple)):
+        raise ValidationError(f"firm {f!r}: {key!r} must be a list of edge ids")
+    try:
+        local = tuple([inst.local_pos(f, eid) for eid in cols])
+    except (KeyError, TypeError):  # a foreign or unhashable entry
+        local = ()
+    if len(local) != len(inst.edges_of(f)) or len(set(local)) != len(local):
+        raise ValidationError(
+            f"firm {f!r}: {key!r} is not a permutation of its incident edges"
+        )
     if kind == "linear":
-        allowed = {"type", "order", "quota"}
-        if set(spec) - allowed:
+        return "firm-linear", q, local
+
+    caps = tuple(inst.edge(eid).capacity for eid in cols)
+    if kind == "tableau-a3":
+        if len(cols) != 3:
+            raise ValidationError(f"firm {f!r}: tableau-a3 needs exactly 3 edges")
+        if caps != (q, q // 2, q // 2):
             raise ValidationError(
-                f"firm {f!r}: unknown keys {sorted(set(spec) - allowed)}"
+                f"firm {f!r}: tableau-a3 capacities must be ({q}, {q // 2}, {q // 2}) "
+                f"in column order, got {caps}"
             )
-        need_quota()
-        need_columns("order")
-    elif kind == "tableau":
-        allowed = {"type", "columns", "quota", "filling"}
-        if set(spec) - allowed:
-            raise ValidationError(
-                f"firm {f!r}: unknown keys {sorted(set(spec) - allowed)}"
-            )
-        need_quota()
-        cols = need_columns("columns")
+        filling = a3_filling(q)
+    else:
         filling = spec.get("filling")
         if not isinstance(filling, (list, tuple)) or len(filling) != len(cols):
             raise ValidationError(
                 f"firm {f!r}: filling must list one column of entries per edge"
             )
         seen: set[int] = set()
-        for j, (eid, col) in enumerate(zip(cols, filling)):
-            cap = inst.edge(eid).capacity
+        for j, (cap, col) in enumerate(zip(caps, filling)):
             if not isinstance(col, (list, tuple)) or len(col) != cap + 1:
                 raise ValidationError(
                     f"firm {f!r}: filling column {j} must have {cap + 1} entries"
@@ -253,26 +261,7 @@ def validate_cf_spec(inst: Instance, f: str) -> None:
                 if t in seen:
                     raise ValidationError(f"firm {f!r}: filling entry {t} repeats")
                 seen.add(t)
-    elif kind == "tableau-a3":
-        allowed = {"type", "columns", "quota"}
-        if set(spec) - allowed:
-            raise ValidationError(
-                f"firm {f!r}: unknown keys {sorted(set(spec) - allowed)}"
-            )
-        q = need_quota()
-        if q % 2 != 0 or q < 2:
-            raise ValidationError(f"firm {f!r}: tableau-a3 quota must be even and >= 2")
-        cols = need_columns("columns", incident)
-        if len(cols) != 3:
-            raise ValidationError(f"firm {f!r}: tableau-a3 needs exactly 3 edges")
-        caps = tuple(inst.edge(eid).capacity for eid in cols)
-        if caps != (q, q // 2, q // 2):
-            raise ValidationError(
-                f"firm {f!r}: tableau-a3 capacities must be ({q}, {q // 2}, {q // 2}) "
-                f"in column order, got {caps}"
-            )
-    else:
-        raise ValidationError(f"firm {f!r}: unknown choice function type {kind!r}")
+    return "tableau", q, tuple([tuple(col) for _, col in sorted(zip(local, filling))])
 
 
 def evaluator_for(inst: Instance, v: str) -> ChoiceEvaluator:
@@ -285,23 +274,11 @@ def evaluator_for(inst: Instance, v: str) -> ChoiceEvaluator:
         order = tuple(inst.local_pos(v, eid) for eid in inst.worker_orders[v])
         ev = LinearChoice(v, "worker-linear", caps, order, inst.quota(v))
     else:
-        spec = inst.firm_cfs[v]
-        kind = spec["type"]
-        if kind == "linear":
-            order = tuple(inst.local_pos(v, eid) for eid in spec["order"])
-            ev = LinearChoice(v, "firm-linear", caps, order, spec["quota"])
+        kind, quota, table = inst._firm_rules[v]
+        if kind == "tableau":
+            ev = TableauChoice(v, caps, table, quota)
         else:
-            if kind == "tableau":
-                cols = tuple(spec["columns"])
-                filling_by_col = {
-                    eid: tuple(col) for eid, col in zip(cols, spec["filling"])
-                }
-            else:  # tableau-a3, validated already
-                cols = tuple(spec.get("columns", inst.edges_of(v)))
-                filling_by_col = dict(zip(cols, a3_filling(spec["quota"])))
-            # Reorder columns into the canonical incident order.
-            filling = tuple(filling_by_col[eid] for eid in inst.edges_of(v))
-            ev = TableauChoice(v, caps, filling, spec["quota"])
+            ev = LinearChoice(v, kind, caps, table, quota)
     inst._evaluators[v] = ev
     return ev
 
@@ -395,7 +372,7 @@ def check_axioms(cf: ChoiceEvaluator, pair_limit: int = 10**6) -> AxiomReport:
     filling, stationarity, and idempotence.  Records the first
     counterexample found per axiom.
     """
-    n = cf.box_size
+    n = box_size(cf.caps)
     if n * n > pair_limit:
         raise LimitError(
             f"axiom check needs {n * n} pairs, over the limit of {pair_limit}"

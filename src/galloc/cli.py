@@ -253,9 +253,11 @@ def _cmd_gen(args) -> int:
         )
     doc = inst.to_dict()
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc, indent=2) + "\n")
+        except OSError as exc:
+            raise GallocError(f"cannot write {args.output}: {exc}") from exc
     else:
         _emit(doc)
     return 0

@@ -27,6 +27,8 @@ from .errors import GallocError, GaplessnessError, InvariantViolation
 from .model import Assignment, Instance, shift, shift_room
 from .rotation import (
     Rotation,
+    Tandem,
+    _swaps,
     admissible_edge,
     applicable_rotations,
     apply_rotation,
@@ -128,17 +130,19 @@ def _growth_invariants_broken(inst: Instance, x: Assignment) -> str | None:
 
 def _admissible_path(
     inst: Instance, x: Assignment, w0: str
-) -> tuple[tuple[str, ...], tuple[str, ...], bool]:
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[Tandem, ...], bool]:
     """Follow admissible edges and displacement partners from a worker.
 
-    Returns (added edges, subtracted edges, is_path).  When the walk
-    closes a cycle only the cycle's edges are kept and is_path is False;
-    otherwise the walk ended at an absorbing firm or a worker with no
-    admissible edge.
+    Returns (added edges, subtracted edges, displacement pairs, is_path);
+    a pair is an added edge and the next edge, which its firm drops for
+    it.  A closed cycle keeps only its edges and pairs, its last pair
+    wrapping to its first edge, and is_path is False; otherwise the walk
+    ended at an absorbing firm or a worker with no admissible edge.
     """
     seq: list[str] = []
     pos: dict[str, int] = {}
     plus: set[str] = set()
+    pairs: list[Tandem] = []
     w = w0
     cycle_from: int | None = None
     while True:
@@ -160,6 +164,7 @@ def _admissible_path(
         if verdict == "absorb":
             break  # ends at a firm
         c = inst.edges_of(f)[c_pos]
+        pairs.append(Tandem(f, a, c))
         if c in pos:
             cycle_from = pos[c]
             break
@@ -173,6 +178,7 @@ def _admissible_path(
     return (
         tuple(e for e in seq if e in plus),
         tuple(e for e in seq if e not in plus),
+        tuple(t for t in pairs if t.plus in seq),
         cycle_from is None,
     )
 
@@ -182,8 +188,16 @@ def stage1_find_stable(inst: Instance, start: Assignment | None = None) -> Assig
 
     Repeatedly picks a worker under quota with an admissible edge,
     follows the unique walk of displacement pairs from it, and shifts
-    the maximal weight that preserves the growth invariants.  When no
-    such worker remains the assignment is stable.
+    the maximal weight that preserves the growth invariants and at which
+    every displacement pair of the walk still swaps.  When no such worker
+    remains the assignment is stable.
+
+    Termination: the potential is the profile of firm restrictions under
+    the firms' revealed preferences (strict partial orders).  A step
+    lifts each pair's firm to its choice from its old restriction plus
+    the added units and an absorbing firm to a larger accepted vector,
+    and moves no other firm, so no point recurs in the finite box.  This
+    takes each firm once per walk; the step monitor stays as the guard.
     """
     x = start if start is not None else inst.zero()
     broken = _growth_invariants_broken(inst, x)
@@ -209,12 +223,14 @@ def stage1_find_stable(inst: Instance, start: Assignment | None = None) -> Assig
         steps += 1
         if steps > guard:
             raise InvariantViolation(f"growth stage exceeded {guard} iterations")
-        plus, minus, is_path = _admissible_path(inst, x, chosen)
+        plus, minus, pairs, is_path = _admissible_path(inst, x, chosen)
         nu = shift_room(inst, x, plus, minus)
         if is_path:
             nu = min(nu, inst.quota(chosen) - inst.size_at(x, chosen))
 
         def feasible(mu: int) -> bool:
+            if not all(_swaps(inst, x, t, mu) for t in pairs):
+                return False
             y = shift(inst, x, plus, minus, mu)
             return _growth_invariants_broken(inst, y) is None
 

@@ -78,16 +78,17 @@ class Instance:
     """A validated allocation problem.
 
     Construction validates everything and raises ``ValidationError``
-    listing all problems found.  Instances are immutable by convention,
-    except for the memoizing evaluators :mod:`galloc.choice` keeps in
-    them; derived lookup tables are built once here.
+    listing all problems found.  Firm specs and ``meta`` are copied in
+    depth.  Instances are immutable by convention, except for the
+    memoizing evaluators :mod:`galloc.choice` keeps in them; lookup
+    tables and each firm's rule, read from its spec, are built here.
     """
 
     def __init__(
         self,
         workers: Iterable[str],
         firms: Iterable[str],
-        edges: Iterable[Edge | Mapping[str, Any]],
+        edges: Iterable[Edge],
         worker_quotas: Mapping[str, int],
         worker_orders: Mapping[str, Iterable[str]],
         firm_cfs: Mapping[str, Mapping[str, Any]],
@@ -95,16 +96,13 @@ class Instance:
     ) -> None:
         self.workers: tuple[str, ...] = tuple(workers)
         self.firms: tuple[str, ...] = tuple(firms)
-        self.edges: tuple[Edge, ...] = tuple(
-            e if isinstance(e, Edge) else Edge(e["id"], e["worker"], e["firm"], e["capacity"])
-            for e in edges
-        )
+        self.edges: tuple[Edge, ...] = tuple(edges)
         self.worker_quotas: dict[str, int] = dict(worker_quotas)
         self.worker_orders: dict[str, tuple[str, ...]] = {
             w: tuple(o) for w, o in worker_orders.items()
         }
-        self.firm_cfs: dict[str, dict[str, Any]] = {f: dict(s) for f, s in firm_cfs.items()}
-        self.meta: dict[str, Any] = dict(meta or {})
+        self.firm_cfs: dict[str, dict[str, Any]] = _copied(dict(firm_cfs))
+        self.meta: dict[str, Any] = _copied(dict(meta or {}))
 
         # Derived tables; built defensively so validation can run after.
         self.edge_index: dict[str, int] = {}
@@ -126,6 +124,7 @@ class Instance:
         }
         self._worker_set = frozenset(self.workers)
         self._evaluators: dict[str, Any] = {}  # filled lazily by galloc.choice
+        self._firm_rules: dict[str, tuple[str, int, tuple]] = {}  # by validate_instance
 
         validate_instance(self)
 
@@ -154,9 +153,6 @@ class Instance:
 
     def quota(self, w: str) -> int:
         return self.worker_quotas[w]
-
-    def firm_quota(self, f: str) -> int:
-        return int(self.firm_cfs[f]["quota"])
 
     @property
     def b_max(self) -> int:
@@ -203,11 +199,20 @@ class Instance:
             ],
             "worker_quotas": dict(self.worker_quotas),
             "worker_orders": {w: list(o) for w, o in self.worker_orders.items()},
-            "firm_cfs": {f: dict(s) for f, s in self.firm_cfs.items()},
+            "firm_cfs": _copied(self.firm_cfs),
         }
         if self.meta:
-            doc["meta"] = dict(self.meta)
+            doc["meta"] = _copied(self.meta)
         return doc
+
+
+def _copied(doc: Any) -> Any:
+    """A copy of a JSON value with new dicts and lists all the way down."""
+    if isinstance(doc, dict):
+        return {k: _copied(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_copied(v) for v in doc]
+    return doc
 
 
 def shift(
@@ -332,12 +337,12 @@ def validate_instance(inst: Instance) -> None:
     if errors:
         raise ValidationError("; ".join(errors))
 
-    # Semantic validation of the choice-function specs needs the parsers.
-    from .choice import validate_cf_spec
+    # Each firm's spec is read once, here; evaluators use what it returns.
+    from .choice import read_firm_spec
 
     for f in inst.firms:
         try:
-            validate_cf_spec(inst, f)
+            inst._firm_rules[f] = read_firm_spec(inst, f)
         except ValidationError as exc:
             errors.append(str(exc))
     if errors:
@@ -354,7 +359,7 @@ def _read_json(path: str | Path) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise GallocError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or UTF-8, or an overlong integer
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too long or deep
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -261,8 +261,7 @@ def verify_lattice_properties(lat: EnumeratedLattice) -> LatticeReport:
         if len(sizes) > 1:
             problems.append(f"vertex {v} changes size across elements: {sorted(sizes)}")
             continue
-        quota = inst.quota(v) if inst.is_worker(v) else inst.firm_quota(v)
-        if quota is not None and next(iter(sizes)) < quota:
+        if next(iter(sizes)) < evaluator_for(inst, v).quota:
             locals_ = {inst.local_values(x, v) for x in lat.elements}
             if len(locals_) > 1:
                 problems.append(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from galloc import InvariantViolation, make_ring_instance, xmin_by_capacity_reduction
 from galloc.cli import main
 
-from conftest import one_on_one, two_swaps
+from builders import one_on_one, two_swaps
 
 X0 = {"a1": 0, "c1": 2, "d1": 2, "a2": 0, "c2": 2, "d2": 2, "a3": 0, "c3": 2, "d3": 2}
 X4 = {"a1": 4, "c1": 0, "d1": 0, "a2": 4, "c2": 0, "d2": 0, "a3": 4, "c3": 0, "d3": 0}
@@ -207,7 +207,7 @@ def test_mincost_missing_costs_file_exits_one(swaps_file, tmp_path, capsys):
 
 def test_mincost_non_json_costs_file_exits_one(swaps_file, tmp_path, capsys):
     costs = tmp_path / "c.json"
-    for content in (b"{not json", b"\xff\xfe"):
+    for content in (b"{not json", b"\xff\xfe", b"[" * 5000 + b"]" * 5000):
         costs.write_bytes(content)
         rc, _, err = run(capsys, ["mincost", swaps_file, str(costs)])
         assert rc == 1
@@ -331,6 +331,13 @@ def test_gen_is_deterministic(capsys):
     assert doc["meta"]["seed"] == 7
 
 
+def test_gen_output_that_cannot_be_written_exits_one(tmp_path, capsys):
+    for target in (tmp_path, tmp_path / "missing" / "x.json"):
+        rc, out, err = run(capsys, ["gen", "--seed", "1", "-o", str(target)])
+        assert rc == 1 and out == ""
+        assert err.startswith("galloc: error: cannot write ") and err.count("\n") == 1
+
+
 def test_gen_needs_a_seed(capsys):
     rc, _, err = run(capsys, ["gen"])
     assert rc == 1
@@ -397,6 +404,25 @@ def field_paths(doc, prefix=()):
     return out
 
 
+def replace_one_field(data, doc):
+    """Replace the value at one drawn path of ``doc`` with arbitrary JSON."""
+    path = data.draw(st.sampled_from(field_paths(doc)))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(JSON_VALUES)
+
+
+def assert_clean_exits(capsys, argvs):
+    """Each command exits 0, 1 or 2, and a failure prints one stderr line."""
+    for argv in argvs:
+        rc, _, err = run(capsys, argv)
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in err
+        if rc != 0:
+            assert err.count("\n") == 1 and err.startswith("galloc: "), (argv, err)
+
+
 @settings(
     max_examples=100,
     deadline=None,
@@ -405,17 +431,13 @@ def field_paths(doc, prefix=()):
 @given(data=st.data())
 def test_any_one_field_replaced_exits_cleanly(data, tmp_path, capsys):
     inst = data.draw(st.sampled_from(FUZZ_BASES))
-    doc = json.loads(json.dumps(inst.to_dict()))  # nested lists are shared
-    path = data.draw(st.sampled_from(field_paths(doc)))
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = data.draw(JSON_VALUES)
+    doc = inst.to_dict()
+    replace_one_field(data, doc)
     inst_path = write_json(tmp_path / "inst.json", doc)
     xmin = xmin_by_capacity_reduction(inst).assignment.to_mapping(inst)
     x_path = write_json(tmp_path / "x.json", xmin)
     costs = write_json(tmp_path / "costs.json", {eid: 1 for eid in xmin})
-    for argv in (
+    assert_clean_exits(capsys, [
         ["solve", inst_path],
         ["route", inst_path],
         ["rotations", inst_path, x_path],
@@ -423,9 +445,28 @@ def test_any_one_field_replaced_exits_cleanly(data, tmp_path, capsys):
         ["mincost", inst_path, costs],
         ["check", inst_path, x_path],
         ["brute", inst_path],
-    ):
-        rc, _, err = run(capsys, argv)
-        assert rc in (0, 1, 2), argv
-        assert "Traceback" not in err
-        if rc != 0:
-            assert err.count("\n") == 1 and err.startswith("galloc: "), (argv, err)
+    ])
+
+
+# -- fuzzing the assignment and cost boundary ------------------------------
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_any_one_assignment_or_cost_field_replaced_exits_cleanly(data, tmp_path, capsys):
+    inst = data.draw(st.sampled_from(FUZZ_BASES))
+    inst_path = write_json(tmp_path / "inst.json", inst.to_dict())
+    xmin = xmin_by_capacity_reduction(inst).assignment.to_mapping(inst)
+    docs = {"x": {"assignment": xmin, "stable": True}, "costs": {eid: 1 for eid in xmin}}
+    replace_one_field(data, docs)  # either document, or a field inside one
+    x_path = write_json(tmp_path / "x.json", docs["x"])
+    costs = write_json(tmp_path / "costs.json", docs["costs"])
+    assert_clean_exits(capsys, [
+        ["check", inst_path, x_path],
+        ["rotations", inst_path, x_path],
+        ["mincost", inst_path, costs],
+    ])

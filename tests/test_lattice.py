@@ -19,9 +19,10 @@ from galloc import (
     stage2_descend_to_xmin,
     xmin_by_capacity_reduction,
 )
+from galloc.genrand import GeneratorConfig, generate
 from galloc.lattice import build_reversal_sets, essential_f_pairs
 
-from conftest import parallel_pair, two_swaps
+from builders import parallel_pair, two_swaps
 
 RING_L = ("a1", "d2", "a2", "d3", "a3", "d1")
 RING_LP = ("a1", "c3", "a3", "c2", "a2", "c1")
@@ -68,6 +69,22 @@ def test_both_minimum_pipelines_agree(ring4):
         solve_xmin_by_stages(inst).values
         == xmin_by_capacity_reduction(inst).assignment.values
     )
+
+
+@pytest.mark.parametrize(
+    "family, seed",
+    [("tableau", s) for s in (78, 136, 187, 313, 338)]
+    + [("mixed", s) for s in (10, 108, 389)],
+)
+def test_growth_stage_terminates_where_a_shift_overshot(family, seed):
+    # Each of these once cycled between two points until the step monitor
+    # fired: a weight the growth invariants allowed broke a firm's swap.
+    cfg = GeneratorConfig(
+        seed, workers=3, firms=3, density=0.8, capacity_bound=3, quota_bound=4,
+        family=family,
+    )
+    inst = generate(cfg)
+    assert solve_xmin_by_stages(inst) == xmin_by_capacity_reduction(inst).assignment
 
 
 def test_reversal_sets_on_the_ring(ring4):

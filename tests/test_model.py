@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 
@@ -14,9 +15,11 @@ from galloc import (
     make_ring_instance,
     solution_doc,
 )
+from galloc.choice import evaluator_for, iter_box
+from galloc.genrand import GeneratorConfig, generate
 from galloc.model import assignment_from_doc, shift
 
-from conftest import one_on_one, parallel_pair
+from builders import one_on_one, parallel_pair
 
 
 def test_instance_roundtrip(tmp_path):
@@ -26,6 +29,46 @@ def test_instance_roundtrip(tmp_path):
     back = load_instance(path)
     assert back.to_dict() == inst.to_dict()
     assert [e.id for e in back.edges] == [e.id for e in inst.edges]
+
+
+def scramble(doc):
+    """Edit every firm's order, columns and filling, and nested meta, in place."""
+    for spec in doc["firm_cfs"].values():
+        for key in ("order", "columns", "filling"):
+            if key in spec:
+                spec[key].reverse()
+        for col in spec.get("filling", ()):
+            col.reverse()
+    doc["meta"]["config"]["seed"] = -1
+
+
+def firm_answers(inst):
+    return {
+        f: [evaluator_for(inst, f)(z) for z in iter_box(inst.caps_of(f))]
+        for f in inst.firms
+    }
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_ring_instance(4),
+        lambda: generate(GeneratorConfig(0, quota_bound=2, family="mixed")),
+    ],
+    ids=["ring-a3", "mixed-linear-tableau"],
+)
+def test_instances_share_nothing_with_their_documents(make):
+    doc = make().to_dict()
+    doc["meta"].setdefault("config", {"seed": 0})
+    want_doc = copy.deepcopy(doc)
+    want = firm_answers(instance_from_dict(copy.deepcopy(doc)))
+    inst = instance_from_dict(doc)
+    scramble(doc)  # the input document
+    other = instance_from_dict(copy.deepcopy(want_doc))
+    scramble(other.to_dict())  # a document the instance gave out
+    for got in (inst, other):
+        assert got.to_dict() == want_doc
+        assert firm_answers(got) == want
 
 
 def test_unknown_keys_rejected():

@@ -7,7 +7,7 @@ from galloc import (
     verify_lattice_properties,
 )
 
-from conftest import one_on_one, two_swaps
+from builders import one_on_one, two_swaps
 
 RING_CHAIN = ((0, 2, 2), (1, 2, 1), (2, 1, 1), (3, 1, 0), (4, 0, 0))
 

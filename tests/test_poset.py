@@ -29,7 +29,7 @@ from galloc.poset import (
     strict_ancestors,
 )
 
-from conftest import parallel_pair, two_swaps
+from builders import parallel_pair, two_swaps
 
 RING_L = ("a1", "d2", "a2", "d3", "a3", "d1")
 RING_LP = ("a1", "c3", "a3", "c2", "a2", "c1")

@@ -19,7 +19,7 @@ from galloc.rotation import (
     weight_budget,
 )
 
-from conftest import one_on_one, parallel_pair, two_swaps
+from builders import one_on_one, parallel_pair, two_swaps
 
 RING_L = ("a1", "d2", "a2", "d3", "a3", "d1")
 RING_LP = ("a1", "c3", "a3", "c2", "a2", "c1")

@@ -20,7 +20,7 @@ from galloc.stability import (
     unacceptable_vertices,
 )
 
-from conftest import one_on_one, two_swaps
+from builders import one_on_one, two_swaps
 
 
 def ring_point(inst, a, c, d):
