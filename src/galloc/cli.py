@@ -32,7 +32,12 @@ from .model import (
     load_instance,
     solution_doc,
 )
-from .oracle import DEFAULT_LIMIT, enumerate_stable, verify_lattice_properties
+from .oracle import (
+    DEFAULT_LIMIT,
+    EnumeratedLattice,
+    enumerate_stable,
+    verify_lattice_properties,
+)
 from .poset import (
     build_poset,
     enumerate_closed_functions,
@@ -74,6 +79,16 @@ def _limit_for(args, default: int) -> int:
     return default
 
 
+def _oracle(inst, args) -> EnumeratedLattice:
+    """The brute-force stable set, under the limit the command was given."""
+    return enumerate_stable(inst, _limit_for(args, DEFAULT_LIMIT))
+
+
+def _dot(text: str) -> str:
+    """A quoted DOT id or label."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _assignment_doc(inst, x) -> dict:
     return solution_doc(inst, x, check_stability(inst, x).stable)
 
@@ -85,23 +100,13 @@ def _cmd_solve(args) -> int:
     else:
         x = build_full_route(inst).end
     if args.verify:
-        limit = _limit_for(args, DEFAULT_LIMIT)
-        raw = 1
-        for e in inst.edges:
-            raw *= e.capacity + 1
-        if raw > limit:
-            print(
-                f"verify skipped: box of {raw} points exceeds the limit {limit}",
-                file=sys.stderr,
+        lat = _oracle(inst, args)
+        want = lat.min_element if args.mode == "min" else lat.max_element
+        if want.values != x.values:
+            raise InvariantViolation(
+                "solver and oracle disagree on the "
+                f"{args.mode}imum stable assignment"
             )
-        else:
-            lat = enumerate_stable(inst, limit)
-            want = lat.min_element if args.mode == "min" else lat.max_element
-            if want.values != x.values:
-                raise InvariantViolation(
-                    "solver and oracle disagree on the "
-                    f"{args.mode}imum stable assignment"
-                )
     _emit(_assignment_doc(inst, x))
     return 0
 
@@ -113,8 +118,7 @@ def _cmd_route(args) -> int:
         rng = np.random.Generator(np.random.PCG64(args.seed))
     route = build_full_route(inst, rng=rng)
     if args.verify:
-        limit = _limit_for(args, DEFAULT_LIMIT)
-        lat = enumerate_stable(inst, limit)
+        lat = _oracle(inst, args)
         if route.start.values != lat.min_element.values or (
             route.end.values != lat.max_element.values
         ):
@@ -140,13 +144,10 @@ def _cmd_rotations(args) -> int:
         lines = ["digraph active {"]
         for rot in rotations:
             for plus, minus in zip(rot.plus_edges, rot.minus_edges):
-                f = inst.edge(plus).firm
-                lines.append(
-                    f'  "{inst.edge(plus).worker}" -> "{f}" [label="{plus}"];'
-                )
-                lines.append(
-                    f'  "{f}" -> "{inst.edge(minus).worker}" [label="{minus}"];'
-                )
+                f = _dot(inst.edge(plus).firm)
+                w, w2 = _dot(inst.edge(plus).worker), _dot(inst.edge(minus).worker)
+                lines.append(f"  {w} -> {f} [label={_dot(plus)}];")
+                lines.append(f"  {f} -> {w2} [label={_dot(minus)}];")
         lines.append("}")
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
@@ -168,8 +169,7 @@ def _cmd_poset(args) -> int:
     inst = load_instance(args.instance)
     poset = build_poset(inst, general=args.general)
     if args.verify:
-        limit = _limit_for(args, DEFAULT_LIMIT)
-        lat = enumerate_stable(inst, limit)
+        lat = _oracle(inst, args)
         images = {
             from_closed_function(inst, poset, ClosedFunction(v)).values
             for v in enumerate_closed_functions(poset)
@@ -184,7 +184,7 @@ def _cmd_poset(args) -> int:
             tag = ",".join(el.key)
             if poset.mode == "general":
                 tag += f"#{el.occurrence}"
-            lines.append(f'  n{i} [label="{tag}:{el.weight}"];')
+            lines.append(f"  n{i} [label={_dot(f'{tag}:{el.weight}')}];")
         for a, b in poset.hasse:
             lines.append(f"  n{a} -> n{b};")
         lines.append("}")
@@ -219,7 +219,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_brute(args) -> int:
     inst = load_instance(args.instance)
-    lat = enumerate_stable(inst, _limit_for(args, DEFAULT_LIMIT))
+    lat = _oracle(inst, args)
     report = verify_lattice_properties(lat)
     _emit(
         {

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
-from .choice import evaluator_for, interesting_at, single_unit_response
+from .choice import evaluator_for, interesting_at
 from .errors import GallocError, GaplessnessError, InvariantViolation
 from .model import Assignment, Instance, shift, shift_room
 from .rotation import (
@@ -30,6 +31,7 @@ from .rotation import (
     Tandem,
     _swaps,
     admissible_edge,
+    admissible_move,
     applicable_rotations,
     apply_rotation,
     largest_weight,
@@ -146,25 +148,20 @@ def _admissible_path(
     w = w0
     cycle_from: int | None = None
     while True:
-        a = admissible_edge(inst, x, w, empty_support="first")
-        if a is None:
+        move = admissible_move(inst, x, w)
+        if move is None:
             break  # ends at a worker
+        a, t = move
         if a in pos:
             cycle_from = pos[a]
             break
         pos[a] = len(seq)
         seq.append(a)
         plus.add(a)
-        f = inst.edge(a).firm
-        verdict, c_pos = single_unit_response(
-            evaluator_for(inst, f), inst.local_values(x, f), inst.local_pos(f, a)
-        )
-        if verdict == "same":
-            raise InvariantViolation(f"admissible edge {a} is not interesting for {f}")
-        if verdict == "absorb":
+        if t is None:
             break  # ends at a firm
-        c = inst.edges_of(f)[c_pos]
-        pairs.append(Tandem(f, a, c))
+        c = t.minus
+        pairs.append(t)
         if c in pos:
             cycle_from = pos[c]
             break
@@ -210,7 +207,7 @@ def stage1_find_stable(inst: Instance, start: Assignment | None = None) -> Assig
         for w in inst.workers:
             if inst.size_at(x, w) >= inst.quota(w):
                 continue
-            if admissible_edge(inst, x, w, empty_support="first") is not None:
+            if admissible_edge(inst, x, w) is not None:
                 chosen = w
                 break
         if chosen is None:
@@ -475,15 +472,10 @@ def solve_xmin_by_stages(inst: Instance) -> Assignment:
 
 @dataclass(frozen=True)
 class RouteStep:
-    """One rotation shift on a route, and the stable point it reaches.
-
-    ``weight`` is what was shifted; ``full_weight`` is the maximum that
-    was available.  They differ only on routes truncated by a target.
-    """
+    """One rotation shift on a route, and the stable point it reaches."""
 
     rotation: Rotation
     weight: int
-    full_weight: int
     end: Assignment
 
 
@@ -508,12 +500,14 @@ def walk_route(
     rotations_at: Callable[[Assignment], tuple[Rotation, ...]] | None = None,
     weight_at: Callable[[Assignment, Rotation], int] | None = None,
 ) -> Route:
-    """Maximal-weight route from ``start`` until no rotation applies.
+    """Route from ``start`` until no rotation is offered.
 
     At each point ``pick`` chooses one of the applicable rotations (in
     canonical key order; the first by default), which is shifted by its
     maximal weight.  ``rotations_at`` and ``weight_at`` stand in for the
-    two searches when a caller memoizes them.  Route length is monitored
+    two searches when a caller memoizes them or restricts them; a
+    targeted route offers at most one rotation, and caps its weight, so
+    as to stay below its target.  Route length is monitored
     against (|W|+|F|)·|E|² under the gapless assumption, where a
     repeated rotation key raises GaplessnessError before its weight
     search, and against b_max·|E|² otherwise.
@@ -542,7 +536,7 @@ def walk_route(
         seen_keys.add(rot.key)
         tau = weigh(x, rot)
         x = apply_rotation(inst, x, rot, tau)
-        steps.append(RouteStep(rot, tau, tau, x))
+        steps.append(RouteStep(rot, tau, x))
 
 
 def build_full_route(
@@ -573,31 +567,28 @@ def route_to_target(inst: Instance, start: Assignment, target: Assignment) -> Ro
     rel = compare_F(inst, start, target)
     if rel not in ("less", "equal"):
         raise GallocError(f"start is not below the target (it compares {rel})")
-    x = start
-    steps: list[RouteStep] = []
-    guard = _step_monitor(inst)
-    while compare_F(inst, x, target) == "less":
-        if len(steps) > guard:
-            raise InvariantViolation("targeted route exceeded its length monitor")
-        found = None
-        for rot in applicable_rotations(inst, x):
-            y = apply_rotation(inst, x, rot, 1)
-            if compare_F(inst, y, target) in ("less", "equal"):
-                found = rot
-                break
-        if found is None:
-            raise InvariantViolation("no rotation moves toward the target")
-        full = max_feasible_weight(inst, x, found)
-        # The points x + lam * found form a chain, so staying weakly below
+
+    def below(x: Assignment, rot: Rotation, mu: int) -> bool:
+        y = apply_rotation(inst, x, rot, mu)
+        return compare_F(inst, y, target) in ("less", "equal")
+
+    def toward(x: Assignment) -> tuple[Rotation, ...]:
+        if x.values == target.values:
+            return ()
+        stays = (r for r in applicable_rotations(inst, x) if below(x, r, 1))
+        return tuple(islice(stays, 1))
+
+    def weight(x: Assignment, rot: Rotation) -> int:
+        # The points x + mu * rot form a chain, so staying weakly below
         # the target holds on a prefix of the weights.
-        lam = largest_weight(
-            full,
-            lambda mu: compare_F(inst, apply_rotation(inst, x, found, mu), target)
-            in ("less", "equal"),
+        return largest_weight(
+            max_feasible_weight(inst, x, rot), lambda mu: below(x, rot, mu)
         )
-        x = apply_rotation(inst, x, found, lam)
-        steps.append(RouteStep(found, lam, full, x))
-    return Route(start, tuple(steps), x)
+
+    route = walk_route(inst, start, rotations_at=toward, weight_at=weight)
+    if route.end.values != target.values:
+        raise InvariantViolation("no rotation moves toward the target")
+    return route
 
 
 def solve_extremes(inst: Instance) -> tuple[Assignment, Assignment]:

@@ -14,7 +14,7 @@ from math import prod
 
 import numpy as np
 
-from .choice import evaluator_for, iter_box
+from .choice import evaluator_for, interesting_at, iter_box
 from .errors import InvariantViolation, LimitError
 from .model import Assignment, Instance
 from .stability import compare_F, compare_W
@@ -64,40 +64,28 @@ class EnumeratedLattice:
         return greatest[0] if len(greatest) == 1 else None
 
 
-def _worker_tables(inst: Instance, w: str) -> tuple[np.ndarray, np.ndarray]:
-    """Accepted local vectors of a worker and their interesting-edge flags."""
-    cf = evaluator_for(inst, w)
-    caps = cf.caps
-    rows = [z for z in iter_box(caps) if cf.accepts(z)]
-    arr = np.array(rows, dtype=np.int64).reshape(len(rows), len(caps))
-    interesting = np.zeros((len(rows), len(caps)), dtype=bool)
-    for i, z in enumerate(rows):
-        for p, cap in enumerate(caps):
-            if z[p] < cap:
-                probe = list(z)
-                probe[p] += 1
-                interesting[i, p] = cf(tuple(probe)) != z
-    return arr, interesting
+def _vertex_table(
+    inst: Instance, v: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One vertex's box in mixed-radix order: cells, acceptance, flags, radix.
 
-
-def _firm_tables(inst: Instance, f: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Acceptance and interesting-edge flags over a firm's whole box."""
-    cf = evaluator_for(inst, f)
+    ``interesting[code, p]`` says whether one more unit at position p
+    would change the cell's choice; it is filled on accepted cells only.
+    """
+    cf = evaluator_for(inst, v)
     caps = cf.caps
-    size = prod(c + 1 for c in caps)
-    accept = np.zeros(size, dtype=bool)
-    interesting = np.zeros((size, len(caps)), dtype=bool)
-    for code, z in enumerate(iter_box(caps)):
+    box = list(iter_box(caps))
+    cells = np.array(box, dtype=np.int64)
+    accept = np.zeros(len(box), dtype=bool)
+    interesting = np.zeros(cells.shape, dtype=bool)
+    for code, z in enumerate(box):
         accept[code] = cf.accepts(z)
-        for p, cap in enumerate(caps):
-            if z[p] < cap:
-                probe = list(z)
-                probe[p] += 1
-                interesting[code, p] = cf(tuple(probe)) != z
+        if accept[code]:
+            interesting[code] = [interesting_at(cf, z, p) for p in range(len(caps))]
     radix = np.ones(len(caps), dtype=np.int64)
     for p in range(len(caps) - 2, -1, -1):
         radix[p] = radix[p + 1] * (caps[p + 1] + 1)
-    return accept, interesting, radix
+    return cells, accept, interesting, radix
 
 
 def enumerate_stable(inst: Instance, limit: int = DEFAULT_LIMIT) -> EnumeratedLattice:
@@ -122,9 +110,9 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_LIMIT) -> EnumeratedLa
     w_int: list[np.ndarray] = []
     w_cols: list[np.ndarray] = []
     for w in workers:
-        rows, interesting = _worker_tables(inst, w)
-        w_rows.append(rows)
-        w_int.append(interesting)
+        cells, accept, interesting, _ = _vertex_table(inst, w)
+        w_rows.append(cells[accept])
+        w_int.append(interesting[accept])
         w_cols.append(np.array([idx[eid] for eid in inst.edges_of(w)], dtype=np.int64))
 
     firms = list(inst.firms)
@@ -133,7 +121,7 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_LIMIT) -> EnumeratedLa
     f_radix: list[np.ndarray] = []
     f_cols: list[np.ndarray] = []
     for f in firms:
-        accept, interesting, radix = _firm_tables(inst, f)
+        _, accept, interesting, radix = _vertex_table(inst, f)
         f_accept.append(accept)
         f_int.append(interesting)
         f_radix.append(radix)

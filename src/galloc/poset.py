@@ -63,12 +63,6 @@ class RotationPoset:
     xmin: Assignment
     xmax: Assignment
 
-    def index_of(self, key: tuple[str, ...], occurrence: int = 0) -> int:
-        for i, el in enumerate(self.elements):
-            if el.key == key and el.occurrence == occurrence:
-                return i
-        raise KeyError((key, occurrence))
-
     def minimal_elements(self) -> tuple[int, ...]:
         targets = {b for _, b in self.hasse}
         return tuple(i for i in range(len(self.elements)) if i not in targets)
@@ -329,17 +323,17 @@ def to_closed_function(
     if not check_stability(inst, x).stable:
         raise GallocError("only stable assignments have a closed function")
     route = route_to_target(inst, poset.xmin, x)
+    index = {(el.key, el.occurrence): i for i, el in enumerate(poset.elements)}
     values = [0] * len(poset.elements)
     seen: Counter[tuple[str, ...]] = Counter()
     for step in route.steps:
         key = step.rotation.key
-        try:
-            i = poset.index_of(key, seen[key])
-        except KeyError:
+        i = index.get((key, seen[key]))
+        if i is None:
             raise InvariantViolation(
                 f"route used occurrence {seen[key]} of {key}, "
                 "which is not a poset element"
-            ) from None
+            )
         values[i] = step.weight
         seen[key] += 1
     problem = closedness_problem(poset, tuple(values))

@@ -95,29 +95,47 @@ class Event:
     partner: str | None = None
 
 
-def admissible_edge(
-    inst: Instance, x: Assignment, w: str, *, empty_support: str = "skip"
-) -> str | None:
+def admissible_edge(inst: Instance, x: Assignment, w: str) -> str | None:
     """The worker's admissible edge, if any.
 
     Scans the worker's order from its least preferred supported edge on
-    down, returning the first edge the far firm finds interesting.  With
-    ``empty_support="first"`` a worker holding nothing scans its whole
-    order; with "skip" it has no admissible edge.
+    down (its whole order when it holds nothing), returning the first
+    edge the far firm finds interesting.
     """
     start = inst.last_supported(x, w)
-    if start is None:
-        if empty_support == "skip":
-            return None
-        start = 0
-    for eid in inst.worker_orders[w][start:]:
+    for eid in inst.worker_orders[w][start or 0:]:
         if is_interesting(inst, x, inst.edge(eid).firm, eid):
             return eid
     return None
 
 
+def admissible_move(
+    inst: Instance, x: Assignment, w: str
+) -> tuple[str, Tandem | None] | None:
+    """The worker's admissible edge and the displacement pair it starts.
+
+    The pair is None when the far firm absorbs the extra unit outright;
+    the whole result is None when the worker has no admissible edge.
+    """
+    a = admissible_edge(inst, x, w)
+    if a is None:
+        return None
+    f = inst.edge(a).firm
+    verdict, c_pos = single_unit_response(
+        evaluator_for(inst, f), inst.local_values(x, f), inst.local_pos(f, a)
+    )
+    if verdict == "same":
+        raise InvariantViolation(f"admissible edge {a} is not interesting for {f}")
+    if verdict == "absorb":
+        return a, None
+    return a, Tandem(f, a, inst.edges_of(f)[c_pos])
+
+
 def build_auxiliary(inst: Instance, x: Assignment) -> AuxiliaryGraph:
-    """Admissible edges and displacement pairs at a stable assignment."""
+    """Admissible edges and displacement pairs at a stable assignment.
+
+    Only workers at a positive quota that they fill take part.
+    """
     report = check_stability(inst, x)
     if not report.stable:
         raise GallocError(f"auxiliary structure needs a stable assignment; {report}")
@@ -125,25 +143,17 @@ def build_auxiliary(inst: Instance, x: Assignment) -> AuxiliaryGraph:
     tandems: list[Tandem] = []
     absorbing: list[str] = []
     for w in inst.workers:
-        if inst.size_at(x, w) != inst.quota(w):
+        if inst.quota(w) == 0 or inst.size_at(x, w) != inst.quota(w):
             continue
-        a = admissible_edge(inst, x, w, empty_support="skip")
-        if a is None:
+        move = admissible_move(inst, x, w)
+        if move is None:
             continue
+        a, t = move
         pairs.append((w, a))
-        f = inst.edge(a).firm
-        cf = evaluator_for(inst, f)
-        verdict, c_pos = single_unit_response(
-            cf, inst.local_values(x, f), inst.local_pos(f, a)
-        )
-        if verdict == "same":
-            raise InvariantViolation(
-                f"edge {a} was admissible for {w} but not interesting for {f}"
-            )
-        if verdict == "absorb":
+        if t is None:
             absorbing.append(a)
         else:
-            tandems.append(Tandem(f, a, inst.edges_of(f)[c_pos]))
+            tandems.append(t)
     return AuxiliaryGraph(tuple(pairs), tuple(tandems), tuple(absorbing))
 
 

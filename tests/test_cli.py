@@ -55,6 +55,18 @@ def test_solve_max_matches_the_top(ring_file, capsys):
     assert json.loads(out)["assignment"] == X4
 
 
+def test_solve_verify_over_the_limit_exits_one(ring_file, capsys):
+    for mode in ("min", "max"):
+        rc, out, err = run(
+            capsys, ["solve", ring_file, "--mode", mode, "--verify", "--limit", "10"]
+        )
+        assert (rc, out) == (1, "")
+        assert err == (
+            "galloc: error: enumeration needs a box of 91125 points, "
+            "over the limit 10\n"
+        )
+
+
 def test_check_reports_blocking_edges(ring_file, tmp_path, capsys):
     zero = write_json(tmp_path / "zero.json", {"assignment": {}})
     rc, out, _ = run(capsys, ["check", ring_file, zero])
@@ -123,6 +135,34 @@ def test_poset_plain_on_a_gapless_instance(swaps_file, capsys):
     assert doc["mode"] == "gapless"
     assert doc["hasse"] == []
     assert len(doc["elements"]) == 2
+
+
+def test_dot_output_escapes_quotes_and_backslashes(tmp_path, capsys):
+    w, e1 = 'w"1', "e\\1"
+    doc = {
+        "workers": [w],
+        "firms": ["f1"],
+        "edges": [
+            {"id": e1, "worker": w, "firm": "f1", "capacity": 1},
+            {"id": "e2", "worker": w, "firm": "f1", "capacity": 1},
+        ],
+        "worker_quotas": {w: 1},
+        "worker_orders": {w: ["e2", e1]},
+        "firm_cfs": {"f1": {"type": "linear", "order": [e1, "e2"], "quota": 1}},
+    }
+    path = write_json(tmp_path / "quoted.json", doc)
+    x = write_json(tmp_path / "x.json", {"e2": 1})
+    rc, out, _ = run(capsys, ["rotations", path, x, "--dot"])
+    assert rc == 0
+    assert out.splitlines() == [
+        "digraph active {",
+        '  "w\\"1" -> "f1" [label="e\\\\1"];',
+        '  "f1" -> "w\\"1" [label="e2"];',
+        "}",
+    ]
+    rc, out, _ = run(capsys, ["poset", path, "--dot"])
+    assert rc == 0
+    assert out.splitlines() == ["digraph poset {", '  n0 [label="e\\\\1,e2:1"];', "}"]
 
 
 def test_mincost_prints_exact_costs(swaps_file, tmp_path, capsys):

@@ -5,12 +5,14 @@ from collections import Counter
 from galloc import (
     GallocError,
     GaplessnessError,
+    InvariantViolation,
     apply_rotation,
     build_full_route,
     check_stability,
     compare_F,
     enumerate_stable,
     make_ring_instance,
+    max_feasible_weight,
     route_pairs,
     route_to_target,
     solve_extremes,
@@ -39,6 +41,12 @@ def assert_steps_reach_stable_points(inst, route):
         assert s.end == x
         assert check_stability(inst, s.end).stable
     assert route.end == x
+
+
+def full_weights(inst, route):
+    """Each step's maximal weight at the point the step starts from."""
+    starts = (route.start,) + tuple(s.end for s in route.steps[:-1])
+    return [max_feasible_weight(inst, x, s.rotation) for x, s in zip(starts, route.steps)]
 
 
 def test_capacity_reduction_reaches_the_bottom(ring4):
@@ -111,7 +119,7 @@ def test_full_route_up_the_ring(ring4):
     assert route.start.values == (0, 2, 2) * 3
     assert route.end.values == (4, 0, 0) * 3
     assert [s.rotation.key for s in route.steps] == [RING_L, RING_LP, RING_L, RING_LP]
-    assert all(s.weight == 1 and s.full_weight == 1 for s in route.steps)
+    assert [s.weight for s in route.steps] == full_weights(ring4, route) == [1] * 4
     assert route_pairs(route) == Counter({(RING_L, 1): 2, (RING_LP, 1): 2})
 
 
@@ -143,7 +151,7 @@ def test_single_step_route_carries_full_weight():
     route = build_full_route(inst)
     assert route.start.values == (0, 3)
     assert route.end.values == (3, 0)
-    assert [(s.weight, s.full_weight) for s in route.steps] == [(3, 3)]
+    assert [s.weight for s in route.steps] == full_weights(inst, route) == [3]
 
 
 def test_route_to_target_stops_midway(ring4):
@@ -161,7 +169,8 @@ def test_route_to_target_stops_midway(ring4):
 def test_route_to_target_truncates_the_weight():
     inst = parallel_pair(3)
     route = route_to_target(inst, inst.assignment((0, 3)), inst.assignment((1, 2)))
-    assert [(s.weight, s.full_weight) for s in route.steps] == [(1, 3)]
+    assert [s.weight for s in route.steps] == [1]
+    assert full_weights(inst, route) == [3]
     assert route.end.values == (1, 2)
 
 
@@ -184,8 +193,8 @@ def test_route_to_target_takes_the_largest_weight_below_the_target():
                 route = route_to_target(inst, start, target)
                 assert route.end == target
                 x = start
-                for s in route.steps:
-                    if s.weight < s.full_weight:
+                for s, full in zip(route.steps, full_weights(inst, route)):
+                    if s.weight < full:
                         over = apply_rotation(inst, x, s.rotation, s.weight + 1)
                         assert compare_F(inst, over, target) not in ("less", "equal")
                         truncated += s.weight > 1
@@ -200,6 +209,15 @@ def test_route_to_target_rejects_points_not_below(ring4):
     x2 = ring_point(ring4, 2, 1, 1)
     with pytest.raises(GallocError, match="not below the target"):
         route_to_target(ring4, x2, x0)
+
+
+def test_route_to_target_raises_when_no_rotation_moves_toward_it(ring4, monkeypatch):
+    x0 = ring_point(ring4, 0, 2, 2)
+    x2 = ring_point(ring4, 2, 1, 1)
+    monkeypatch.setattr("galloc.lattice.applicable_rotations", lambda inst, x: ())
+    with pytest.raises(InvariantViolation, match="no rotation moves toward the target"):
+        route_to_target(ring4, x0, x2)
+    assert route_to_target(ring4, x2, x2).steps == ()
 
 
 def test_solve_extremes_brackets_the_chain(ring4):

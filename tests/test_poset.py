@@ -15,6 +15,7 @@ from galloc import (
     build_poset_general,
     check_stability,
     enumerate_closed_functions,
+    enumerate_stable,
     from_closed_function,
     generate,
     make_ring_instance,
@@ -188,6 +189,25 @@ def test_closed_functions_match_the_ring_chain(ring4):
         for v in enumerate_closed_functions(poset)
     }
     assert points == {x.values for x in chain}
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [make_ring_instance(2), make_ring_instance(6), two_swaps(3, 5), parallel_pair(5)],
+    ids=["ring2", "ring6", "two_swaps_3_5", "parallel_pair_5"],
+)
+def test_closed_functions_round_trip(inst):
+    poset = build_poset_general(inst)
+    lat = enumerate_stable(inst)
+    for x in lat.elements:
+        xi = to_closed_function(inst, poset, x)
+        assert is_closed(poset, xi.values)
+        assert from_closed_function(inst, poset, xi).values == x.values
+    points = {
+        from_closed_function(inst, poset, ClosedFunction(v)).values
+        for v in enumerate_closed_functions(poset)
+    }
+    assert points == {x.values for x in lat.elements}
 
 
 def test_to_closed_function_needs_stability(ring4):

@@ -8,6 +8,7 @@ from galloc import (
     build_full_route,
     check_stability,
     classify_events,
+    instance_from_dict,
     linear_scan_feasible_weight,
     make_ring_instance,
     max_feasible_weight,
@@ -114,11 +115,17 @@ def test_auxiliary_requires_stability(ring4):
         build_auxiliary(ring4, ring4.zero())
 
 
-def test_admissible_edge_empty_support_modes():
+def test_admissible_edge_scans_an_empty_worker_from_the_top():
     inst = one_on_one()
     x = inst.zero()
-    assert admissible_edge(inst, x, "w1") is None
-    assert admissible_edge(inst, x, "w1", empty_support="first") == "e1"
+    assert admissible_edge(inst, x, "w1") == "e1"
+    # At quota 0 the worker is full while holding nothing: it starts no
+    # rotation, although its first edge is admissible.
+    doc = inst.to_dict()
+    doc["worker_quotas"]["w1"] = 0
+    inst = instance_from_dict(doc)
+    assert admissible_edge(inst, x, "w1") == "e1"
+    assert build_auxiliary(inst, x).w_admissible == ()
 
 
 def test_unfilled_workers_start_no_rotation():
