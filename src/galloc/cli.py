@@ -115,6 +115,8 @@ def _cmd_route(args) -> int:
     inst = load_instance(args.instance)
     rng = None
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValidationError("--seed must be non-negative")
         rng = np.random.Generator(np.random.PCG64(args.seed))
     route = build_full_route(inst, rng=rng)
     if args.verify:

@@ -44,8 +44,13 @@ class GeneratorConfig:
             raise ValidationError("worker and firm counts must be positive")
         if not 0 < self.density <= 1:
             raise ValidationError("density must be in (0, 1]")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
         if self.capacity_bound < 1 or self.quota_bound < 1:
             raise ValidationError("capacity and quota bounds must be positive")
+        if max(self.capacity_bound, self.quota_bound) >= 2**63:
+            # numpy draws the capacities and quotas as int64.
+            raise ValidationError("capacity and quota bounds must be below 2**63")
         if self.family not in FAMILIES:
             raise ValidationError(
                 f"family must be one of {', '.join(FAMILIES)}"

@@ -8,7 +8,8 @@ minimum of the firm-side lattice order):
   reducing capacities wherever a firm refused units, until a fixpoint.
 * ``stage1_find_stable`` + ``stage2_descend_to_xmin``: grow any stable
   assignment by shifting along admissible paths and cycles, then walk
-  down the lattice by reversing rotations found through legal cycles.
+  down the lattice by reversing legal cycles: cycles of the reversal
+  graph, whose nodes are the workers at quota.
 
 On top of stable points, routes chain rotation shifts.  A full route
 runs from the minimum to the maximum using maximal weights; a targeted
@@ -295,7 +296,6 @@ def essential_f_pairs(
     such an edge blocks the shifted point just the same.
     """
     cf = evaluator_for(inst, f)
-    z = inst.local_values(x, f)
     cands = [c for c in rs.u_plus_all if inst.edge(c).firm == f]
     drops = [a for a in rs.u_minus if inst.edge(a).firm == f]
     wanted = [
@@ -305,13 +305,9 @@ def essential_f_pairs(
     ]
     out: list[tuple[str, str]] = []
     for a in drops:
-        pa = inst.local_pos(f, a)
         for c in cands:
-            pc = inst.local_pos(f, c)
-            trial = list(z)
-            trial[pc] += 1
-            trial[pa] -= 1
-            if not cf.accepts(trial):
+            trial = _swapped(inst, x, c, a)
+            if trial is None:
                 continue
             if not any(
                 interesting_at(cf, trial, inst.local_pos(f, d))
@@ -322,87 +318,73 @@ def essential_f_pairs(
     return tuple(out)
 
 
-def _reversal_arcs(
+def _swapped(inst: Instance, x: Assignment, c: str, a: str) -> tuple[int, ...] | None:
+    """``c``'s firm's share of ``x`` with a unit moved from ``a`` to ``c``, or None."""
+    f = inst.edge(c).firm
+    z = list(inst.local_values(x, f))
+    z[inst.local_pos(f, c)] += 1
+    z[inst.local_pos(f, a)] -= 1
+    return tuple(z) if evaluator_for(inst, f).accepts(z) else None
+
+
+def _reversal_graph(
     inst: Instance, x: Assignment, rs: ReversalSets
-) -> dict[tuple[str, str], list[tuple[str, str]]]:
-    """Arcs of the reversal graph; nodes are (side, edge id)."""
-    arcs: dict[tuple[str, str], list[tuple[str, str]]] = {}
+) -> dict[str, list[tuple[str, str, str]]]:
+    """Arcs ``(c, a, w2)`` out of each worker ``w``, in edge order of ``(c, a)``.
 
-    def add(u: tuple[str, str], v: tuple[str, str]) -> None:
-        arcs.setdefault(u, []).append(v)
-        arcs.setdefault(v, [])
-
-    for a in rs.u_minus:
-        add(("F", a), ("W", a))
-    for w, ups in rs.u_plus.items():
-        ell = inst.worker_orders[w][inst.last_supported(x, w)]
-        for c in ups:
-            add(("W", c), ("F", c))
-            add(("W", ell), ("W", c))
+    One per essential pair with ``c`` in ``u_plus[w]``; ``w2`` holds ``a``.
+    """
+    arcs: dict[str, list[tuple[str, str, str]]] = {}
     for f in inst.firms:
         for c, a in essential_f_pairs(inst, x, f, rs):
-            add(("F", c), ("F", a))
-    for u in arcs:
-        arcs[u].sort(key=lambda n: (n[0], inst.edge_index[n[1]]))
+            w, w2 = inst.edge(c).worker, inst.edge(a).worker
+            arcs.setdefault(w, []).append((c, a, w2))
+    idx = inst.edge_index
+    for out in arcs.values():
+        out.sort(key=lambda arc: (idx[arc[0]], idx[arc[1]]))
     return arcs
 
 
 def _first_cycle(
-    inst: Instance, arcs: dict[tuple[str, str], list[tuple[str, str]]]
+    inst: Instance, arcs: dict[str, list[tuple[str, str, str]]]
 ) -> list[tuple[str, str]] | None:
-    """Deterministic first simple directed cycle, or None."""
-    color: dict[tuple[str, str], int] = {}
-    order = sorted(arcs, key=lambda n: (n[0], inst.edge_index[n[1]]))
-    for root in order:
+    """First cycle of a depth-first search from the workers in order, as its pairs.
+
+    The stack is the path: each worker with the index just past the arc it left by.
+    """
+    color: dict[str, int] = {}
+    for root in inst.workers:
         if color.get(root):
             continue
-        path: list[tuple[str, str]] = []
-        stack: list[tuple[tuple[str, str], int]] = [(root, 0)]
         color[root] = 1
-        path.append(root)
+        stack: list[tuple[str, int]] = [(root, 0)]
         while stack:
-            node, i = stack.pop()
-            if i < len(arcs[node]):
-                stack.append((node, i + 1))
-                nxt = arcs[node][i]
-                c = color.get(nxt, 0)
-                if c == 1:
-                    return path[path.index(nxt):]
-                if c == 0:
-                    color[nxt] = 1
-                    path.append(nxt)
-                    stack.append((nxt, 0))
-            else:
-                color[node] = 2
-                path.pop()
+            w, i = stack[-1]
+            out = arcs.get(w, [])
+            if i == len(out):
+                color[w] = 2
+                stack.pop()
+                continue
+            stack[-1] = (w, i + 1)
+            nxt = out[i][2]
+            state = color.get(nxt, 0)
+            if state == 1:
+                k = next(k for k, (v, _) in enumerate(stack) if v == nxt)
+                return [arcs[v][j - 1][:2] for v, j in stack[k:]]
+            if state == 0:
+                color[nxt] = 1
+                stack.append((nxt, 0))
     return None
-
-
-def _pair_legal_at(
-    inst: Instance, y: Assignment, f: str, c: str, a: str
-) -> bool:
-    """Whether (add c, drop a) is a legal pair at assignment y."""
-    rs = build_reversal_sets(inst, y)
-    w = inst.edge(c).worker
-    if c not in rs.u_plus.get(w, ()) or a not in rs.u_minus:
-        return False
-    if inst.edge(a).firm != f:
-        return False
-    cf = evaluator_for(inst, f)
-    z = list(inst.local_values(y, f))
-    z[inst.local_pos(f, c)] += 1
-    z[inst.local_pos(f, a)] -= 1
-    if min(z) < 0 or any(v > cap for v, cap in zip(z, cf.caps)):
-        return False
-    return cf.accepts(z)
 
 
 def stage2_descend_to_xmin(inst: Instance, x: Assignment) -> Assignment:
     """Walk a stable assignment down to the lattice minimum.
 
-    As long as the reversal graph has a cycle, shift the maximal weight
-    along it that keeps the endpoint stable and the last unit a legal
-    step; when the graph is acyclic the minimum is reached.
+    Legal cycles are the cycles of the reversal graph on workers: each
+    gives up its last supported edge ``a`` for an edge ``c`` above it,
+    whose firm drops the next worker's ``a``.  While there is one, shift
+    the maximal weight along it that keeps the endpoint stable and every
+    pair legal one unit earlier; an acyclic graph means the minimum.
     """
     report = check_stability(inst, x)
     if not report.stable:
@@ -411,37 +393,29 @@ def stage2_descend_to_xmin(inst: Instance, x: Assignment) -> Assignment:
     steps = 0
     while True:
         rs = build_reversal_sets(inst, x)
-        cycle = _first_cycle(inst, _reversal_arcs(inst, x, rs))
+        cycle = _first_cycle(inst, _reversal_graph(inst, x, rs))
         if cycle is None:
             return x
         steps += 1
         if steps > guard:
             raise InvariantViolation(f"descent exceeded {guard} iterations")
-        u_plus_set = set(rs.u_plus_all)
-        edges_on = []
-        n = len(cycle)
-        fpairs: list[tuple[str, str, str]] = []
-        for i in range(n):
-            u, v = cycle[i], cycle[(i + 1) % n]
-            if u[1] == v[1] and u[0] != v[0]:
-                edges_on.append(u[1])
-            if u[0] == "F" and v[0] == "F":
-                fpairs.append((inst.edge(u[1]).firm, u[1], v[1]))
-        plus = tuple(e for e in edges_on if e in u_plus_set)
-        minus = tuple(e for e in edges_on if e not in u_plus_set)
-        if not plus or len(plus) != len(minus):
-            raise InvariantViolation(f"reversal cycle is degenerate: {cycle}")
+        plus = tuple(c for c, _ in cycle)
+        minus = tuple(a for _, a in cycle)
         nu = shift_room(inst, x, plus, minus)
 
         def feasible(mu: int) -> bool:
             if not check_stability(inst, shift(inst, x, plus, minus, mu)).stable:
                 return False
-            if mu >= 2:
-                prev = shift(inst, x, plus, minus, mu - 1)
-                for f, c, a in fpairs:
-                    if not _pair_legal_at(inst, prev, f, c, a):
-                        return False
-            return True
+            if mu < 2:
+                return True
+            prev = shift(inst, x, plus, minus, mu - 1)
+            at = build_reversal_sets(inst, prev)
+            return all(
+                c in at.u_plus.get(inst.edge(c).worker, ())
+                and a in at.u_minus
+                and _swapped(inst, prev, c, a) is not None
+                for c, a in cycle
+            )
 
         if nu < 1 or not feasible(1):
             raise InvariantViolation("unit reversal step is infeasible")

@@ -416,7 +416,9 @@ def assignment_from_doc(inst: Instance, doc: Mapping[str, Any]) -> Assignment:
         raise ValidationError("assignment document must be a JSON object")
     mapping = doc.get("assignment", doc)
     if not isinstance(mapping, Mapping):
-        raise ValidationError("assignment must be an object of edge values")
+        if "assignment" not in inst.edge_index:
+            raise ValidationError("assignment must be an object of edge values")
+        mapping = doc  # a bare mapping with an edge named "assignment"
     vals = [0] * len(inst.edges)
     for eid, v in mapping.items():
         if eid not in inst.edge_index:

@@ -78,22 +78,6 @@ class RotationPoset:
         }
 
 
-def strict_ancestors(poset: RotationPoset, i: int) -> frozenset[int]:
-    """Indices of all elements strictly below element i in the order."""
-    preds: dict[int, list[int]] = {k: [] for k in range(len(poset.elements))}
-    for a, b in poset.hasse:
-        preds[b].append(a)
-    seen: set[int] = set()
-    stack = list(preds[i])
-    while stack:
-        j = stack.pop()
-        if j in seen:
-            continue
-        seen.add(j)
-        stack.extend(preds[j])
-    return frozenset(seen)
-
-
 def linear_extension(poset: RotationPoset) -> tuple[int, ...]:
     """Topological order of the elements, lowest index first among ties."""
     n = len(poset.elements)
@@ -261,21 +245,23 @@ class ClosedFunction:
 
 
 def closedness_problem(poset: RotationPoset, values: tuple[int, ...]) -> str | None:
-    """Why the values fail to be a closed function, or None if they are."""
+    """Why the values fail to be a closed function, or None if they are.
+
+    Checking cover arcs is enough: every element's weight is at least 1
+    (a route step at maximal weight), so one at full weight is positive
+    and its own predecessors are checked in turn.
+    """
     if len(values) != len(poset.elements):
         return "wrong number of entries"
     for i, (v, el) in enumerate(zip(values, poset.elements)):
         if not 0 <= v <= el.weight:
             return f"entry {i} outside [0, {el.weight}]"
-    for i, v in enumerate(values):
-        if v <= 0:
-            continue
-        for j in strict_ancestors(poset, i):
-            if values[j] != poset.elements[j].weight:
-                return (
-                    f"element {i} is positive but its predecessor {j} "
-                    "is not at full weight"
-                )
+    for j, i in poset.hasse:
+        if values[i] > 0 and values[j] != poset.elements[j].weight:
+            return (
+                f"element {i} is positive but its predecessor {j} "
+                "is not at full weight"
+            )
     return None
 
 
@@ -295,7 +281,9 @@ def enumerate_closed_functions(
             f"closed functions range over {raw} candidates, over the limit {limit}"
         )
     topo = linear_extension(poset)
-    anc = {i: strict_ancestors(poset, i) for i in topo}
+    preds: dict[int, list[int]] = {i: [] for i in topo}
+    for a, b in poset.hasse:
+        preds[b].append(a)
     out: list[tuple[int, ...]] = []
     values = [0] * len(poset.elements)
 
@@ -304,7 +292,7 @@ def enumerate_closed_functions(
             out.append(tuple(values))
             return
         i = topo[k]
-        full = all(values[j] == poset.elements[j].weight for j in anc[i])
+        full = all(values[j] == poset.elements[j].weight for j in preds[i])
         choices = range(poset.elements[i].weight + 1) if full else (0,)
         for v in choices:
             values[i] = v
@@ -422,9 +410,8 @@ def min_cost_stable(inst: Instance, costs: CostVector) -> MinCostResult:
         stack.extend(into[node])
     ideal = tuple(sorted(i for i in range(len(poset.elements)) if i in reach))
     in_ideal = set(ideal)
-    for i in ideal:
-        if not strict_ancestors(poset, i) <= in_ideal:
-            raise InvariantViolation("minimum cut side is not a down-set")
+    if any(b in in_ideal and a not in in_ideal for a, b in poset.hasse):
+        raise InvariantViolation("minimum cut side is not a down-set")
     values = tuple(
         poset.elements[i].weight if i in in_ideal else 0
         for i in range(len(poset.elements))

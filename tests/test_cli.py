@@ -165,6 +165,21 @@ def test_dot_output_escapes_quotes_and_backslashes(tmp_path, capsys):
     assert out.splitlines() == ["digraph poset {", '  n0 [label="e\\\\1,e2:1"];', "}"]
 
 
+def test_bare_assignment_of_an_edge_named_assignment(tmp_path, capsys):
+    doc = one_on_one().to_dict()
+    doc["edges"][0]["id"] = "assignment"
+    doc["worker_orders"]["w1"] = ["assignment"]
+    doc["firm_cfs"]["f1"]["order"] = ["assignment"]
+    inst_path = write_json(tmp_path / "inst.json", doc)
+    bare = write_json(tmp_path / "bare.json", {"assignment": 1})
+    rc, out, _ = run(capsys, ["check", inst_path, bare])
+    assert rc == 0
+    assert json.loads(out) == {"stable": True, "unacceptable": [], "blocking": []}
+    rc, out, _ = run(capsys, ["rotations", inst_path, bare])
+    assert rc == 0
+    assert json.loads(out)["rotations"] == []
+
+
 def test_mincost_prints_exact_costs(swaps_file, tmp_path, capsys):
     costs = write_json(tmp_path / "c.json", {"a1": -1.5})
     rc, out, _ = run(capsys, ["mincost", swaps_file, costs])
@@ -382,6 +397,18 @@ def test_gen_needs_a_seed(capsys):
     rc, _, err = run(capsys, ["gen"])
     assert rc == 1
     assert "needs --seed" in err
+
+
+def test_negative_seeds_and_oversized_bounds_exit_one(ring_file, capsys):
+    for argv in (
+        ["gen", "--seed", "-1"],
+        ["route", ring_file, "--seed", "-1"],
+        ["gen", "--seed", "1", "--capacity-bound", str(2**63)],
+        ["gen", "--seed", "1", "--quota-bound", str(2**63)],
+    ):
+        rc, out, err = run(capsys, argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("galloc: error: ") and err.count("\n") == 1
 
 
 def test_bench_reports_timings(ring_file, capsys):

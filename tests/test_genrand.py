@@ -101,6 +101,12 @@ def test_config_validation():
         generate(GeneratorConfig(seed=0, family="zigzag"))
     with pytest.raises(ValidationError, match="positive"):
         generate(GeneratorConfig(seed=0, b_cap_for_gapless=0))
+    with pytest.raises(ValidationError, match="seed must be non-negative"):
+        generate(GeneratorConfig(seed=-1))
+    for bounds in ({"capacity_bound": 2**63}, {"quota_bound": 2**63}):
+        with pytest.raises(ValidationError, match="below 2"):
+            generate(GeneratorConfig(seed=0, **bounds))
+    generate(GeneratorConfig(seed=0, capacity_bound=2**63 - 1, quota_bound=2**63 - 1))
 
 
 def test_ring_needs_an_even_quota():

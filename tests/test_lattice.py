@@ -61,10 +61,18 @@ def test_stage1_finds_a_stable_point(ring4):
     assert stage1_find_stable(ring4, ring4.zero()).values == x.values
 
 
-def test_stage2_descends_the_whole_chain(ring4):
-    for a, c, d in ((4, 0, 0), (2, 1, 1), (0, 2, 2)):
-        got = stage2_descend_to_xmin(ring4, ring_point(ring4, a, c, d))
-        assert got.values == (0, 2, 2) * 3
+@pytest.mark.parametrize(
+    "inst",
+    [make_ring_instance(q) for q in (2, 4, 6, 8)] + [two_swaps(3, 5), parallel_pair(5)],
+    ids=["ring2", "ring4", "ring6", "ring8", "two_swaps_3_5", "parallel_pair_5"],
+)
+def test_stage2_descends_the_whole_chain(inst):
+    # two_swaps gives a reversal graph with two disjoint cycles.
+    xmin = xmin_by_capacity_reduction(inst).assignment
+    route = build_full_route(inst, xmin)
+    assert route.steps
+    for x in (xmin,) + tuple(s.end for s in route.steps):
+        assert stage2_descend_to_xmin(inst, x) == xmin
 
 
 def test_both_minimum_pipelines_agree(ring4):
