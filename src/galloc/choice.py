@@ -171,6 +171,11 @@ class TableauChoice(ChoiceEvaluator):
         return eval_tableau_cf(z, self.filling, self.quota)
 
 
+# a3_filling builds columns of quota + 1 entries; at this quota
+# `galloc gen --appendix` takes about a second on a 2-core VM.
+A3_QUOTA_LIMIT = 2_000_000
+
+
 @functools.cache
 def a3_filling(quota: int) -> tuple[Vec, Vec, Vec]:
     """Filling of the built-in three-column tableau for an even quota."""
@@ -210,6 +215,10 @@ def read_firm_spec(inst: Instance, f: str) -> tuple[str, int, tuple]:
         raise ValidationError(f"firm {f!r}: negative quota {q}")
     if kind == "tableau-a3" and (q % 2 != 0 or q < 2):
         raise ValidationError(f"firm {f!r}: tableau-a3 quota must be even and >= 2")
+    if kind == "tableau-a3" and q > A3_QUOTA_LIMIT:
+        raise ValidationError(
+            f"firm {f!r}: tableau-a3 quota {q} is over the limit {A3_QUOTA_LIMIT:,}"
+        )
 
     key = "order" if kind == "linear" else "columns"
     # tableau-a3 columns default to the incident edges in canonical order.

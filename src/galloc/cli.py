@@ -323,7 +323,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rotations", help="rotations applicable at an assignment")
     p.add_argument("instance")
     p.add_argument("assignment")
-    p.add_argument("--dot", action="store_true", help="emit the active graph as DOT")
+    p.add_argument("--dot", action="store_true", help="emit the rotations' arcs as DOT")
     p.set_defaults(func=_cmd_rotations)
 
     p = sub.add_parser("poset", help="the rotation poset")

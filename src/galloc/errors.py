@@ -34,7 +34,7 @@ class InvariantViolation(Exception):
     """An internal invariant failed (CLI exit code 2).
 
     Raised when a structural fact the algorithms rely on does not hold
-    at runtime: degree equalities of the cleaned auxiliary graph, the
-    oracle-call budget of the weight search, route-length monitors, and
-    similar.  Deliberately not a subclass of :class:`GallocError`.
+    at runtime: the oracle-call budget of the weight search, route-length
+    monitors, the stopping events of a maximal weight, and similar.
+    Deliberately not a subclass of :class:`GallocError`.
     """

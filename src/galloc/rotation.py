@@ -1,12 +1,17 @@
 """Rotations at a stable assignment.
 
-A rotation is an alternating cycle found in the cleaned graph of
-admissible edges.  Shifting weight around it (add on the worker-chosen
-edges, subtract on the displaced partners) moves to another stable
-assignment, higher on the firm side.
+At a stable assignment each filled worker has at most one admissible
+move: its admissible edge, paired with the edge that one more unit on
+it displaces at the far firm (none when the firm absorbs the unit).
+Pointing each worker at the worker of its displaced edge gives a map in
+which every worker has at most one successor.  A rotation is one cycle
+of that map, read as an alternating cycle of edges.  Shifting weight
+around it (add on the worker-chosen edges, subtract on the displaced
+partners) moves to another stable assignment, higher on the firm side.
 
-The construction follows three steps: build the admissible structure,
-clean it until the degree equalities hold, then read off the cycles.
+The construction follows three steps: build the moves, clean them down
+to the workers on cycles, then read off the cycles, as for
+stable-marriage rotations (Gusfield & Irving 1989, section 2.5).
 The maximal shiftable weight is found per displacement pair by binary
 search; the number of fresh choice-function evaluations it spends is
 metered against a hard budget.
@@ -14,6 +19,7 @@ metered against a hard budget.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,29 +36,6 @@ class Tandem:
     firm: str
     plus: str
     minus: str
-
-
-@dataclass(frozen=True)
-class AuxiliaryGraph:
-    """Admissible edges at a stable assignment, before cleaning.
-
-    Attributes:
-        w_admissible: (worker, edge) pairs in canonical worker order.
-        tandems: one per worker-chosen edge the firm answers with a swap.
-        absorbing: worker-chosen edges the firm would absorb outright.
-    """
-
-    w_admissible: tuple[tuple[str, str], ...]
-    tandems: tuple[Tandem, ...]
-    absorbing: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ActiveGraph:
-    """The cleaned structure; every vertex has equal in and out degree."""
-
-    w_admissible: tuple[tuple[str, str], ...]
-    tandems: tuple[Tandem, ...]
 
 
 @dataclass(frozen=True)
@@ -131,147 +114,68 @@ def admissible_move(
     return a, Tandem(f, a, inst.edges_of(f)[c_pos])
 
 
-def build_auxiliary(inst: Instance, x: Assignment) -> AuxiliaryGraph:
-    """Admissible edges and displacement pairs at a stable assignment.
+def build_auxiliary(inst: Instance, x: Assignment) -> dict[str, Tandem | None]:
+    """Each worker's admissible move at a stable assignment.
 
-    Only workers at a positive quota that they fill take part.
+    Maps every worker at a positive quota that it fills and that has an
+    admissible edge to the displacement pair the edge starts, or to None
+    when the far firm absorbs the unit outright.  Canonical worker order.
     """
     report = check_stability(inst, x)
     if not report.stable:
         raise GallocError(f"auxiliary structure needs a stable assignment; {report}")
-    pairs: list[tuple[str, str]] = []
-    tandems: list[Tandem] = []
-    absorbing: list[str] = []
+    moves: dict[str, Tandem | None] = {}
     for w in inst.workers:
         if inst.quota(w) == 0 or inst.size_at(x, w) != inst.quota(w):
             continue
         move = admissible_move(inst, x, w)
-        if move is None:
-            continue
-        a, t = move
-        pairs.append((w, a))
-        if t is None:
-            absorbing.append(a)
-        else:
-            tandems.append(t)
-    return AuxiliaryGraph(tuple(pairs), tuple(tandems), tuple(absorbing))
+        if move is not None:
+            moves[w] = move[1]
+    return moves
 
 
-def clean(inst: Instance, aux: AuxiliaryGraph) -> ActiveGraph:
-    """Delete admissible edges until the degree equalities hold.
+def clean(inst: Instance, moves: dict[str, Tandem | None]) -> dict[str, Tandem]:
+    """The moves of the workers on cycles of the successor map.
 
-    A worker's leaving edge is deleted when no displaced edge enters the
-    worker; the deletion cascades.  At the fixpoint every surviving
-    leaving edge has a displacement pair, displaced edges are distinct
-    per firm, and in equals out at every vertex; violations raise
-    InvariantViolation.
+    A worker's successor is the worker of the edge its pair displaces;
+    an absorbed move has none.  Workers nothing points into are deleted
+    and the deletion cascades.  As every worker has at most one
+    successor, the survivors are exactly the cycle workers, each with
+    one predecessor.  Canonical worker order.
     """
-    alive_a: dict[str, str] = dict(aux.w_admissible)
-    tandem_of: dict[str, Tandem] = {t.plus: t for t in aux.tandems}
-    absorbing = set(aux.absorbing)
-
-    # How many live tandems currently displace each edge.
-    minus_count: dict[str, int] = {}
-    for t in aux.tandems:
-        minus_count[t.minus] = minus_count.get(t.minus, 0) + 1
-    entering: dict[str, set[str]] = {w: set() for w in alive_a}
-    for c in minus_count:
-        w = inst.edge(c).worker
-        if w in entering:
-            entering[w].add(c)
-
-    queue = [w for w, ins in entering.items() if not ins]
+    succ = {w: None if t is None else inst.edge(t.minus).worker for w, t in moves.items()}
+    indeg = Counter(succ.values())
+    queue = [w for w in succ if not indeg[w]]
     while queue:
-        w = queue.pop()
-        a = alive_a.pop(w, None)
-        if a is None:
-            continue
-        absorbing.discard(a)
-        t = tandem_of.pop(a, None)
-        if t is None:
-            continue
-        minus_count[t.minus] -= 1
-        if minus_count[t.minus] == 0:
-            del minus_count[t.minus]
-            wc = inst.edge(t.minus).worker
-            if wc in entering:
-                entering[wc].discard(t.minus)
-                if not entering[wc] and wc in alive_a:
-                    queue.append(wc)
-
-    # Degree equalities of the cleaned structure.
-    problems: list[str] = []
-    if absorbing:
-        problems.append(f"absorbing edges survived cleaning: {sorted(absorbing)}")
-    live_minus: dict[str, list[Tandem]] = {}
-    for t in tandem_of.values():
-        live_minus.setdefault(t.minus, []).append(t)
-    for c, ts in live_minus.items():
-        if len(ts) > 1:
-            problems.append(f"displaced edge {c} shared by several pairs")
-    worker_in: dict[str, list[str]] = {}
-    for c in live_minus:
-        worker_in.setdefault(inst.edge(c).worker, []).append(c)
-    for w, a in alive_a.items():
-        if len(worker_in.get(w, [])) != 1:
-            problems.append(f"worker {w} keeps a leaving edge with in-degree != 1")
-    for w in worker_in:
-        if w not in alive_a:
-            problems.append(f"worker {w} keeps an entering edge with no leaving edge")
-    firm_in: dict[str, int] = {}
-    firm_out: dict[str, int] = {}
-    for a in alive_a.values():
-        f = inst.edge(a).firm
-        firm_in[f] = firm_in.get(f, 0) + 1
-    for c in live_minus:
-        f = inst.edge(c).firm
-        firm_out[f] = firm_out.get(f, 0) + 1
-    if firm_in != firm_out:
-        problems.append(f"firm degrees differ: in={firm_in} out={firm_out}")
-    if problems:
-        raise InvariantViolation("cleaning fixpoint is broken: " + "; ".join(problems))
-
-    pairs = tuple((w, a) for w, a in sorted(alive_a.items(), key=lambda p: inst.worker_index[p[0]]))
-    tandems = tuple(tandem_of[a] for _, a in pairs)
-    return ActiveGraph(pairs, tandems)
+        v = succ.pop(queue.pop())
+        indeg[v] -= 1
+        if v in succ and not indeg[v]:
+            queue.append(v)
+    return {w: moves[w] for w in succ}
 
 
-def extract_rotations(inst: Instance, active: ActiveGraph) -> tuple[Rotation, ...]:
-    """Decompose the cleaned structure into its alternating cycles."""
-    a_of_worker = dict(active.w_admissible)
-    tandem_of = {t.plus: t for t in active.tandems}
+def extract_rotations(inst: Instance, active: dict[str, Tandem]) -> tuple[Rotation, ...]:
+    """Read one rotation off each cycle of the cleaned moves."""
+    left = dict(active)
     rotations: list[Rotation] = []
-    seen: set[str] = set()
-    for w in inst.workers:
-        a = a_of_worker.get(w)
-        if a is None or a in seen:
-            continue
+    for start in active:
         cycle: list[str] = []
-        cur = a
-        while cur not in seen:
-            seen.add(cur)
-            t = tandem_of[cur]
+        w = start
+        while w in left:
+            t = left.pop(w)
             cycle.extend((t.plus, t.minus))
-            cur = a_of_worker[inst.edge(t.minus).worker]
-        if cur != a:
-            raise InvariantViolation(
-                f"walk from {a} closed on {cur} instead of its start"
-            )
-        rotations.append(Rotation(_canonical_cycle(inst, tuple(cycle))))
+            w = inst.edge(t.minus).worker
+        if cycle:
+            rotations.append(Rotation(_canonical_cycle(inst, tuple(cycle))))
     rotations.sort(key=lambda r: r.key)
     return tuple(rotations)
 
 
 def _canonical_cycle(inst: Instance, cycle: tuple[str, ...]) -> tuple[str, ...]:
-    plus = cycle[0::2]
-    best = min(
-        range(len(plus)),
-        key=lambda i: (
-            inst.worker_index[inst.edge(plus[i]).worker],
-            inst.edge_index[plus[i]],
-        ),
-    )
-    k = 2 * best
+    def rank(i: int) -> int:
+        return inst.worker_index[inst.edge(cycle[i]).worker]
+
+    k = min(range(0, len(cycle), 2), key=rank)
     return cycle[k:] + cycle[:k]
 
 

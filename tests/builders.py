@@ -66,3 +66,40 @@ def one_on_one():
             "firm_cfs": {"f1": {"type": "linear", "order": ["e1"], "quota": 1}},
         }
     )
+
+
+def latin(n, cap=1, quota=1):
+    """The cyclic Latin instance on a complete n x n market.
+
+    Worker i ranks firms i, i+1, ... (mod n); firm j's linear order runs
+    over workers j+1, j+2, ... (mod n).  Every edge has capacity ``cap``
+    and every vertex quota ``quota``.  Its stable allocations form a
+    lattice with many rotations (Irving & Leather 1986).
+    """
+
+    def e(i, j):
+        return f"e{i % n}_{j % n}"
+
+    workers = [f"w{i}" for i in range(n)]
+    firms = [f"f{j}" for j in range(n)]
+    return instance_from_dict(
+        {
+            "workers": workers,
+            "firms": firms,
+            "edges": [
+                {"id": e(i, j), "worker": workers[i], "firm": firms[j], "capacity": cap}
+                for i in range(n)
+                for j in range(n)
+            ],
+            "worker_quotas": dict.fromkeys(workers, quota),
+            "worker_orders": {workers[i]: [e(i, i + k) for k in range(n)] for i in range(n)},
+            "firm_cfs": {
+                firms[j]: {
+                    "type": "linear",
+                    "order": [e(j + 1 + k, j) for k in range(n)],
+                    "quota": quota,
+                }
+                for j in range(n)
+            },
+        }
+    )

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from galloc import InvariantViolation, make_ring_instance, xmin_by_capacity_reduction
+from galloc.choice import A3_QUOTA_LIMIT
 from galloc.cli import main
 
 from builders import one_on_one, two_swaps
@@ -409,6 +410,30 @@ def test_negative_seeds_and_oversized_bounds_exit_one(ring_file, capsys):
         rc, out, err = run(capsys, argv)
         assert rc == 1 and out == ""
         assert err.startswith("galloc: error: ") and err.count("\n") == 1
+
+
+def test_oversized_a3_quotas_exit_one(tmp_path, capsys):
+    # The tableau-a3 filling has quota + 1 entries per column; a quota
+    # over the limit is refused before it is built.
+    q = A3_QUOTA_LIMIT + 2
+    doc = make_ring_instance(2).to_dict()
+    for e in doc["edges"]:
+        e["capacity"] = q if e["id"].startswith("a") else q // 2
+    doc["worker_quotas"] = dict.fromkeys(doc["worker_quotas"], q)
+    for spec in doc["firm_cfs"].values():
+        spec["quota"] = q
+    path = write_json(tmp_path / "ring.json", doc)
+    for argv in (
+        ["gen", "--appendix", str(10**23)],
+        ["gen", "--seed", "1", "--family", "tableau-a3", "--quota-bound", str(10**18)],
+        ["solve", path],
+    ):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (1, "")
+        assert err.startswith("galloc: error:") and f"over the limit {A3_QUOTA_LIMIT:,}" in err
+        assert err.count("\n") == 1
 
 
 def test_bench_reports_timings(ring_file, capsys):

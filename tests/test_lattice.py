@@ -24,7 +24,7 @@ from galloc import (
 from galloc.genrand import GeneratorConfig, generate
 from galloc.lattice import build_reversal_sets, essential_f_pairs
 
-from builders import parallel_pair, two_swaps
+from builders import latin, parallel_pair, two_swaps
 
 RING_L = ("a1", "d2", "a2", "d3", "a3", "d1")
 RING_LP = ("a1", "c3", "a3", "c2", "a2", "c1")
@@ -63,11 +63,16 @@ def test_stage1_finds_a_stable_point(ring4):
 
 @pytest.mark.parametrize(
     "inst",
-    [make_ring_instance(q) for q in (2, 4, 6, 8)] + [two_swaps(3, 5), parallel_pair(5)],
-    ids=["ring2", "ring4", "ring6", "ring8", "two_swaps_3_5", "parallel_pair_5"],
+    [make_ring_instance(q) for q in (2, 4, 6, 8)]
+    + [two_swaps(3, 5), parallel_pair(5)]
+    + [latin(n) for n in (3, 4, 5)]
+    + [latin(n, 2, 4) for n in (3, 4)],
+    ids=["ring2", "ring4", "ring6", "ring8", "two_swaps_3_5", "parallel_pair_5",
+         "latin3", "latin4", "latin5", "latin3_cap2_quota4", "latin4_cap2_quota4"],
 )
 def test_stage2_descends_the_whole_chain(inst):
-    # two_swaps gives a reversal graph with two disjoint cycles.
+    # two_swaps gives a reversal graph with two disjoint cycles; the Latin
+    # markets have several cycles open at most points.
     xmin = xmin_by_capacity_reduction(inst).assignment
     route = build_full_route(inst, xmin)
     assert route.steps

@@ -15,8 +15,11 @@ from galloc import (
 )
 from galloc.choice import total_choice_calls
 from galloc.rotation import (
+    Tandem,
     admissible_edge,
     build_auxiliary,
+    clean,
+    extract_rotations,
     weight_budget,
 )
 
@@ -125,15 +128,60 @@ def test_admissible_edge_scans_an_empty_worker_from_the_top():
     doc["worker_quotas"]["w1"] = 0
     inst = instance_from_dict(doc)
     assert admissible_edge(inst, x, "w1") == "e1"
-    assert build_auxiliary(inst, x).w_admissible == ()
+    assert build_auxiliary(inst, x) == {}
 
 
 def test_unfilled_workers_start_no_rotation():
     inst = parallel_pair(1, worker_quota=2, firm_quota=1)
     x = inst.assignment((1, 0))
-    aux = build_auxiliary(inst, x)
-    assert aux.w_admissible == ()
+    assert build_auxiliary(inst, x) == {}
     assert applicable_rotations(inst, x) == ()
+
+
+def move_market():
+    """Unit edges named for the moves of ``test_clean_keeps_exactly_the_cycles``."""
+    edges = [
+        ("p1", "w1", "fA"), ("m2", "w2", "fA"), ("p2", "w2", "fB"), ("n2", "w2", "fC"),
+        ("m3", "w3", "fB"), ("p3", "w3", "fC"), ("p4", "w4", "fA"), ("p5", "w5", "fD"),
+        ("m6", "w6", "fD"), ("b7", "w7", "fE"), ("a7", "w7", "fE"), ("p8", "w8", "fE"),
+    ]
+    workers = [f"w{i}" for i in range(1, 9)]
+    firms = ["fA", "fB", "fC", "fD", "fE"]
+    return instance_from_dict(
+        {
+            "workers": workers,
+            "firms": firms,
+            "edges": [{"id": e, "worker": w, "firm": f, "capacity": 1} for e, w, f in edges],
+            "worker_quotas": dict.fromkeys(workers, 1),
+            "worker_orders": {v: [e for e, w, _ in edges if w == v] for v in workers},
+            "firm_cfs": {
+                g: {"type": "linear", "order": [e for e, _, f in edges if f == g], "quota": 1}
+                for g in firms
+            },
+        }
+    )
+
+
+def test_clean_keeps_exactly_the_cycles():
+    inst = move_market()
+    cycle = {"w2": Tandem("fB", "p2", "m3"), "w3": Tandem("fC", "p3", "n2")}
+    loop = {"w7": Tandem("fE", "b7", "a7")}  # parallel edges of one firm
+    moves = {
+        "w1": Tandem("fA", "p1", "m2"),  # a tail into the 2-cycle
+        **cycle,
+        "w4": Tandem("fA", "p4", "m2"),  # a second tail, displacing the same edge
+        "w5": Tandem("fD", "p5", "m6"),  # a chain into an absorbing worker
+        "w6": None,
+        **loop,
+        "w8": Tandem("fE", "p8", "a7"),  # a tail into the self-loop
+    }
+    active = clean(inst, moves)
+    assert active == {**cycle, **loop}
+    assert list(active) == ["w2", "w3", "w7"]
+    # Each cycle is read once from its first worker; keys sort by edge id.
+    want = (Rotation(("b7", "a7")), Rotation(("p2", "m3", "p3", "n2")))
+    assert extract_rotations(inst, active) == want
+    assert extract_rotations(inst, {"w3": cycle["w3"], "w2": cycle["w2"], **loop}) == want
 
 
 def test_weight_search_stays_within_budget(ring4):
