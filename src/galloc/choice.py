@@ -15,8 +15,15 @@ from their order and quota.  Firms are configured by a spec dict with a
   capacities (q, q/2, q/2) for an even quota q; the filling is generated
   here so files only need the quota.
 
-Evaluators memoize every answer.  ``call_count`` counts memo misses
-only, which is what the oracle-call budgets meter.
+Evaluators memoize every answer of the rule.  ``call_count`` counts
+memo misses only, which is what the oracle-call budgets meter.  The
+solver asks an evaluator four questions: acceptance, interest in one
+more unit, the response to it, and a weight-mu swap.  Tableau
+evaluators answer them by probing the rule.  Linear evaluators answer
+in closed form and do not call it: a greedy rule down a strict order
+(Baïou & Balinski 2002, Math. OR 27(4)) is settled by the total of the
+vector and the rank of its last supported position.  The brute-force
+oracle and the axiom checks call the rule itself.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import GallocError, InvariantViolation, LimitError, ValidationError
 from .model import Instance
@@ -131,11 +138,7 @@ class ChoiceEvaluator:
         got = self._memo.get(zt)
         if got is not None:
             return got
-        if (
-            len(zt) != len(self.caps)
-            or min(zt, default=0) < 0
-            or any(map(operator.gt, zt, self.caps))
-        ):
+        if not self._in_box(zt):
             raise GallocError(
                 f"choice function of {self.owner} queried outside its box: {zt}"
             )
@@ -147,17 +150,111 @@ class ChoiceEvaluator:
     def _evaluate(self, z: Vec) -> Vec:
         raise NotImplementedError
 
+    def _in_box(self, z: Vec) -> bool:
+        return (
+            len(z) == len(self.caps)
+            and min(z, default=0) >= 0
+            and not any(map(operator.gt, z, self.caps))
+        )
+
+    # The probes below ask the rule; LinearChoice answers them in closed form.
+
     def accepts(self, z: Sequence[int]) -> bool:
         return self(z) == tuple(z)
 
+    def interest(self, z: Sequence[int]) -> Callable[[int], bool]:
+        """``interesting_at`` at ``z``, as a predicate on positions."""
+        return functools.partial(interesting_at, self, tuple(z))
+
+    def unit_response(self, z: Sequence[int], pos: int) -> tuple[str, int | None]:
+        return single_unit_response(self, z, pos)
+
+    def swaps(self, z: Sequence[int], plus: int, minus: int, mu: int) -> bool:
+        """Whether ``mu`` more units at ``plus`` displace ``mu`` at ``minus``."""
+        bumped = list(z)
+        bumped[plus] += mu
+        want = list(bumped)
+        want[minus] -= mu
+        return self(tuple(bumped)) == tuple(want)
+
 
 class LinearChoice(ChoiceEvaluator):
+    """The greedy rule down ``order``, with its probes in closed form.
+
+    At an accepted ``z`` that fills the quota, one more unit at a
+    position ranked before the cut (the rank of the last supported
+    position) displaces a unit there, and any other unit is rejected;
+    below the quota every unit is absorbed.  Off the quota the cut is
+    ``len(order)``, so every unit with room is interesting.  Vectors
+    outside the box, unaccepted bumps and null or self swaps go to the
+    generic probe, which raises or answers as the rule does.  The total
+    and the cut are memoized per vector, as the rule's answers are, but
+    computing them is not a call of the rule.
+    """
+
     def __init__(self, owner: str, kind: str, caps: Vec, order: Vec, quota: int) -> None:
         super().__init__(owner, kind, caps, quota)
         self.order = order
+        rank = [0] * len(order)
+        for r, pos in enumerate(order):
+            rank[pos] = r
+        self._rank: Vec = tuple(rank)
+        self._shapes: dict[Vec, tuple[int, int]] = {}
 
     def _evaluate(self, z: Vec) -> Vec:
         return eval_worker_cf(z, self.order, self.quota)
+
+    def _shape(self, z: Vec) -> tuple[int, int] | None:
+        """The total and the cut of ``z``, memoized; None outside the box."""
+        got = self._shapes.get(z)
+        if got is None and self._in_box(z):
+            total = sum(z)
+            if total != self.quota:
+                cut = len(self.order)
+            else:
+                cut = max(itertools.compress(self._rank, z), default=0)
+            got = self._shapes[z] = (total, cut)
+        return got
+
+    def accepts(self, z: Sequence[int]) -> bool:
+        zt = tuple(z)
+        shape = self._shape(zt)
+        if shape is None:
+            return super().accepts(zt)
+        return shape[0] <= self.quota
+
+    def interest(self, z: Sequence[int]) -> Callable[[int], bool]:
+        zt = tuple(z)
+        shape = self._shape(zt)
+        if shape is None:
+            return super().interest(zt)
+        caps, rank, cut = self.caps, self._rank, shape[1]
+        return lambda pos: zt[pos] < caps[pos] and rank[pos] < cut
+
+    def unit_response(self, z: Sequence[int], pos: int) -> tuple[str, int | None]:
+        zt = tuple(z)
+        shape = self._shape(zt)
+        if shape is None or zt[pos] >= self.caps[pos] or shape[0] > self.quota:
+            return super().unit_response(zt, pos)
+        total, cut = shape
+        if total < self.quota:
+            return "absorb", None
+        if self._rank[pos] < cut:
+            return "swap", self.order[cut]
+        return "same", None
+
+    def swaps(self, z: Sequence[int], plus: int, minus: int, mu: int) -> bool:
+        zt = tuple(z)
+        shape = self._shape(zt)
+        if shape is None or mu < 1 or plus == minus or zt[plus] + mu > self.caps[plus]:
+            return super().swaps(zt, plus, minus, mu)
+        total, cut = shape
+        return (
+            total == self.quota
+            and zt[minus] >= mu
+            and self.order[cut] == minus
+            and self._rank[plus] < cut
+        )
 
 
 class TableauChoice(ChoiceEvaluator):

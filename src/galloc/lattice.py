@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
-from .choice import evaluator_for, interesting_at
+from .choice import evaluator_for
 from .errors import GallocError, GaplessnessError, InvariantViolation
 from .model import Assignment, Instance, shift, shift_room
 from .rotation import (
@@ -309,11 +309,8 @@ def essential_f_pairs(
             trial = _swapped(inst, x, c, a)
             if trial is None:
                 continue
-            if not any(
-                interesting_at(cf, trial, inst.local_pos(f, d))
-                for d in wanted
-                if d != c
-            ):
+            interested = cf.interest(trial)
+            if not any(interested(inst.local_pos(f, d)) for d in wanted if d != c):
                 out.append((c, a))
     return tuple(out)
 

@@ -78,10 +78,12 @@ class Instance:
     """A validated allocation problem.
 
     Construction validates everything and raises ``ValidationError``
-    listing all problems found.  Firm specs and ``meta`` are copied in
-    depth.  Instances are immutable by convention, except for the
-    memoizing evaluators :mod:`galloc.choice` keeps in them; lookup
-    tables and each firm's rule, read from its spec, are built here.
+    listing all problems found.  The instance keeps the firm specs and
+    ``meta`` it is given; ``instance_from_dict`` copies them out of a
+    caller's document first.  Instances are immutable by convention,
+    except for the memoizing evaluators :mod:`galloc.choice` keeps in
+    them; lookup tables, ``b_max`` and each firm's rule, read from its
+    spec, are built here.
     """
 
     def __init__(
@@ -101,8 +103,8 @@ class Instance:
         self.worker_orders: dict[str, tuple[str, ...]] = {
             w: tuple(o) for w, o in worker_orders.items()
         }
-        self.firm_cfs: dict[str, dict[str, Any]] = _copied(dict(firm_cfs))
-        self.meta: dict[str, Any] = _copied(dict(meta or {}))
+        self.firm_cfs: dict[str, dict[str, Any]] = dict(firm_cfs)
+        self.meta: dict[str, Any] = dict(meta or {})
 
         # Derived tables; built defensively so validation can run after.
         self.edge_index: dict[str, int] = {}
@@ -127,6 +129,7 @@ class Instance:
         self._firm_rules: dict[str, tuple[str, int, tuple]] = {}  # by validate_instance
 
         validate_instance(self)
+        self.b_max: int = max((e.capacity for e in self.edges), default=0)
 
     # -- lookups ---------------------------------------------------------
 
@@ -153,10 +156,6 @@ class Instance:
 
     def quota(self, w: str) -> int:
         return self.worker_quotas[w]
-
-    @property
-    def b_max(self) -> int:
-        return max((e.capacity for e in self.edges), default=0)
 
     # -- assignments -----------------------------------------------------
 
@@ -364,7 +363,15 @@ def _read_json(path: str | Path) -> Any:
 
 
 def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
-    """Build an Instance from a parsed JSON document."""
+    """Build an Instance from a parsed JSON document.
+
+    The instance shares nothing with ``doc``: its firm specs and ``meta``
+    are copied in depth.
+    """
+    return _build_instance(doc, copy=True)
+
+
+def _build_instance(doc: Any, *, copy: bool) -> Instance:
     if not isinstance(doc, Mapping):
         raise ValidationError("instance document must be a JSON object")
     unknown = set(doc) - _INSTANCE_KEYS
@@ -395,19 +402,23 @@ def instance_from_dict(doc: Mapping[str, Any]) -> Instance:
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, Mapping):
         raise ValidationError("meta must be an object")
+    firm_cfs = doc["firm_cfs"]
+    if copy:
+        firm_cfs, meta = _copied(dict(firm_cfs)), _copied(dict(meta or {}))
     return Instance(
         [str(w) for w in doc["workers"]],
         [str(f) for f in doc["firms"]],
         edges,
         doc["worker_quotas"],
         doc["worker_orders"],
-        doc["firm_cfs"],
+        firm_cfs,
         meta,
     )
 
 
 def load_instance(path: str | Path) -> Instance:
-    return instance_from_dict(_read_json(path))
+    # Nothing else holds the parse, so the instance may keep its parts.
+    return _build_instance(_read_json(path), copy=False)
 
 
 def assignment_from_doc(inst: Instance, doc: Mapping[str, Any]) -> Assignment:

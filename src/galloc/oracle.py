@@ -71,6 +71,7 @@ def _vertex_table(
 
     ``interesting[code, p]`` says whether one more unit at position p
     would change the cell's choice; it is filled on accepted cells only.
+    Both come from calls to the rule, not from the solver's probes.
     """
     cf = evaluator_for(inst, v)
     caps = cf.caps
@@ -79,7 +80,7 @@ def _vertex_table(
     accept = np.zeros(len(box), dtype=bool)
     interesting = np.zeros(cells.shape, dtype=bool)
     for code, z in enumerate(box):
-        accept[code] = cf.accepts(z)
+        accept[code] = cf(z) == z
         if accept[code]:
             interesting[code] = [interesting_at(cf, z, p) for p in range(len(caps))]
     radix = np.ones(len(caps), dtype=np.int64)

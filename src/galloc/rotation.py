@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .choice import evaluator_for, single_unit_response, total_choice_calls
+from .choice import evaluator_for, total_choice_calls
 from .errors import GallocError, InvariantViolation
 from .model import Assignment, Instance, shift, shift_room
 from .stability import check_stability, is_interesting
@@ -104,8 +104,8 @@ def admissible_move(
     if a is None:
         return None
     f = inst.edge(a).firm
-    verdict, c_pos = single_unit_response(
-        evaluator_for(inst, f), inst.local_values(x, f), inst.local_pos(f, a)
+    verdict, c_pos = evaluator_for(inst, f).unit_response(
+        inst.local_values(x, f), inst.local_pos(f, a)
     )
     if verdict == "same":
         raise InvariantViolation(f"admissible edge {a} is not interesting for {f}")
@@ -203,11 +203,11 @@ def _swaps(inst: Instance, x: Assignment, t: Tandem, mu: int) -> bool:
     That is, whether the firm takes ``mu`` more units on ``t.plus`` by
     dropping ``mu`` units of ``t.minus``.
     """
-    z = list(inst.local_values(x, t.firm))
-    z[inst.local_pos(t.firm, t.plus)] += mu
-    want = list(z)
-    want[inst.local_pos(t.firm, t.minus)] -= mu
-    return evaluator_for(inst, t.firm)(tuple(z)) == tuple(want)
+    f = t.firm
+    z = inst.local_values(x, f)
+    return evaluator_for(inst, f).swaps(
+        z, inst.local_pos(f, t.plus), inst.local_pos(f, t.minus), mu
+    )
 
 
 def largest_weight(nu: int, holds: Callable[[int], bool]) -> int:

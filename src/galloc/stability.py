@@ -8,18 +8,21 @@ assignment is acceptable and free of blocking edges.
 
 Acceptable assignments are compared sidewise: x is below y on the firm
 side when every firm, offered the union, keeps exactly its share of y.
-The worker-side order is defined the same way over workers.
+The worker-side order is defined the same way over workers.  Comparisons
+ask the choice rule itself, so the brute-force oracle, which orders its
+elements with them, never reads the closed-form probes of linear
+evaluators.
 
-A check builds each vertex's local vector once and probes every edge at
-most twice: the worker side, then the firm side only when the worker is
-interested.
+A check builds each vertex's local vector and its interest predicate
+once, and probes every edge at most twice: the worker side, then the
+firm side only when the worker is interested.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .choice import evaluator_for, interesting_at, join
+from .choice import evaluator_for, join
 from .errors import GallocError
 from .model import Assignment, Instance
 
@@ -34,12 +37,11 @@ def _unacceptable(inst: Instance, local: dict[str, tuple[int, ...]]) -> tuple[st
 
 
 def _blocking(inst: Instance, local: dict[str, tuple[int, ...]]) -> tuple[str, ...]:
+    wants = {v: evaluator_for(inst, v).interest(z) for v, z in local.items()}
     out = []
     for e in inst.edges:
         w, f, eid = e.worker, e.firm, e.id
-        if not interesting_at(evaluator_for(inst, w), local[w], inst.local_pos(w, eid)):
-            continue
-        if interesting_at(evaluator_for(inst, f), local[f], inst.local_pos(f, eid)):
+        if wants[w](inst.local_pos(w, eid)) and wants[f](inst.local_pos(f, eid)):
             out.append(eid)
     return tuple(out)
 
@@ -54,9 +56,8 @@ def is_interesting(inst: Instance, x: Assignment, v: str, eid: str) -> bool:
     Saturated edges are never interesting.  The restriction of x to v
     must be accepted by v's choice function.
     """
-    return interesting_at(
-        evaluator_for(inst, v), inst.local_values(x, v), inst.local_pos(v, eid)
-    )
+    wants = evaluator_for(inst, v).interest(inst.local_values(x, v))
+    return wants(inst.local_pos(v, eid))
 
 
 def blocking_edges(inst: Instance, x: Assignment) -> tuple[str, ...]:
@@ -102,7 +103,7 @@ def _side_compare(inst: Instance, x: Assignment, y: Assignment, vertices) -> str
         if zx == zy:
             continue
         cf = evaluator_for(inst, v)
-        if not cf.accepts(zx) or not cf.accepts(zy):
+        if cf(zx) != zx or cf(zy) != zy:
             raise GallocError(f"comparison needs accepted restrictions at {v}")
         j = cf(join(zx, zy))
         if j == zx:

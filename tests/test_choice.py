@@ -11,7 +11,9 @@ from galloc import (
     a3_filling,
     check_axioms,
     check_gapless,
+    enumerate_stable,
     evaluator_for,
+    instance_from_dict,
     make_ring_instance,
 )
 from galloc.choice import (
@@ -24,7 +26,11 @@ from galloc.choice import (
     join,
     revealed_prefers,
     single_unit_response,
+    total_choice_calls,
 )
+from galloc.errors import InvariantViolation
+
+from builders import latin
 
 
 def test_worker_rule_partial_fill():
@@ -217,3 +223,79 @@ def test_acceptance_is_idempotence_of_the_call():
     cf = TableauChoice("f", (2, 2), ((1, 3, 5), (2, 4, 6)), 2)
     for z in itertools.product(range(3), range(3)):
         assert cf.accepts(z) == (cf(z) == z)
+
+
+def outcome(probe, *args):
+    """A probe's answer, or the type of what it raised."""
+    try:
+        return probe(*args)
+    except (GallocError, InvariantViolation) as exc:
+        return type(exc)
+
+
+def small_linear_vertices():
+    """Linear rules on 1-3 edges: every order, caps 0-2 (0-3 on fewer
+    than three edges) and quotas from 0 to one past the total cap."""
+    for k in (1, 2, 3):
+        for caps in itertools.product(range(3 if k == 3 else 4), repeat=k):
+            for order in itertools.permutations(range(k)):
+                for quota in range(sum(caps) + 2):
+                    yield LinearChoice("v", "firm-linear", caps, order, quota)
+
+
+def test_linear_closed_form_matches_the_generic_probes():
+    # Every box point, including those over the quota and quota 0, and
+    # every position, with or without room.
+    generic = ChoiceEvaluator
+    probes = 0
+    for cf in small_linear_vertices():
+        k = len(cf.caps)
+        for z in iter_box(cf.caps):
+            assert cf.accepts(z) == generic.accepts(cf, z)
+            mine, theirs = cf.interest(z), generic.interest(cf, z)
+            for pos in range(k):
+                where = (cf.order, cf.quota, z, pos)
+                assert outcome(mine, pos) == outcome(theirs, pos), where
+                assert outcome(cf.unit_response, z, pos) == outcome(
+                    generic.unit_response, cf, z, pos
+                ), where
+                probes += 1
+            for plus, minus in itertools.permutations(range(k), 2):
+                for mu in range(1, cf.caps[plus] - z[plus] + 1):
+                    assert cf.swaps(z, plus, minus, mu) == generic.swaps(
+                        cf, z, plus, minus, mu
+                    ), (cf.order, cf.quota, z, plus, minus, mu)
+    assert probes > 10_000
+
+
+def test_linear_probes_do_not_call_the_rule():
+    cf = LinearChoice("w", "worker-linear", (2, 1, 2), (2, 0, 1), 3)
+    for z in iter_box(cf.caps):
+        cf.accepts(z)
+        interested = cf.interest(z)
+        for pos in range(3):
+            interested(pos)
+            if z[pos] < cf.caps[pos] and sum(z) <= cf.quota:
+                cf.unit_response(z, pos)
+        if z[0] < cf.caps[0]:
+            cf.swaps(z, 0, 1, 1)
+    assert cf.call_count == 0
+    with pytest.raises(GallocError, match="outside its box"):
+        cf.accepts((3, 0, 0))
+    with pytest.raises(GallocError, match="outside its box"):
+        cf.unit_response((2, 1, 0), 1)
+
+
+def test_the_oracle_builds_its_tables_from_the_rule(monkeypatch):
+    inst = latin(3)
+    want = enumerate_stable(inst).elements
+    assert len(want) > 1
+
+    def refuse(*args):
+        raise AssertionError("the oracle read a closed-form probe")
+
+    for name in ("accepts", "interest", "unit_response", "swaps"):
+        monkeypatch.setattr(LinearChoice, name, refuse)
+    fresh = instance_from_dict(inst.to_dict())
+    assert enumerate_stable(fresh).elements == want
+    assert total_choice_calls(fresh) > 0
