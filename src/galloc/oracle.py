@@ -1,9 +1,12 @@
 """Brute-force ground truth over enumerable instances.
 
-Enumerates every stable assignment by sweeping the capacity box,
-filtering through worker quotas, acceptability, and blocking edges with
-vectorized table lookups.  The enumerated lattice backs the
-differential tests: extreme points, lattice structure, and the
+Enumerates every stable assignment by joining the workers' accepted
+local vectors one worker at a time.  Each firm is tested, by vectorized
+lookups in its acceptance and interest tables, as soon as its last
+worker is placed, and the partial rows it rejects or that one of its
+edges blocks are dropped there.  The tables come from calls to the
+rules, never from the solver's probes.  The enumerated lattice backs
+the differential tests: extreme points, lattice structure, and the
 correspondence between stable assignments and closed functions.
 """
 
@@ -89,14 +92,25 @@ def _vertex_table(
     return cells, accept, interesting, radix
 
 
+def _extend(head: np.ndarray, part: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each row of ``head`` once per row of ``part``, written at ``cols``."""
+    out = np.repeat(head, len(part), axis=0)
+    out[:, cols] = np.tile(part, (len(head), 1))
+    return out
+
+
 def enumerate_stable(inst: Instance, limit: int = DEFAULT_LIMIT) -> EnumeratedLattice:
     """Every stable assignment, elements sorted in mixed-radix order.
 
     Refuses when the raw capacity box exceeds ``limit`` points, and
     after the sweep when it found over ``_STABLE_LIMIT`` points.  The
-    sweep runs over combinations of per-worker accepted local vectors
-    in fixed-size chunks; firms are handled through lookup tables
-    indexed by the mixed-radix code of their restriction.
+    sweep adds the workers in canonical order; a partial row carries
+    the values and the worker-side interest flags of its edges.  Once a
+    firm's last worker is placed (a firm with no edges: before the
+    first), rows where it rejects its share or one of its edges blocks
+    are dropped.  Both tests read only placed vertices, so a dropped row
+    cannot become stable.  Expansions over ``_CHUNK`` rows are split and
+    joined depth-first.
     """
     raw = prod(e.capacity + 1 for e in inst.edges)
     if raw > limit:
@@ -104,65 +118,47 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_LIMIT) -> EnumeratedLa
             f"enumeration needs a box of {raw} points, over the limit {limit}"
         )
     idx = inst.edge_index
-    n_edges = len(inst.edges)
-
     workers = list(inst.workers)
-    w_rows: list[np.ndarray] = []
-    w_int: list[np.ndarray] = []
-    w_cols: list[np.ndarray] = []
+    depth_of = {w: i + 1 for i, w in enumerate(workers)}
+    tables = {v: _vertex_table(inst, v) for v in workers + list(inst.firms)}
+    cols = {
+        v: np.array([idx[eid] for eid in inst.edges_of(v)], dtype=np.int64)
+        for v in tables
+    }
+    # Worker d's rows: its accepted cells with their interest flags.
+    adds = []
     for w in workers:
-        cells, accept, interesting, _ = _vertex_table(inst, w)
-        w_rows.append(cells[accept])
-        w_int.append(interesting[accept])
-        w_cols.append(np.array([idx[eid] for eid in inst.edges_of(w)], dtype=np.int64))
-
-    firms = list(inst.firms)
-    f_accept: list[np.ndarray] = []
-    f_int: list[np.ndarray] = []
-    f_radix: list[np.ndarray] = []
-    f_cols: list[np.ndarray] = []
-    for f in firms:
-        _, accept, interesting, radix = _vertex_table(inst, f)
-        f_accept.append(accept)
-        f_int.append(interesting)
-        f_radix.append(radix)
-        f_cols.append(np.array([idx[eid] for eid in inst.edges_of(f)], dtype=np.int64))
-
-    counts = [r.shape[0] for r in w_rows]
-    strides = [1] * len(workers)
-    for i in range(len(workers) - 2, -1, -1):
-        strides[i] = strides[i + 1] * counts[i + 1]
-    total = prod(counts) if counts else 1
-
-    edge_firm_pos = []
-    for e in inst.edges:
-        wi = workers.index(e.worker)
-        fi = firms.index(e.firm)
-        edge_firm_pos.append(
-            (wi, inst.local_pos(e.worker, e.id), fi, inst.local_pos(e.firm, e.id))
-        )
+        cells, accept, interesting, _ = tables[w]
+        adds.append((cells[accept], interesting[accept], cols[w]))
+    # complete[d]: the firms whose workers are all among the first d.
+    complete: list[list[str]] = [[] for _ in range(len(workers) + 1)]
+    for f in inst.firms:
+        d = max((depth_of[inst.edge(eid).worker] for eid in inst.edges_of(f)), default=0)
+        complete[d].append(f)
 
     found: list[tuple[int, ...]] = []
-    for start in range(0, total, _CHUNK):
-        block = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = [(block // strides[i]) % counts[i] for i in range(len(workers))]
-        grid = np.zeros((block.shape[0], n_edges), dtype=np.int64)
-        for i in range(len(workers)):
-            if w_cols[i].size:
-                grid[:, w_cols[i]] = w_rows[i][digits[i]]
-        codes = [
-            grid[:, f_cols[i]] @ f_radix[i] if f_cols[i].size else
-            np.zeros(block.shape[0], dtype=np.int64)
-            for i in range(len(firms))
-        ]
-        ok = np.ones(block.shape[0], dtype=bool)
-        for i in range(len(firms)):
-            ok &= f_accept[i][codes[i]]
-        blocked = np.zeros(block.shape[0], dtype=bool)
-        for wi, wp, fi, fp in edge_firm_pos:
-            blocked |= w_int[wi][digits[wi], wp] & f_int[fi][codes[fi], fp]
-        for row in grid[ok & ~blocked]:
-            found.append(tuple(int(v) for v in row))
+
+    def join(depth: int, values: np.ndarray, flags: np.ndarray) -> None:
+        for f in complete[depth]:
+            _, accept, interesting, radix = tables[f]
+            code = values[:, cols[f]] @ radix
+            keep = accept[code] & ~(flags[:, cols[f]] & interesting[code]).any(axis=1)
+            values, flags = values[keep], flags[keep]
+        if depth == len(workers) or not len(values):
+            found.extend(map(tuple, values.tolist()))
+            return
+        rows, row_flags, c = adds[depth]
+        step = max(1, _CHUNK // max(1, len(rows)))
+        for i in range(0, len(values), step):
+            for j in range(0, len(rows), _CHUNK):
+                join(
+                    depth + 1,
+                    _extend(values[i:i + step], rows[j:j + _CHUNK], c),
+                    _extend(flags[i:i + step], row_flags[j:j + _CHUNK], c),
+                )
+
+    n_edges = len(inst.edges)
+    join(0, np.zeros((1, n_edges), dtype=np.int64), np.zeros((1, n_edges), dtype=bool))
 
     if len(found) > _STABLE_LIMIT:
         raise LimitError(
@@ -179,9 +175,9 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_LIMIT) -> EnumeratedLa
     order = tuple(
         tuple(compare_F(inst, a, b) for b in elements) for a in elements
     )
-    lat = EnumeratedLattice(inst, elements, order, elements[0], elements[0])
-    mins = [i for i in range(len(elements)) if all(lat.leq(i, j) for j in range(len(elements)))]
-    maxs = [i for i in range(len(elements)) if all(lat.leq(j, i) for j in range(len(elements)))]
+    up = ("less", "equal")
+    mins = [i for i, row in enumerate(order) if all(r in up for r in row)]
+    maxs = [i for i in range(len(order)) if all(row[i] in up for row in order)]
     if len(mins) != 1 or len(maxs) != 1:
         raise InvariantViolation(
             "enumerated stable set has no unique minimum or maximum"

@@ -456,6 +456,44 @@ def test_usage_errors_exit_one(capsys):
     assert exc.value.code == 1
 
 
+def test_one_parser_serves_every_call(ring_file, capsys, monkeypatch):
+    from galloc.cli import build_parser
+
+    def limit_from_env():
+        monkeypatch.setenv("GALLOC_LIMIT", "10")
+        try:
+            return main(["brute", ring_file])
+        finally:
+            monkeypatch.delenv("GALLOC_LIMIT")
+
+    calls = [
+        lambda: main(["solve", "--mode", "middle", ring_file]),
+        lambda: main(["brute", ring_file, "--limit", "10"]),
+        lambda: main(["brute", ring_file]),
+        lambda: main(["solve", ring_file, "--mode", "max"]),
+        lambda: main(["solve", ring_file]),
+        limit_from_env,
+    ]
+
+    def outcome(call):
+        try:
+            rc = call()
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    first = [outcome(call) for call in calls]
+    assert [rc for rc, _, _ in first] == [1, 1, 0, 0, 0, 1]
+    assert first[0][2].startswith("usage: galloc solve")
+    assert json.loads(first[3][1])["assignment"] == X4
+    assert json.loads(first[4][1])["assignment"] == X0
+    for order in (calls, calls[::-1]):
+        again = [outcome(call) for call in order]
+        assert again == [first[calls.index(call)] for call in order]
+    assert build_parser() is build_parser()
+
+
 def test_internal_failures_exit_two(ring_file, capsys, monkeypatch):
     import galloc.cli as cli_mod
 

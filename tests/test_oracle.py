@@ -1,11 +1,20 @@
+import functools
+import itertools
+import tracemalloc
+
 import pytest
 
 from galloc import (
+    GeneratorConfig,
     LimitError,
     enumerate_stable,
+    generate,
+    instance_from_dict,
     make_ring_instance,
     verify_lattice_properties,
 )
+from galloc import oracle
+from galloc.choice import evaluator_for, interesting_at
 
 from builders import one_on_one, two_swaps
 
@@ -59,3 +68,104 @@ def test_enumeration_refuses_oversized_boxes(ring4):
 def test_elements_come_back_sorted(ring4):
     lat = enumerate_stable(ring4)
     assert list(lat.elements) == sorted(lat.elements, key=lambda x: x.values)
+
+
+def reference_stable(inst):
+    """Stable points by definition, over a plain product of the raw box.
+
+    A point is stable when every vertex accepts its local vector and no
+    edge is interesting to both of its ends.
+    """
+    rules = {v: evaluator_for(inst, v) for v in (*inst.workers, *inst.firms)}
+
+    @functools.cache
+    def accepts(v, z):
+        return rules[v](z) == z
+
+    @functools.cache
+    def wants(v, z, eid):
+        return interesting_at(rules[v], z, inst.local_pos(v, eid))
+
+    found = []
+    for values in itertools.product(*(range(e.capacity + 1) for e in inst.edges)):
+        x = inst.assignment(values)
+        z = {v: inst.local_values(x, v) for v in rules}
+        if all(accepts(v, z[v]) for v in rules) and not any(
+            wants(e.worker, z[e.worker], e.id) and wants(e.firm, z[e.firm], e.id)
+            for e in inst.edges
+        ):
+            found.append(values)
+    return found
+
+
+def generated(i):
+    return generate(
+        GeneratorConfig(
+            seed=i,
+            workers=2 + i % 2,
+            firms=2 + (i // 2) % 2,
+            capacity_bound=2 + (i // 4) % 2,
+            family=("linear", "tableau", "mixed")[i % 3],
+        )
+    )
+
+
+def with_lonely_vertices():
+    """Two swaps plus one worker and one firm that have no edges."""
+    doc = two_swaps().to_dict()
+    doc["workers"].append("w0")
+    doc["worker_quotas"]["w0"] = 1
+    doc["worker_orders"]["w0"] = []
+    doc["firms"].append("f0")
+    doc["firm_cfs"]["f0"] = {"type": "linear", "order": [], "quota": 1}
+    return instance_from_dict(doc)
+
+
+HAND_BUILT = {
+    "ring q=2": lambda: make_ring_instance(2),
+    "two swaps": two_swaps,
+    "two swaps 2, 3": lambda: two_swaps(2, 3),
+    "lonely vertices": with_lonely_vertices,
+}
+
+
+def elements(inst):
+    return [x.values for x in enumerate_stable(inst).elements]
+
+
+@pytest.mark.parametrize("i", range(60))
+def test_sweep_matches_the_plain_box_on_generated_instances(i):
+    inst = generated(i)
+    assert elements(inst) == reference_stable(inst)
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_sweep_matches_the_plain_box_on_hand_built_instances(name):
+    inst = HAND_BUILT[name]()
+    assert elements(inst) == reference_stable(inst)
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_split_expansions_give_the_same_lattice(name, monkeypatch):
+    # Five rows per expansion splits both the partial rows and, where a
+    # worker accepts more than five vectors, the worker's own rows.
+    inst = HAND_BUILT[name]()
+    want = enumerate_stable(inst)
+    monkeypatch.setattr(oracle, "_CHUNK", 5)
+    assert enumerate_stable(inst) == want
+
+
+def test_sweep_memory_stays_within_the_row_bound():
+    # The ring holds its 1.95M accepted worker combinations until its
+    # last worker is placed.  One expansion holds at most _CHUNK rows of
+    # |E| int64 values and |E| flags (20 MB for the ring's 9 edges); the
+    # bound leaves room for one copy of the rows and the firm lookups.
+    inst = make_ring_instance(8)
+    tracemalloc.start()
+    try:
+        lat = enumerate_stable(inst, limit=2 * 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lat) == 9
+    assert peak < 48 * 10**6
