@@ -16,7 +16,9 @@ from their order and quota.  Firms are configured by a spec dict with a
   here so files only need the quota.
 
 Evaluators memoize every answer of the rule.  ``call_count`` counts
-memo misses only, which is what the oracle-call budgets meter.  The
+its memo misses only: the oracle calls, the paper's unit of cost.
+``fresh_count`` also counts the closed-form evaluations below that were
+not memoized yet, which is what the weight-search budget meters.  The
 solver asks an evaluator four questions: acceptance, interest in one
 more unit, the response to it, and a weight-mu swap.  Tableau
 evaluators answer them by probing the rule.  Linear evaluators answer
@@ -122,7 +124,9 @@ class ChoiceEvaluator:
         kind: "worker-linear", "firm-linear", or "tableau".
         caps: capacities of the incident edges, canonical order.
         quota: the quota the function fills up to.
-        call_count: number of memo misses so far.
+        call_count: number of memo misses of the rule so far.
+        fresh_count: ``call_count`` plus the closed-form evaluations
+            that were not memoized yet.
     """
 
     def __init__(self, owner: str, kind: str, caps: Vec, quota: int) -> None:
@@ -131,6 +135,7 @@ class ChoiceEvaluator:
         self.caps = caps
         self.quota = quota
         self.call_count = 0
+        self.fresh_count = 0
         self._memo: dict[Vec, Vec] = {}
 
     def __call__(self, z: Sequence[int]) -> Vec:
@@ -143,6 +148,7 @@ class ChoiceEvaluator:
                 f"choice function of {self.owner} queried outside its box: {zt}"
             )
         self.call_count += 1
+        self.fresh_count += 1
         out = self._evaluate(zt)
         self._memo[zt] = out
         return out
@@ -188,8 +194,9 @@ class LinearChoice(ChoiceEvaluator):
     ``len(order)``, so every unit with room is interesting.  Vectors
     outside the box, unaccepted bumps and null or self swaps go to the
     generic probe, which raises or answers as the rule does.  The total
-    and the cut are memoized per vector, as the rule's answers are, but
-    computing them is not a call of the rule.
+    and the cut are memoized per vector, as the rule's answers are;
+    computing them counts in ``fresh_count`` but is not a call of the
+    rule.
     """
 
     def __init__(self, owner: str, kind: str, caps: Vec, order: Vec, quota: int) -> None:
@@ -208,6 +215,7 @@ class LinearChoice(ChoiceEvaluator):
         """The total and the cut of ``z``, memoized; None outside the box."""
         got = self._shapes.get(z)
         if got is None and self._in_box(z):
+            self.fresh_count += 1
             total = sum(z)
             if total != self.quota:
                 cut = len(self.order)
@@ -392,6 +400,11 @@ def evaluator_for(inst: Instance, v: str) -> ChoiceEvaluator:
 def total_choice_calls(inst: Instance) -> int:
     """Sum of memo misses across all evaluators built so far."""
     return sum(ev.call_count for ev in inst._evaluators.values())
+
+
+def total_fresh_evaluations(inst: Instance) -> int:
+    """Sum of fresh evaluations, of the rule or in closed form, so far."""
+    return sum(ev.fresh_count for ev in inst._evaluators.values())
 
 
 def choice_call_counts(inst: Instance) -> dict[str, int]:

@@ -24,6 +24,7 @@ from .genrand import FAMILIES, GeneratorConfig, generate, make_ring_instance
 from .lattice import (
     build_full_route,
     solve_xmin_by_stages,
+    xmax_by_capacity_reduction,
     xmin_by_capacity_reduction,
 )
 from .model import (
@@ -99,7 +100,7 @@ def _cmd_solve(args) -> int:
     if args.mode == "min":
         x = xmin_by_capacity_reduction(inst).assignment
     else:
-        x = build_full_route(inst).end
+        x = xmax_by_capacity_reduction(inst).assignment
     if args.verify:
         lat = _oracle(inst, args)
         want = lat.min_element if args.mode == "min" else lat.max_element
@@ -288,6 +289,12 @@ def _cmd_bench(args) -> int:
     timings["full_route"] = time.perf_counter() - t0
     results["route_length"] = len(route.steps)
     results["xmax"] = route.end.to_mapping(inst)
+
+    t0 = time.perf_counter()
+    top = xmax_by_capacity_reduction(inst)
+    timings["firm_side"] = time.perf_counter() - t0
+    if top.assignment.values != route.end.values:
+        raise InvariantViolation("the two maximum pipelines disagree")
 
     counts = choice_call_counts(inst)
     _emit(

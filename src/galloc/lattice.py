@@ -1,15 +1,25 @@
 """Navigation of the stable set: extreme points and routes.
 
+Both extremes of the lattice come from one capacity-reduction kernel,
+deferred acceptance with either side proposing (Alkan & Gale 2003): the
+proposers choose from the current capacities, the receivers choose from
+the offers, and capacities are cut wherever a receiver refused units,
+until a fixpoint.  Under substitutability the outcome does not depend on
+the order of offers (Hatfield & Milgrom 2005), so the kernel runs from a
+worklist and re-evaluates only the vertices whose input changed.
+
 Two independent pipelines find the worker-best stable assignment (the
 minimum of the firm-side lattice order):
 
-* ``xmin_by_capacity_reduction``: alternately let workers choose from
-  the current capacities and firms choose from the workers' picks,
-  reducing capacities wherever a firm refused units, until a fixpoint.
+* ``xmin_by_capacity_reduction``: workers propose, firms cut.
 * ``stage1_find_stable`` + ``stage2_descend_to_xmin``: grow any stable
   assignment by shifting along admissible paths and cycles, then walk
   down the lattice by reversing legal cycles: cycles of the reversal
   graph, whose nodes are the workers at quota.
+
+Two more find the firm-best one, the maximum:
+``xmax_by_capacity_reduction`` (firms propose, workers cut) and the end
+of a full route.
 
 On top of stable points, routes chain rotation shifts.  A full route
 runs from the minimum to the maximum using maximal weights; a targeted
@@ -43,57 +53,98 @@ from .stability import check_stability, compare_F, is_interesting
 
 @dataclass(frozen=True)
 class CapacityReductionRun:
-    """Result of the capacity-reduction pipeline.
+    """Result of one side's capacity-reduction pipeline.
 
     Attributes:
-        assignment: the stable minimum.
-        iterations: rounds executed before the fixpoint (at least 1).
+        assignment: the stable extreme the proposing side prefers.
+        iterations: worklist waves executed before the fixpoint (at
+            least 1).
     """
 
     assignment: Assignment
     iterations: int
 
 
-def xmin_by_capacity_reduction(inst: Instance) -> CapacityReductionRun:
-    """Worker-best stable assignment by iterated capacity reduction.
+def _capacity_reduction(inst: Instance, firms_propose: bool) -> CapacityReductionRun:
+    """Deferred acceptance with one side proposing, run from a worklist.
 
-    Each round, workers choose from the reduced capacities and firms
-    choose from the workers' picks; every edge where the firm kept less
-    than offered has its capacity cut down to the kept amount.  The
-    fixpoint is stable.  The round count is monitored against the
-    |E| * b_max bound.
+    Proposers choose from their current capacities and receivers choose
+    from the offers; every edge where the receiver kept less than offered
+    has its capacity cut down to the kept amount.  A wave re-evaluates
+    the proposers with a capacity cut in the last wave, then the
+    receivers whose offers changed in this one.  Any other proposer would
+    repeat its offers, and any other receiver an answer that cut nothing
+    (a cut lowers the offer on its edge), so the waves follow the rounds
+    of the synchronous loop that re-evaluates every vertex.  Every wave
+    but the last cuts a capacity unit, so the wave count is monitored
+    against the |E| * b_max bound, and the fixpoint must be stable.
     """
-    caps = [e.capacity for e in inst.edges]
-    bound = max(1, len(inst.edges) * max(inst.b_max, 1))
-    rounds = 0
+    edges = inst.edges
+    if firms_propose:
+        proposers, receivers = inst.firms, inst.workers
+        proposer_of = [e.firm for e in edges]
+        receiver_of = [e.worker for e in edges]
+    else:
+        proposers, receivers = inst.workers, inst.firms
+        proposer_of = [e.worker for e in edges]
+        receiver_of = [e.firm for e in edges]
+    caps = [e.capacity for e in edges]
+    x = [0] * len(edges)
+    bound = max(1, len(edges) * max(inst.b_max, 1))
+    dirty = proposers
+    waves = 0
     while True:
-        rounds += 1
-        if rounds > bound + 1:
+        waves += 1
+        if waves > bound + 1:
             raise InvariantViolation(
-                f"capacity reduction ran {rounds} rounds, over its bound {bound}"
+                f"capacity reduction ran {waves} waves, over its bound {bound}"
             )
-        x = [0] * len(inst.edges)
-        for w in inst.workers:
-            ids = inst.edge_indices(w)
-            picked = evaluator_for(inst, w)(tuple([caps[i] for i in ids]))
+        offered: set[str] = set()
+        for p in dirty:
+            ids = inst.edge_indices(p)
+            picked = evaluator_for(inst, p)(tuple([caps[i] for i in ids]))
             for i, v in zip(ids, picked):
-                x[i] = v
-        changed = False
-        for f in inst.firms:
-            ids = inst.edge_indices(f)
-            kept = evaluator_for(inst, f)(tuple([x[i] for i in ids]))
+                if x[i] != v:
+                    x[i] = v
+                    offered.add(receiver_of[i])
+        cut: set[str] = set()
+        for r in receivers:
+            if r not in offered:
+                continue
+            ids = inst.edge_indices(r)
+            kept = evaluator_for(inst, r)(tuple([x[i] for i in ids]))
             for i, v in zip(ids, kept):
                 if v < x[i]:
                     caps[i] = v
-                    changed = True
-        if not changed:
-            out = Assignment(tuple(x))
-            report = check_stability(inst, out)
-            if not report.stable:
-                raise InvariantViolation(
-                    f"capacity reduction fixpoint is not stable: {report}"
-                )
-            return CapacityReductionRun(out, rounds)
+                    cut.add(proposer_of[i])
+        if not cut:
+            break
+        dirty = [p for p in proposers if p in cut]
+    out = Assignment(tuple(x))
+    report = check_stability(inst, out)
+    if not report.stable:
+        raise InvariantViolation(f"capacity reduction fixpoint is not stable: {report}")
+    if firms_propose and applicable_rotations(inst, out):
+        raise InvariantViolation("a rotation applies at the firm-side fixpoint")
+    return CapacityReductionRun(out, waves)
+
+
+def xmin_by_capacity_reduction(inst: Instance) -> CapacityReductionRun:
+    """Worker-best stable assignment: workers propose, firms cut.
+
+    The fixpoint is the minimum of the firm-side order.
+    """
+    return _capacity_reduction(inst, firms_propose=False)
+
+
+def xmax_by_capacity_reduction(inst: Instance) -> CapacityReductionRun:
+    """Firm-best stable assignment: firms propose, workers cut.
+
+    The mirror of ``xmin_by_capacity_reduction``.  No rotation may apply
+    at the fixpoint, which certifies it as the maximum of the firm-side
+    order; the end of a full route is the second pipeline to this point.
+    """
+    return _capacity_reduction(inst, firms_propose=True)
 
 
 def _step_monitor(inst: Instance) -> int:
@@ -564,5 +615,7 @@ def route_to_target(inst: Instance, start: Assignment, target: Assignment) -> Ro
 
 def solve_extremes(inst: Instance) -> tuple[Assignment, Assignment]:
     """The minimum and maximum of the stable lattice (firm-side order)."""
-    xmin = xmin_by_capacity_reduction(inst).assignment
-    return xmin, build_full_route(inst, xmin).end
+    return (
+        xmin_by_capacity_reduction(inst).assignment,
+        xmax_by_capacity_reduction(inst).assignment,
+    )

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
-from .choice import evaluator_for, total_choice_calls
+from .choice import evaluator_for, total_fresh_evaluations
 from .errors import GallocError, InvariantViolation
 from .model import Assignment, Instance, shift, shift_room
 from .stability import check_stability, is_interesting
@@ -238,7 +238,7 @@ def max_feasible_weight(inst: Instance, x: Assignment, rot: Rotation) -> int:
     tau = shift_room(inst, x, rot.plus_edges, rot.minus_edges)
     if tau < 1:
         raise GallocError("rotation is not applicable: no room for a unit shift")
-    before = total_choice_calls(inst)
+    before = total_fresh_evaluations(inst)
     for t in rotation_tandems(inst, rot):
         if not _swaps(inst, x, t, 1):
             raise GallocError(
@@ -246,7 +246,7 @@ def max_feasible_weight(inst: Instance, x: Assignment, rot: Rotation) -> int:
                 f"does not swap at {t.firm}"
             )
         tau = largest_weight(tau, lambda mu: _swaps(inst, x, t, mu))
-    spent = total_choice_calls(inst) - before
+    spent = total_fresh_evaluations(inst) - before
     if spent > weight_budget(inst, rot):
         raise InvariantViolation(
             f"weight search spent {spent} evaluations, over its budget "

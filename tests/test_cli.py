@@ -441,7 +441,7 @@ def test_bench_reports_timings(ring_file, capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["command"] == "bench"
-    assert set(doc["timings"]) == {"capacity_reduction", "stages", "full_route"}
+    assert set(doc["timings"]) == {"capacity_reduction", "stages", "full_route", "firm_side"}
     assert doc["results"]["route_length"] == 4
     assert doc["results"]["capacity_reduction_rounds"] >= 1
     assert doc["oracle_calls_total"] > 0
@@ -504,6 +504,18 @@ def test_internal_failures_exit_two(ring_file, capsys, monkeypatch):
     rc, _, err = run(capsys, ["solve", ring_file])
     assert rc == 2
     assert "invariant violation" in err
+
+
+def test_solve_max_exits_two_when_a_rotation_applies_at_the_top(ring_file, capsys, monkeypatch):
+    from galloc import Rotation
+
+    top = ("a1", "d2", "a2", "d3", "a3", "d1")
+    monkeypatch.setattr("galloc.lattice.applicable_rotations", lambda inst, x: (Rotation(top),))
+    rc, out, err = run(capsys, ["solve", ring_file, "--mode", "max"])
+    assert (rc, out) == (2, "")
+    assert err == "galloc: invariant violation: a rotation applies at the firm-side fixpoint\n"
+    rc, out, _ = run(capsys, ["solve", ring_file])
+    assert rc == 0 and json.loads(out)["assignment"] == X0
 
 
 # -- fuzzing the instance boundary ----------------------------------------

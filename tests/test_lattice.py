@@ -6,11 +6,13 @@ from galloc import (
     GallocError,
     GaplessnessError,
     InvariantViolation,
+    LimitError,
     apply_rotation,
     build_full_route,
     check_stability,
     compare_F,
     enumerate_stable,
+    instance_from_dict,
     make_ring_instance,
     max_feasible_weight,
     route_pairs,
@@ -19,10 +21,13 @@ from galloc import (
     solve_xmin_by_stages,
     stage1_find_stable,
     stage2_descend_to_xmin,
+    xmax_by_capacity_reduction,
     xmin_by_capacity_reduction,
 )
+from galloc.choice import evaluator_for
 from galloc.genrand import GeneratorConfig, generate
 from galloc.lattice import build_reversal_sets, essential_f_pairs
+from perfbench.corpus import oracle_corpus, random_complete
 
 from builders import latin, parallel_pair, two_swaps
 
@@ -249,3 +254,113 @@ def test_extremes_of_larger_rings():
         assert xmax.values == (q, 0, 0) * 3
         route = build_full_route(inst, xmin)
         assert len(route.steps) == q
+
+
+# -- both extremes by capacity reduction ---------------------------------
+
+
+def acceptance_corpora():
+    """The two seeded corpora of the acceptance suite, rebuilt here."""
+    sam = [
+        GeneratorConfig(
+            seed=s, workers=2 + s % 2, firms=2 + (s // 2) % 2, density=0.8,
+            capacity_bound=3, quota_bound=4, family="linear",
+        )
+        for s in range(200)
+    ]
+    gapless = [
+        GeneratorConfig(
+            seed=10_000 + s, workers=2 + s % 2, firms=2 + (s // 3) % 2, density=0.8,
+            capacity_bound=2, quota_bound=4, family="mixed", b_cap_for_gapless=2,
+        )
+        for s in range(100)
+    ]
+    return [generate(cfg) for cfg in sam + gapless]
+
+
+CORPORA = {
+    "acceptance": (acceptance_corpora, 300),
+    "rings": (lambda: [make_ring_instance(q) for q in range(2, 9, 2)], 3),
+    "latin_cap2_quota4": (lambda: [latin(8, 2, 4), latin(16, 2, 4)], 0),
+    "oracle_corpus": (
+        lambda: [instance_from_dict(b.doc) for b in oracle_corpus(1)], 100
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CORPORA)
+def test_both_extremes_agree_with_the_second_pipelines_and_the_oracle(name):
+    build, enumerable = CORPORA[name]
+    checked = 0
+    for inst in build():
+        lo = xmin_by_capacity_reduction(inst).assignment
+        hi = xmax_by_capacity_reduction(inst).assignment
+        assert lo == solve_xmin_by_stages(inst)
+        assert hi == build_full_route(inst, lo).end
+        try:
+            lat = enumerate_stable(inst)
+        except LimitError:
+            continue  # over the oracle's box limit
+        assert (lo, hi) == (lat.min_element, lat.max_element)
+        checked += 1
+    assert checked == enumerable
+
+
+def synchronous_reduction(inst, proposers):
+    """Capacity reduction that re-evaluates every vertex every round.
+
+    Returns the fixpoint, the round count, the proposer evaluations and
+    the capacity cuts.
+    """
+    receivers = inst.firms if proposers == inst.workers else inst.workers
+    caps = [e.capacity for e in inst.edges]
+    rounds = evaluations = cuts = 0
+    while True:
+        rounds += 1
+        x = [0] * len(inst.edges)
+        for p in proposers:
+            ids = inst.edge_indices(p)
+            evaluations += 1
+            for i, v in zip(ids, evaluator_for(inst, p)(tuple(caps[i] for i in ids))):
+                x[i] = v
+        before = cuts
+        for r in receivers:
+            ids = inst.edge_indices(r)
+            for i, v in zip(ids, evaluator_for(inst, r)(tuple(x[i] for i in ids))):
+                if v < x[i]:
+                    caps[i] = v
+                    cuts += 1
+        if cuts == before:
+            return inst.assignment(x), rounds, evaluations, cuts
+
+
+@pytest.mark.parametrize(
+    "side, solve", [("workers", xmin_by_capacity_reduction), ("firms", xmax_by_capacity_reduction)]
+)
+def test_capacity_reduction_reevaluates_only_cut_proposers(side, solve, monkeypatch):
+    inst = instance_from_dict(random_complete(8, draw=1).doc)
+    proposers = getattr(inst, side)
+    x, rounds, sync_evaluations, sync_cuts = synchronous_reduction(inst, proposers)
+    assert sync_evaluations > len(proposers) + sync_cuts
+
+    evaluations = cuts = 0
+
+    def counted(inst, v):
+        ev = evaluator_for(inst, v)
+
+        def answer(z):
+            nonlocal evaluations, cuts
+            out = ev(z)
+            if v in proposers:
+                evaluations += 1
+            else:
+                cuts += sum(kept < offered for kept, offered in zip(out, z))
+            return out
+
+        return answer
+
+    monkeypatch.setattr("galloc.lattice.evaluator_for", counted)
+    run = solve(inst)
+    assert (run.assignment, run.iterations, cuts) == (x, rounds, sync_cuts)
+    assert rounds > 2
+    assert evaluations <= len(proposers) + cuts

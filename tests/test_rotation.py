@@ -2,6 +2,7 @@ import pytest
 
 from galloc import (
     GallocError,
+    InvariantViolation,
     Rotation,
     applicable_rotations,
     apply_rotation,
@@ -13,7 +14,7 @@ from galloc import (
     make_ring_instance,
     max_feasible_weight,
 )
-from galloc.choice import total_choice_calls
+from galloc.choice import LinearChoice, total_choice_calls, total_fresh_evaluations
 from galloc.rotation import (
     Tandem,
     admissible_edge,
@@ -194,6 +195,32 @@ def test_weight_search_stays_within_budget(ring4):
     before = total_choice_calls(fresh)
     max_feasible_weight(fresh, fresh.assignment((1, 2, 1) * 3), rot)
     assert total_choice_calls(fresh) - before <= weight_budget(fresh, rot)
+
+
+def test_weight_budget_meters_closed_form_probes(monkeypatch):
+    # A linear firm answers the swap probe in closed form, without a call
+    # of its rule, so the budget must count closed-form evaluations too.
+    inst = parallel_pair(8)
+    x = inst.assignment((0, 8))
+    (rot,) = applicable_rotations(inst, x)
+    assert weight_budget(inst, rot) == 3 + 2
+    cold = parallel_pair(8)
+    assert max_feasible_weight(cold, x, rot) == 8
+    assert total_choice_calls(cold) == 0
+    assert total_fresh_evaluations(cold) == 1
+
+    honest = LinearChoice.swaps
+
+    def wasteful(self, z, plus, minus, mu):
+        for k in range(1, mu + 1):  # a fresh closed form for every bump on the way
+            self.accepts(z[:plus] + (z[plus] + k,) + z[plus + 1 :])
+        return honest(self, z, plus, minus, mu)
+
+    monkeypatch.setattr(LinearChoice, "swaps", wasteful)
+    cold = parallel_pair(8)
+    with pytest.raises(InvariantViolation, match="over its budget 5"):
+        max_feasible_weight(cold, x, rot)
+    assert total_choice_calls(cold) == 0
 
 
 def test_weight_search_rejects_inapplicable_rotations(ring4):
