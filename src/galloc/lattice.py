@@ -48,7 +48,7 @@ from .rotation import (
     largest_weight,
     max_feasible_weight,
 )
-from .stability import check_stability, compare_F, is_interesting
+from .stability import PointView, check_stability, compare_F
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,9 @@ def _capacity_reduction(inst: Instance, firms_propose: bool) -> CapacityReductio
     (a cut lowers the offer on its edge), so the waves follow the rounds
     of the synchronous loop that re-evaluates every vertex.  Every wave
     but the last cuts a capacity unit, so the wave count is monitored
-    against the |E| * b_max bound, and the fixpoint must be stable.
+    against the |E| * b_max bound, and the fixpoint must be stable.  The
+    firm side's certificate reads the same view of the fixpoint as the
+    stability check.
     """
     edges = inst.edges
     if firms_propose:
@@ -121,10 +123,12 @@ def _capacity_reduction(inst: Instance, firms_propose: bool) -> CapacityReductio
             break
         dirty = [p for p in proposers if p in cut]
     out = Assignment(tuple(x))
-    report = check_stability(inst, out)
-    if not report.stable:
-        raise InvariantViolation(f"capacity reduction fixpoint is not stable: {report}")
-    if firms_propose and applicable_rotations(inst, out):
+    view = PointView(inst, out)
+    if not view.report.stable:
+        raise InvariantViolation(
+            f"capacity reduction fixpoint is not stable: {view.report}"
+        )
+    if firms_propose and applicable_rotations(inst, out, view):
         raise InvariantViolation("a rotation applies at the firm-side fixpoint")
     return CapacityReductionRun(out, waves)
 
@@ -169,21 +173,23 @@ def _growth_invariants_broken(inst: Instance, x: Assignment) -> str | None:
     for w in inst.workers:
         if inst.size_at(x, w) > inst.quota(w):
             return f"worker {w} over quota"
+    view = PointView(inst, x)
     for f in inst.firms:
-        if not evaluator_for(inst, f).accepts(inst.local_values(x, f)):
+        if not evaluator_for(inst, f).accepts(view.local[f]):
             return f"firm {f} rejects its restriction"
     for w in inst.workers:
         last = inst.last_supported(x, w)
         if last is None:
             continue  # holds nothing: nothing strictly above its first edge
         for eid in inst.worker_orders[w][:last]:
-            if is_interesting(inst, x, inst.edge(eid).firm, eid):
+            f = inst.edge(eid).firm
+            if view.wants[f](inst.local_pos(f, eid)):
                 return f"edge {eid} above {w}'s last supported edge is interesting"
     return None
 
 
 def _admissible_path(
-    inst: Instance, x: Assignment, w0: str
+    inst: Instance, x: Assignment, w0: str, view: PointView
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[Tandem, ...], bool]:
     """Follow admissible edges and displacement partners from a worker.
 
@@ -200,7 +206,7 @@ def _admissible_path(
     w = w0
     cycle_from: int | None = None
     while True:
-        move = admissible_move(inst, x, w)
+        move = admissible_move(inst, x, w, view)
         if move is None:
             break  # ends at a worker
         a, t = move
@@ -256,14 +262,15 @@ def stage1_find_stable(inst: Instance, start: Assignment | None = None) -> Assig
     steps = 0
     while True:
         chosen = None
+        view = PointView(inst, x)
         for w in inst.workers:
             if inst.size_at(x, w) >= inst.quota(w):
                 continue
-            if admissible_edge(inst, x, w) is not None:
+            if admissible_edge(inst, x, w, view) is not None:
                 chosen = w
                 break
         if chosen is None:
-            report = check_stability(inst, x)
+            report = view.report
             if not report.stable:
                 raise InvariantViolation(
                     f"growth stage stopped on an unstable assignment: {report}"
@@ -272,7 +279,7 @@ def stage1_find_stable(inst: Instance, start: Assignment | None = None) -> Assig
         steps += 1
         if steps > guard:
             raise InvariantViolation(f"growth stage exceeded {guard} iterations")
-        plus, minus, pairs, is_path = _admissible_path(inst, x, chosen)
+        plus, minus, pairs, is_path = _admissible_path(inst, x, chosen, view)
         nu = shift_room(inst, x, plus, minus)
         if is_path:
             nu = min(nu, inst.quota(chosen) - inst.size_at(x, chosen))
@@ -334,7 +341,7 @@ def build_reversal_sets(inst: Instance, x: Assignment) -> ReversalSets:
 
 
 def essential_f_pairs(
-    inst: Instance, x: Assignment, f: str, rs: ReversalSets
+    inst: Instance, x: Assignment, f: str, rs: ReversalSets, view: PointView | None = None
 ) -> tuple[tuple[str, str], ...]:
     """Essential down-swap pairs (add, drop) at one firm.
 
@@ -344,16 +351,18 @@ def essential_f_pairs(
     finds interesting becomes interesting for the firm at that vector.
     Probing the reversal candidates alone is not enough: a swap down the
     firm's taste can free room for an edge of an under-quota worker, and
-    such an edge blocks the shifted point just the same.
+    such an edge blocks the shifted point just the same.  ``view`` is
+    the view of ``x``; one is built when it is None.
     """
     cf = evaluator_for(inst, f)
     cands = [c for c in rs.u_plus_all if inst.edge(c).firm == f]
     drops = [a for a in rs.u_minus if inst.edge(a).firm == f]
-    wanted = [
-        d
-        for d in inst.edges_of(f)
-        if is_interesting(inst, x, inst.edge(d).worker, d)
-    ]
+    wants = (view or PointView(inst, x)).wants
+    wanted = []
+    for d in inst.edges_of(f):
+        w = inst.edge(d).worker
+        if wants[w](inst.local_pos(w, d)):
+            wanted.append(d)
     out: list[tuple[str, str]] = []
     for a in drops:
         for c in cands:
@@ -383,8 +392,9 @@ def _reversal_graph(
     One per essential pair with ``c`` in ``u_plus[w]``; ``w2`` holds ``a``.
     """
     arcs: dict[str, list[tuple[str, str, str]]] = {}
+    view = PointView(inst, x)
     for f in inst.firms:
-        for c, a in essential_f_pairs(inst, x, f, rs):
+        for c, a in essential_f_pairs(inst, x, f, rs, view):
             w, w2 = inst.edge(c).worker, inst.edge(a).worker
             arcs.setdefault(w, []).append((c, a, w2))
     idx = inst.edge_index
@@ -513,6 +523,23 @@ def route_pairs(route: Route) -> "Counter[tuple[tuple[str, ...], int]]":
     return Counter((s.rotation.key, s.weight) for s in route.steps)
 
 
+def carried_search(inst: Instance) -> Callable[[Assignment], tuple[Rotation, ...]]:
+    """``applicable_rotations`` at each point asked, from one carried view.
+
+    The view of each point searched is built from the view of the point
+    searched before it, so a search recomputes only what differs between
+    the two; only the last view is kept.
+    """
+    view: PointView | None = None
+
+    def search(x: Assignment) -> tuple[Rotation, ...]:
+        nonlocal view
+        view = PointView(inst, x, view)
+        return applicable_rotations(inst, x, view)
+
+    return search
+
+
 def walk_route(
     inst: Instance,
     start: Assignment,
@@ -526,18 +553,19 @@ def walk_route(
 
     At each point ``pick`` chooses one of the applicable rotations (in
     canonical key order; the first by default), which is shifted by its
-    maximal weight.  ``rotations_at`` and ``weight_at`` stand in for the
-    two searches when a caller memoizes them or restricts them; a
-    targeted route offers at most one rotation, and caps its weight, so
-    as to stay below its target.  Route length is monitored
-    against (|W|+|F|)·|E|² under the gapless assumption, where a
-    repeated rotation key raises GaplessnessError before its weight
-    search, and against b_max·|E|² otherwise.
+    maximal weight.  The rotation search carries one view from each
+    point it searches to the next (``carried_search``).  ``rotations_at``
+    and ``weight_at`` stand in for the two searches when a caller
+    memoizes them or restricts them; a targeted route offers at most one
+    rotation, and caps its weight, so as to stay below its target.
+    Route length is monitored against (|W|+|F|)·|E|² under the gapless
+    assumption, where a repeated rotation key raises GaplessnessError
+    before its weight search, and against b_max·|E|² otherwise.
     """
     mult = len(inst.workers) + len(inst.firms) if assume_gapless else max(1, inst.b_max)
     bound = mult * max(1, len(inst.edges)) ** 2
     # The searches are looked up at call time, so rebinding them is seen.
-    search = rotations_at or (lambda y: applicable_rotations(inst, y))
+    search = rotations_at or carried_search(inst)
     weigh = weight_at or (lambda y, rot: max_feasible_weight(inst, y, rot))
     steps: list[RouteStep] = []
     seen_keys: set[tuple[str, ...]] = set()
@@ -594,10 +622,12 @@ def route_to_target(inst: Instance, start: Assignment, target: Assignment) -> Ro
         y = apply_rotation(inst, x, rot, mu)
         return compare_F(inst, y, target) in ("less", "equal")
 
+    search = carried_search(inst)
+
     def toward(x: Assignment) -> tuple[Rotation, ...]:
         if x.values == target.values:
             return ()
-        stays = (r for r in applicable_rotations(inst, x) if below(x, r, 1))
+        stays = (r for r in search(x) if below(x, r, 1))
         return tuple(islice(stays, 1))
 
     def weight(x: Assignment, rot: Rotation) -> int:

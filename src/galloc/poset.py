@@ -19,10 +19,10 @@ import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
 
 from .errors import GallocError, InvariantViolation, LimitError
-from .lattice import Route, route_pairs, route_to_target, walk_route
+from .lattice import Route, carried_search, route_pairs, route_to_target, walk_route
 from .lattice import xmin_by_capacity_reduction
 from .model import Assignment, CostVector, Instance
-from .rotation import Rotation, applicable_rotations, max_feasible_weight
+from .rotation import Rotation, max_feasible_weight
 from .stability import check_stability
 
 
@@ -152,15 +152,17 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     the successor occurrences, counted back from the route's tail.
     These routes pass the same stable points many times, so the build
     searches each point for rotations, and each rotation there for its
-    maximal weight, only once.
+    maximal weight, only once.  The searches carry one view from each
+    point searched to the next; the memo keeps rotations, not views.
     """
     xmin = xmin_by_capacity_reduction(inst).assignment
     found: dict[tuple[int, ...], tuple[Rotation, ...]] = {}
     weights: dict[tuple[tuple[int, ...], tuple[str, ...]], int] = {}
+    search = carried_search(inst)
 
     def rotations_at(x: Assignment) -> tuple[Rotation, ...]:
         if x.values not in found:
-            found[x.values] = applicable_rotations(inst, x)
+            found[x.values] = search(x)
         return found[x.values]
 
     def weight_at(x: Assignment, rot: Rotation) -> int:

@@ -11,8 +11,14 @@ partners) moves to another stable assignment, higher on the firm side.
 
 The construction follows three steps: build the moves, clean them down
 to the workers on cycles, then read off the cycles, as for
-stable-marriage rotations (Gusfield & Irving 1989, section 2.5).
-The maximal shiftable weight is found per displacement pair by binary
+stable-marriage rotations (Gusfield & Irving 1989, section 2.5).  The
+moves are read from and stored in the point's view
+(:class:`galloc.stability.PointView`).  Routes carry one view from each
+point they search to the next, and a shift changes only the vertices of
+the edges it moves: only the workers at those vertices, and the workers
+of those firms, search for their move again; every other worker keeps
+the move it had, as Gusfield & Irving's all-rotations search keeps the
+pointers it has already advanced.  The maximal shiftable weight is found per displacement pair by binary
 search; the number of fresh choice-function evaluations it spends is
 metered against a hard budget.
 """
@@ -26,7 +32,7 @@ from typing import Callable
 from .choice import evaluator_for, total_fresh_evaluations
 from .errors import GallocError, InvariantViolation
 from .model import Assignment, Instance, shift, shift_room
-from .stability import check_stability, is_interesting
+from .stability import PointView
 
 
 @dataclass(frozen=True)
@@ -78,34 +84,40 @@ class Event:
     partner: str | None = None
 
 
-def admissible_edge(inst: Instance, x: Assignment, w: str) -> str | None:
+def admissible_edge(
+    inst: Instance, x: Assignment, w: str, view: PointView | None = None
+) -> str | None:
     """The worker's admissible edge, if any.
 
     Scans the worker's order from its least preferred supported edge on
     down (its whole order when it holds nothing), returning the first
-    edge the far firm finds interesting.
+    edge the far firm finds interesting.  ``view`` is the view of ``x``;
+    one is built when it is None.
     """
+    wants = (view or PointView(inst, x)).wants
     start = inst.last_supported(x, w)
     for eid in inst.worker_orders[w][start or 0:]:
-        if is_interesting(inst, x, inst.edge(eid).firm, eid):
+        f = inst.edge(eid).firm
+        if wants[f](inst.local_pos(f, eid)):
             return eid
     return None
 
 
 def admissible_move(
-    inst: Instance, x: Assignment, w: str
+    inst: Instance, x: Assignment, w: str, view: PointView | None = None
 ) -> tuple[str, Tandem | None] | None:
     """The worker's admissible edge and the displacement pair it starts.
 
     The pair is None when the far firm absorbs the extra unit outright;
     the whole result is None when the worker has no admissible edge.
     """
-    a = admissible_edge(inst, x, w)
+    view = view or PointView(inst, x)
+    a = admissible_edge(inst, x, w, view)
     if a is None:
         return None
     f = inst.edge(a).firm
     verdict, c_pos = evaluator_for(inst, f).unit_response(
-        inst.local_values(x, f), inst.local_pos(f, a)
+        view.local[f], inst.local_pos(f, a)
     )
     if verdict == "same":
         raise InvariantViolation(f"admissible edge {a} is not interesting for {f}")
@@ -114,24 +126,50 @@ def admissible_move(
     return a, Tandem(f, a, inst.edges_of(f)[c_pos])
 
 
-def build_auxiliary(inst: Instance, x: Assignment) -> dict[str, Tandem | None]:
+def build_auxiliary(
+    inst: Instance, x: Assignment, view: PointView | None = None
+) -> dict[str, Tandem | None]:
     """Each worker's admissible move at a stable assignment.
 
     Maps every worker at a positive quota that it fills and that has an
     admissible edge to the displacement pair the edge starts, or to None
     when the far firm absorbs the unit outright.  Canonical worker order.
+
+    ``view`` is the view of ``x``, possibly built from the view of
+    another stable point; one is built when it is None.  The stability
+    check and the moves are read from it, and the moves are stored in
+    it.  From a stable parent only the dirty workers and the workers of
+    dirty firms are searched again: any other worker keeps its vector,
+    and so does every firm its scan and its displacement read.
     """
-    report = check_stability(inst, x)
+    view = view or PointView(inst, x)
+    report = view.report
     if not report.stable:
         raise GallocError(f"auxiliary structure needs a stable assignment; {report}")
-    moves: dict[str, Tandem | None] = {}
-    for w in inst.workers:
-        if inst.quota(w) == 0 or inst.size_at(x, w) != inst.quota(w):
-            continue
-        move = admissible_move(inst, x, w)
-        if move is not None:
-            moves[w] = move[1]
-    return moves
+    if view.moves is None:
+        old = view.parent_moves
+        stale: set[str] | None = None
+        if old is not None:
+            stale = set()
+            for v in view.dirty:
+                if inst.is_worker(v):
+                    stale.add(v)
+                else:
+                    stale.update(inst.edges[i].worker for i in inst.edge_indices(v))
+        moves: dict[str, Tandem | None] = {}
+        for w in inst.workers:
+            if stale is not None and w not in stale:
+                if w in old:
+                    moves[w] = old[w]
+                continue
+            quota = inst.quota(w)
+            if quota == 0 or sum(view.local[w]) != quota:
+                continue
+            move = admissible_move(inst, x, w, view)
+            if move is not None:
+                moves[w] = move[1]
+        view.moves, view.parent_moves = moves, None
+    return dict(view.moves)
 
 
 def clean(inst: Instance, moves: dict[str, Tandem | None]) -> dict[str, Tandem]:
@@ -186,9 +224,14 @@ def rotation_tandems(inst: Instance, rot: Rotation) -> tuple[Tandem, ...]:
     )
 
 
-def applicable_rotations(inst: Instance, x: Assignment) -> tuple[Rotation, ...]:
-    """All rotations applicable at a stable assignment, canonical order."""
-    return extract_rotations(inst, clean(inst, build_auxiliary(inst, x)))
+def applicable_rotations(
+    inst: Instance, x: Assignment, view: PointView | None = None
+) -> tuple[Rotation, ...]:
+    """All rotations applicable at a stable assignment, canonical order.
+
+    ``view`` is passed on to ``build_auxiliary``.
+    """
+    return extract_rotations(inst, clean(inst, build_auxiliary(inst, x, view)))
 
 
 def weight_budget(inst: Instance, rot: Rotation) -> int:

@@ -13,56 +13,27 @@ ask the choice rule itself, so the brute-force oracle, which orders its
 elements with them, never reads the closed-form probes of linear
 evaluators.
 
-A check builds each vertex's local vector and its interest predicate
-once, and probes every edge at most twice: the worker side, then the
-firm side only when the worker is interested.
+A check reads a view of the point (``PointView``): every vertex's local
+vector and interest predicate, built once, with every edge probed at
+most twice, the worker side first and the firm side only when the worker
+is interested.  A view built from the view of another stable point
+recomputes only the dirty vertices, the endpoints of the edges whose
+values differ between the two points.  Every other vertex keeps its
+vector, so it stays accepted and its edges to other clean vertices stay
+non-blocking: checking acceptance at the dirty vertices and blocking on
+their edges gives exactly the full report.  Rotation searches carry one
+view from each point they search to the next, and store each filled
+worker's admissible move in it (see :mod:`galloc.rotation`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .choice import evaluator_for, join
 from .errors import GallocError
 from .model import Assignment, Instance
-
-
-def _local_vectors(inst: Instance, x: Assignment) -> dict[str, tuple[int, ...]]:
-    """Every vertex's local vector, workers then firms."""
-    return {v: inst.local_values(x, v) for v in inst.workers + inst.firms}
-
-
-def _unacceptable(inst: Instance, local: dict[str, tuple[int, ...]]) -> tuple[str, ...]:
-    return tuple(v for v, z in local.items() if not evaluator_for(inst, v).accepts(z))
-
-
-def _blocking(inst: Instance, local: dict[str, tuple[int, ...]]) -> tuple[str, ...]:
-    wants = {v: evaluator_for(inst, v).interest(z) for v, z in local.items()}
-    out = []
-    for e in inst.edges:
-        w, f, eid = e.worker, e.firm, e.id
-        if wants[w](inst.local_pos(w, eid)) and wants[f](inst.local_pos(f, eid)):
-            out.append(eid)
-    return tuple(out)
-
-
-def unacceptable_vertices(inst: Instance, x: Assignment) -> tuple[str, ...]:
-    return _unacceptable(inst, _local_vectors(inst, x))
-
-
-def is_interesting(inst: Instance, x: Assignment, v: str, eid: str) -> bool:
-    """Whether vertex v would keep one more unit on edge eid.
-
-    Saturated edges are never interesting.  The restriction of x to v
-    must be accepted by v's choice function.
-    """
-    wants = evaluator_for(inst, v).interest(inst.local_values(x, v))
-    return wants(inst.local_pos(v, eid))
-
-
-def blocking_edges(inst: Instance, x: Assignment) -> tuple[str, ...]:
-    """Edges interesting for both endpoints, canonical order."""
-    return _blocking(inst, _local_vectors(inst, x))
 
 
 @dataclass(frozen=True)
@@ -86,13 +57,112 @@ class StabilityReport:
         )
 
 
+class PointView:
+    """What a stability check and a rotation search read at one point.
+
+    ``local`` and ``wants`` hold every vertex's local vector and interest
+    predicate.  ``PointView(inst, x)`` builds them for every vertex;
+    ``PointView(inst, x, parent)`` copies the parent's and rebuilds only
+    ``dirty``, the endpoints of the edges whose values differ between the
+    parent's point and ``x``, however far apart the two points are.  The
+    full build is the same code with every vertex dirty, and ``dirty`` is
+    then None.
+
+    The stability ``report`` is computed on first use.  When the parent's
+    report was stable it checks acceptance at the dirty vertices and
+    blocking on their incident edges only, which gives the full report;
+    otherwise it checks everything.  ``moves`` holds each filled
+    worker's admissible move once a rotation search has computed it;
+    ``parent_moves`` is the stable parent's, kept only until then.
+    """
+
+    __slots__ = (
+        "inst", "x", "local", "wants", "dirty", "_scope", "_report", "moves", "parent_moves"
+    )
+
+    def __init__(self, inst: Instance, x: Assignment, parent: PointView | None = None) -> None:
+        self.inst = inst
+        self.x = x
+        vertices = inst.workers + inst.firms
+        dirty: set[str] | None = None
+        if parent is not None:
+            edges = inst.edges
+            dirty = set()
+            for e, a, b in zip(edges, parent.x.values, x.values):
+                if a != b:
+                    dirty.add(e.worker)
+                    dirty.add(e.firm)
+            if len(dirty) == len(vertices):
+                dirty = None  # the full build, without copying the parent first
+        self.dirty = dirty
+        local: dict[str, tuple[int, ...]] = {} if dirty is None else dict(parent.local)
+        wants: dict[str, Callable[[int], bool]] = {} if dirty is None else dict(parent.wants)
+        for v in vertices if dirty is None else dirty:
+            z = inst.local_values(x, v)
+            local[v] = z
+            wants[v] = evaluator_for(inst, v).interest(z)
+        self.local, self.wants = local, wants
+        stable = parent is not None and parent._report is not None and parent._report.stable
+        self._scope = dirty if stable else None
+        self._report: StabilityReport | None = None
+        self.moves: dict | None = None
+        self.parent_moves = parent.moves if stable and dirty is not None else None
+
+    def unacceptable(self, scope=None) -> tuple[str, ...]:
+        """Vertices rejecting their local vector, canonical order."""
+        inst, local = self.inst, self.local
+        vertices = inst.workers + inst.firms
+        if scope is not None:
+            vertices = [v for v in vertices if v in scope]
+        return tuple(v for v in vertices if not evaluator_for(inst, v).accepts(local[v]))
+
+    def blocking(self, scope=None) -> tuple[str, ...]:
+        """Blocking edges (with an endpoint in ``scope``), canonical order."""
+        inst, wants, ends = self.inst, self.wants, self.inst.edge_ends
+        if scope is None:
+            ids = range(len(ends))
+        else:
+            ids = sorted({i for v in scope for i in inst.edge_indices(v)})
+        out = []
+        for i in ids:
+            w, wpos, f, fpos = ends[i]
+            if wants[w](wpos) and wants[f](fpos):
+                out.append(inst.edges[i].id)
+        return tuple(out)
+
+    @property
+    def report(self) -> StabilityReport:
+        if self._report is None:
+            bad = self.unacceptable(self._scope)
+            if bad:
+                self._report = StabilityReport(False, bad, ())
+            else:
+                blocking = self.blocking(self._scope)
+                self._report = StabilityReport(not blocking, (), blocking)
+        return self._report
+
+
+def unacceptable_vertices(inst: Instance, x: Assignment) -> tuple[str, ...]:
+    return PointView(inst, x).unacceptable()
+
+
+def is_interesting(inst: Instance, x: Assignment, v: str, eid: str) -> bool:
+    """Whether vertex v would keep one more unit on edge eid.
+
+    Saturated edges are never interesting.  The restriction of x to v
+    must be accepted by v's choice function.
+    """
+    wants = evaluator_for(inst, v).interest(inst.local_values(x, v))
+    return wants(inst.local_pos(v, eid))
+
+
+def blocking_edges(inst: Instance, x: Assignment) -> tuple[str, ...]:
+    """Edges interesting for both endpoints, canonical order."""
+    return PointView(inst, x).blocking()
+
+
 def check_stability(inst: Instance, x: Assignment) -> StabilityReport:
-    local = _local_vectors(inst, x)
-    bad = _unacceptable(inst, local)
-    if bad:
-        return StabilityReport(False, bad, ())
-    blocking = _blocking(inst, local)
-    return StabilityReport(not blocking, (), blocking)
+    return PointView(inst, x).report
 
 
 def _side_compare(inst: Instance, x: Assignment, y: Assignment, vertices) -> str:

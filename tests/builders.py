@@ -4,7 +4,7 @@ They live outside ``conftest.py`` so that ``from builders import ...``
 cannot pick up another directory's conftest module.
 """
 
-from galloc import instance_from_dict
+from galloc import GeneratorConfig, generate, instance_from_dict
 
 
 def parallel_pair(cap, worker_quota=None, firm_quota=None):
@@ -103,3 +103,22 @@ def latin(n, cap=1, quota=1):
             },
         }
     )
+
+
+def acceptance_corpora():
+    """The two seeded corpora of the acceptance suite, rebuilt here."""
+    sam = [
+        GeneratorConfig(
+            seed=s, workers=2 + s % 2, firms=2 + (s // 2) % 2, density=0.8,
+            capacity_bound=3, quota_bound=4, family="linear",
+        )
+        for s in range(200)
+    ]
+    gapless = [
+        GeneratorConfig(
+            seed=10_000 + s, workers=2 + s % 2, firms=2 + (s // 3) % 2, density=0.8,
+            capacity_bound=2, quota_bound=4, family="mixed", b_cap_for_gapless=2,
+        )
+        for s in range(100)
+    ]
+    return [generate(cfg) for cfg in sam + gapless]

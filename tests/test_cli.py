@@ -510,7 +510,9 @@ def test_solve_max_exits_two_when_a_rotation_applies_at_the_top(ring_file, capsy
     from galloc import Rotation
 
     top = ("a1", "d2", "a2", "d3", "a3", "d1")
-    monkeypatch.setattr("galloc.lattice.applicable_rotations", lambda inst, x: (Rotation(top),))
+    monkeypatch.setattr(
+        "galloc.lattice.applicable_rotations", lambda inst, x, view=None: (Rotation(top),)
+    )
     rc, out, err = run(capsys, ["solve", ring_file, "--mode", "max"])
     assert (rc, out) == (2, "")
     assert err == "galloc: invariant violation: a rotation applies at the firm-side fixpoint\n"

@@ -29,7 +29,7 @@ from galloc.genrand import GeneratorConfig, generate
 from galloc.lattice import build_reversal_sets, essential_f_pairs
 from perfbench.corpus import oracle_corpus, random_complete
 
-from builders import latin, parallel_pair, two_swaps
+from builders import acceptance_corpora, latin, parallel_pair, two_swaps
 
 RING_L = ("a1", "d2", "a2", "d3", "a3", "d1")
 RING_LP = ("a1", "c3", "a3", "c2", "a2", "c1")
@@ -232,7 +232,7 @@ def test_route_to_target_rejects_points_not_below(ring4):
 def test_route_to_target_raises_when_no_rotation_moves_toward_it(ring4, monkeypatch):
     x0 = ring_point(ring4, 0, 2, 2)
     x2 = ring_point(ring4, 2, 1, 1)
-    monkeypatch.setattr("galloc.lattice.applicable_rotations", lambda inst, x: ())
+    monkeypatch.setattr("galloc.lattice.applicable_rotations", lambda inst, x, view=None: ())
     with pytest.raises(InvariantViolation, match="no rotation moves toward the target"):
         route_to_target(ring4, x0, x2)
     assert route_to_target(ring4, x2, x2).steps == ()
@@ -257,25 +257,6 @@ def test_extremes_of_larger_rings():
 
 
 # -- both extremes by capacity reduction ---------------------------------
-
-
-def acceptance_corpora():
-    """The two seeded corpora of the acceptance suite, rebuilt here."""
-    sam = [
-        GeneratorConfig(
-            seed=s, workers=2 + s % 2, firms=2 + (s // 2) % 2, density=0.8,
-            capacity_bound=3, quota_bound=4, family="linear",
-        )
-        for s in range(200)
-    ]
-    gapless = [
-        GeneratorConfig(
-            seed=10_000 + s, workers=2 + s % 2, firms=2 + (s // 3) % 2, density=0.8,
-            capacity_bound=2, quota_bound=4, family="mixed", b_cap_for_gapless=2,
-        )
-        for s in range(100)
-    ]
-    return [generate(cfg) for cfg in sam + gapless]
 
 
 CORPORA = {

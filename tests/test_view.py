@@ -1,0 +1,171 @@
+"""Carried point views against full recomputation.
+
+A rotation search reads a view of its point built from the view of the
+point searched before it.  At every point of every walk the carried view
+must give what a fresh stability check and a fresh auxiliary build give,
+also when the parent lies far away, and an unstable child of a stable
+parent must fail as the full check fails.
+"""
+
+import tracemalloc
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import galloc.lattice
+from galloc import (
+    GallocError,
+    LimitError,
+    applicable_rotations,
+    build_full_route,
+    build_poset,
+    build_poset_general,
+    check_stability,
+    enumerate_stable,
+    instance_from_dict,
+    make_ring_instance,
+    route_to_target,
+    solve_extremes,
+)
+from galloc.rotation import build_auxiliary
+from galloc.stability import PointView
+from perfbench.corpus import latin, oracle_corpus, random_complete, rings
+
+from builders import acceptance_corpora
+
+
+def load(built):
+    return instance_from_dict(built.doc)
+
+
+INSTANCES = {
+    "acceptance": acceptance_corpora,
+    "rings": lambda: [make_ring_instance(q) for q in (2, 4, 6, 8)] + [load(rings(12, 8))],
+    "latin": lambda: [load(latin(8)), load(latin(16)), load(latin(16, 2, 4))],
+    "random64": lambda: [load(random_complete(64))],
+    "oracle_corpus": lambda: [load(b) for b in oracle_corpus(1)],
+}
+
+
+def moved_vertices(inst, x, y):
+    return {
+        v
+        for e, a, b in zip(inst.edges, x.values, y.values)
+        if a != b
+        for v in (e.worker, e.firm)
+    }
+
+
+def assert_view_is_full(inst, x, view):
+    """The view of ``x`` reads as a fresh check and auxiliary build do."""
+    assert view.x == x
+    fresh = PointView(inst, x)
+    assert view.local == fresh.local
+    assert view.report == check_stability(inst, x)
+    got = applicable_rotations(inst, x, view)
+    assert view.moves == build_auxiliary(inst, x)
+    assert got == applicable_rotations(inst, x)
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Check every search the walks run; count views carried and built in full."""
+    search = galloc.lattice.applicable_rotations
+    tally = Counter()
+
+    def checking(inst, x, view=None):
+        assert view is not None
+        got = search(inst, x, view)
+        assert_view_is_full(inst, x, view)
+        tally["carried" if view.dirty is not None else "full"] += 1
+        return got
+
+    monkeypatch.setattr(galloc.lattice, "applicable_rotations", checking)
+    return tally
+
+
+def targets(inst, route):
+    """Points to route to: every stable point when the oracle can list them."""
+    try:
+        return enumerate_stable(inst).elements
+    except LimitError:
+        return (route.steps[len(route.steps) // 2].end,) if route.steps else ()
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_carried_views_equal_full_recomputation_on_every_walk(name, checked):
+    for inst in INSTANCES[name]():
+        route = build_full_route(inst)
+        for seed in (1, 2):  # as `galloc route --seed` picks
+            build_full_route(inst, rng=np.random.Generator(np.random.PCG64(seed)))
+        build_poset(inst, general=True)  # the base route and every deferred walk
+        for target in targets(inst, route):
+            route_to_target(inst, route.start, target)
+    assert checked["carried"] > 0
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_views_advance_from_far_parents(name):
+    # The minimum's view goes straight to the maximum and to every stable
+    # point, and each point's view to the next one listed: the dirty set
+    # is the value difference, whatever lies between the two points.
+    for inst in INSTANCES[name]():
+        lo, hi = solve_extremes(inst)
+        base = PointView(inst, lo)
+        assert_view_is_full(inst, lo, base)
+        try:
+            points = (hi,) + enumerate_stable(inst).elements
+        except LimitError:
+            points = (hi, lo)
+        prev = base
+        for y in points:
+            for parent in (base, prev):
+                view = PointView(inst, y, parent)
+                moved = moved_vertices(inst, parent.x, y)
+                all_moved = len(moved) == len(inst.workers) + len(inst.firms)
+                assert view.dirty == (None if all_moved else moved)
+                assert_view_is_full(inst, y, view)
+            prev = view
+
+
+def test_unstable_children_of_a_stable_point_fail_as_the_full_check_does(ring4):
+    parent = PointView(ring4, ring4.assignment((2, 1, 1) * 3))
+    applicable_rotations(ring4, parent.x, parent)
+    over = ring4.assignment((2, 2, 1) + (2, 1, 1) * 2)  # one more unit on c1
+    short = ring4.assignment((1, 1, 1) + (2, 1, 1) * 2)  # one unit less on a1
+    for y, report in (
+        (over, "unacceptable=['w1', 'f2'] blocking=[]"),
+        (short, "unacceptable=[] blocking=['a1', 'd2', 'c3']"),
+    ):
+        child = PointView(ring4, y, parent)
+        assert child.dirty == moved_vertices(ring4, parent.x, y)
+        assert child.report == check_stability(ring4, y)
+        assert str(child.report) == report
+        with pytest.raises(GallocError) as full:
+            build_auxiliary(ring4, y)
+        with pytest.raises(GallocError) as carried:
+            build_auxiliary(ring4, y, child)
+        assert str(carried.value) == str(full.value)
+        assert str(full.value) == f"auxiliary structure needs a stable assignment; {report}"
+    # Below an unstable parent, or one never checked, a clean vertex may be
+    # the one at fault, so the child is checked in full.
+    shorter = ring4.assignment((1, 1, 1, 2, 1, 1, 1, 1, 1))  # and one less on a3
+    unstable = PointView(ring4, short, parent)
+    assert not unstable.report.stable
+    for p in (unstable, PointView(ring4, short)):
+        child = PointView(ring4, shorter, p)
+        assert child.dirty == {"w3", "f3"}
+        assert "a1" in child.report.blocking
+        assert child.report == check_stability(ring4, shorter)
+
+
+def test_the_general_poset_keeps_no_view_per_point():
+    inst = load(rings(12, 8))
+    tracemalloc.start()
+    try:
+        build_poset_general(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
