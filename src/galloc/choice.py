@@ -16,9 +16,13 @@ from their order and quota.  Firms are configured by a spec dict with a
   here so files only need the quota.
 
 Evaluators memoize every answer of the rule.  ``call_count`` counts
-its memo misses only: the oracle calls, the paper's unit of cost.
-``fresh_count`` also counts the closed-form evaluations below that were
-not memoized yet, which is what the weight-search budget meters.  The
+its memo misses only: the oracle calls, the paper's unit of cost.  They
+come one vector at a time, or from ``box_choices``, which asks the rule
+at every cell of the box at once (the brute-force oracle's tables) and
+counts each miss the same way.  ``fresh_count`` also counts the
+closed-form evaluations below that were not memoized yet, which is what
+the weight-search budget meters; the evaluators of one instance keep a
+running total of it.  The
 solver asks an evaluator four questions: acceptance, interest in one
 more unit, the response to it, and a weight-mu swap.  Tableau
 evaluators answer them by probing the rule.  Linear evaluators answer
@@ -127,6 +131,8 @@ class ChoiceEvaluator:
         call_count: number of memo misses of the rule so far.
         fresh_count: ``call_count`` plus the closed-form evaluations
             that were not memoized yet.
+        fresh_total: a one-entry list shared by the evaluators of one
+            instance, the running sum of their ``fresh_count``.
     """
 
     def __init__(self, owner: str, kind: str, caps: Vec, quota: int) -> None:
@@ -136,6 +142,7 @@ class ChoiceEvaluator:
         self.quota = quota
         self.call_count = 0
         self.fresh_count = 0
+        self.fresh_total = [0]
         self._memo: dict[Vec, Vec] = {}
 
     def __call__(self, z: Sequence[int]) -> Vec:
@@ -147,11 +154,25 @@ class ChoiceEvaluator:
             raise GallocError(
                 f"choice function of {self.owner} queried outside its box: {zt}"
             )
+        return self._miss(zt)
+
+    def _miss(self, z: Vec) -> Vec:
         self.call_count += 1
         self.fresh_count += 1
-        out = self._evaluate(zt)
-        self._memo[zt] = out
+        self.fresh_total[0] += 1
+        out = self._memo[z] = self._evaluate(z)
         return out
+
+    def box_choices(self) -> list[Vec]:
+        """The rule's choice at every cell of the box, in ``iter_box`` order.
+
+        One call per cell, through the memo and its counters; the cells
+        are in the box by construction, so none is checked.
+        """
+        memo, miss = self._memo, self._miss
+        return [
+            miss(z) if (got := memo.get(z)) is None else got for z in iter_box(self.caps)
+        ]
 
     def _evaluate(self, z: Vec) -> Vec:
         raise NotImplementedError
@@ -216,6 +237,7 @@ class LinearChoice(ChoiceEvaluator):
         got = self._shapes.get(z)
         if got is None and self._in_box(z):
             self.fresh_count += 1
+            self.fresh_total[0] += 1
             total = sum(z)
             if total != self.quota:
                 cut = len(self.order)
@@ -332,8 +354,9 @@ def read_firm_spec(inst: Instance, f: str) -> tuple[str, int, tuple]:
         raise ValidationError(f"firm {f!r}: missing {key!r}")
     if not isinstance(cols, (list, tuple)):
         raise ValidationError(f"firm {f!r}: {key!r} must be a list of edge ids")
+    pos = inst._local_pos[f]
     try:
-        local = tuple([inst.local_pos(f, eid) for eid in cols])
+        local = tuple([pos[eid] for eid in cols])
     except (KeyError, TypeError):  # a foreign or unhashable entry
         local = ()
     if len(local) != len(inst.edges_of(f)) or len(set(local)) != len(local):
@@ -393,6 +416,7 @@ def evaluator_for(inst: Instance, v: str) -> ChoiceEvaluator:
             ev = TableauChoice(v, caps, table, quota)
         else:
             ev = LinearChoice(v, kind, caps, table, quota)
+    ev.fresh_total = inst._fresh_total
     inst._evaluators[v] = ev
     return ev
 
@@ -404,7 +428,7 @@ def total_choice_calls(inst: Instance) -> int:
 
 def total_fresh_evaluations(inst: Instance) -> int:
     """Sum of fresh evaluations, of the rule or in closed form, so far."""
-    return sum(ev.fresh_count for ev in inst._evaluators.values())
+    return inst._fresh_total[0]
 
 
 def choice_call_counts(inst: Instance) -> dict[str, int]:

@@ -60,8 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _digest(inst) -> str:

@@ -108,25 +108,33 @@ class Instance:
         self.meta: dict[str, Any] = dict(meta or {})
 
         # Derived tables; built defensively so validation can run after.
+        # Per vertex: incident edge indices, their ids, and each id's
+        # local position (its last, should an id repeat).
         self.edge_index: dict[str, int] = {}
-        incident: dict[str, list[int]] = {v: [] for v in self.workers + self.firms}
+        incident: dict[str, tuple[list[int], list[str], dict[str, int]]] = {
+            v: ([], [], {}) for v in self.workers + self.firms
+        }
         for i, e in enumerate(self.edges):
-            self.edge_index.setdefault(e.id, i)
+            eid = e.id
+            self.edge_index.setdefault(eid, i)
             for v in (e.worker, e.firm):
-                if v in incident:
-                    incident[v].append(i)
+                tables = incident.get(v)
+                if tables is not None:
+                    indices, ids, pos = tables
+                    pos[eid] = len(ids)
+                    indices.append(i)
+                    ids.append(eid)
         self.worker_index: dict[str, int] = {w: i for i, w in enumerate(self.workers)}
         self._indices_of: dict[str, tuple[int, ...]] = {
-            v: tuple(ii) for v, ii in incident.items()
+            v: tuple(t[0]) for v, t in incident.items()
         }
         self._edges_of: dict[str, tuple[str, ...]] = {
-            v: tuple([self.edges[i].id for i in ii]) for v, ii in incident.items()
+            v: tuple(t[1]) for v, t in incident.items()
         }
-        self._local_pos: dict[str, dict[str, int]] = {
-            v: {eid: i for i, eid in enumerate(ids)} for v, ids in self._edges_of.items()
-        }
+        self._local_pos: dict[str, dict[str, int]] = {v: t[2] for v, t in incident.items()}
         self._worker_set = frozenset(self.workers)
         self._evaluators: dict[str, Any] = {}  # filled lazily by galloc.choice
+        self._fresh_total = [0]  # their fresh evaluations, kept by galloc.choice
         self._firm_rules: dict[str, tuple[str, int, tuple]] = {}  # by validate_instance
 
         validate_instance(self)
@@ -284,23 +292,30 @@ def validate_instance(inst: Instance) -> None:
             seen.add(it)
         return out
 
-    for d in sorted(dup(inst.workers)):
-        errors.append(f"duplicate worker id {d!r}")
-    for d in sorted(dup(inst.firms)):
-        errors.append(f"duplicate firm id {d!r}")
-    for v in sorted(set(inst.workers) & set(inst.firms)):
-        errors.append(f"id {v!r} used for both a worker and a firm")
-    for d in sorted(dup(e.id for e in inst.edges)):
-        errors.append(f"duplicate edge id {d!r}")
+    def not_int(c: Any) -> bool:
+        return type(c) is not int and (not isinstance(c, int) or isinstance(c, bool))
 
+    # A list is free of duplicates when its set (or index) is as long.
     workers = set(inst.workers)
     firms = set(inst.firms)
+    if len(workers) != len(inst.workers):
+        for d in sorted(dup(inst.workers)):
+            errors.append(f"duplicate worker id {d!r}")
+    if len(firms) != len(inst.firms):
+        for d in sorted(dup(inst.firms)):
+            errors.append(f"duplicate firm id {d!r}")
+    for v in sorted(workers & firms):
+        errors.append(f"id {v!r} used for both a worker and a firm")
+    if len(inst.edge_index) != len(inst.edges):
+        for d in sorted(dup(e.id for e in inst.edges)):
+            errors.append(f"duplicate edge id {d!r}")
+
     for e in inst.edges:
         if e.worker not in workers:
             errors.append(f"edge {e.id!r} references unknown worker {e.worker!r}")
         if e.firm not in firms:
             errors.append(f"edge {e.id!r} references unknown firm {e.firm!r}")
-        if not isinstance(e.capacity, int) or isinstance(e.capacity, bool):
+        if not_int(e.capacity):
             errors.append(f"edge {e.id!r} capacity is not an integer")
         elif e.capacity < 0:
             errors.append(f"edge {e.id!r} has negative capacity {e.capacity}")
@@ -311,7 +326,7 @@ def validate_instance(inst: Instance) -> None:
     for w, q in inst.worker_quotas.items():
         if w not in workers:
             errors.append(f"quota for unknown worker {w!r}")
-        elif not isinstance(q, int) or isinstance(q, bool):
+        elif not_int(q):
             errors.append(f"quota for worker {w!r} is not an integer")
         elif q < 0:
             errors.append(f"negative quota {q} for worker {w!r}")
@@ -396,7 +411,7 @@ def _build_instance(doc: Any, *, copy: bool) -> Instance:
             raise ValidationError(f"{key} must be {what}")
     edges = []
     for i, e in enumerate(doc["edges"]):
-        if not isinstance(e, Mapping):
+        if type(e) is not dict and not isinstance(e, Mapping):
             raise ValidationError(f"edge #{i} is not an object")
         if e.keys() != _EDGE_KEYS:
             bad = set(e) - _EDGE_KEYS

@@ -1,23 +1,31 @@
 """Brute-force ground truth over enumerable instances.
 
 Enumerates every stable assignment by joining the workers' accepted
-local vectors one worker at a time.  Each firm is tested, by vectorized
-lookups in its acceptance and interest tables, as soon as its last
-worker is placed, and the partial rows it rejects or that one of its
-edges blocks are dropped there.  The tables come from calls to the
-rules, never from the solver's probes.  The enumerated lattice backs
-the differential tests: extreme points, lattice structure, and the
-correspondence between stable assignments and closed functions.
+local vectors one worker at a time.  Each vertex's table comes from one
+call of its rule per cell of its box, never from the solver's probes:
+acceptance compares a cell with its choice, and interest in one more
+unit at a position reads the choice of the cell one unit further on.
+A partial row is factorized: the index of each placed worker's
+accepted cell, and per firm the mixed-radix code of its local vector
+and a bitmask of the worker-side interest flags on its edges.  Each
+firm is tested by two lookups in its tables as soon as its last worker
+is placed, and the rows it rejects or that one of its edges blocks are
+dropped there; edge values are rebuilt only for the rows that survive.
+The enumerated lattice backs the differential tests: extreme points,
+lattice structure, and the correspondence between stable assignments
+and closed functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
+from typing import Iterable
 
 import numpy as np
 
-from .choice import evaluator_for, interesting_at, iter_box
+from .choice import box_size, evaluator_for, iter_box
 from .errors import InvariantViolation, LimitError
 from .model import Assignment, Instance
 from .stability import compare_F, compare_W
@@ -67,36 +75,69 @@ class EnumeratedLattice:
         return greatest[0] if len(greatest) == 1 else None
 
 
+def _matrix(rows: Iterable[tuple[int, ...]], n: int, k: int) -> np.ndarray:
+    """``n`` vectors of length ``k`` as the rows of an int64 matrix."""
+    return np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=n * k).reshape(n, k)
+
+
 def _vertex_table(
     inst: Instance, v: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One vertex's box in mixed-radix order: cells, acceptance, flags, radix.
+    """One vertex's box in mixed-radix order: radix, cells, acceptance, interest.
 
-    ``interesting[code, p]`` says whether one more unit at position p
-    would change the cell's choice; it is filled on accepted cells only.
-    Both come from calls to the rule, not from the solver's probes.
+    The rule is called once per cell, and its choice is kept as a cell
+    code.  ``interest[code, p]`` says whether one more unit at position
+    p would change the cell's choice: z + e_p is the cell ``radix[p]``
+    further on, so it is one lookup.  Nothing comes from the solver's
+    probes.
     """
     cf = evaluator_for(inst, v)
     caps = cf.caps
-    box = list(iter_box(caps))
-    cells = np.array(box, dtype=np.int64)
-    accept = np.zeros(len(box), dtype=bool)
-    interesting = np.zeros(cells.shape, dtype=bool)
-    for code, z in enumerate(box):
-        accept[code] = cf(z) == z
-        if accept[code]:
-            interesting[code] = [interesting_at(cf, z, p) for p in range(len(caps))]
     radix = np.ones(len(caps), dtype=np.int64)
     for p in range(len(caps) - 2, -1, -1):
         radix[p] = radix[p + 1] * (caps[p + 1] + 1)
-    return cells, accept, interesting, radix
+    n = box_size(caps)
+    cells = _matrix(iter_box(caps), n, len(caps))
+    chosen = _matrix(cf.box_choices(), n, len(caps)) @ radix
+    code = np.arange(n)
+    room = cells < caps
+    interest = room & (chosen[code[:, None] + room * radix] != code[:, None])
+    return radix, cells, chosen == code, interest
 
 
-def _extend(head: np.ndarray, part: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Each row of ``head`` once per row of ``part``, written at ``cols``."""
-    out = np.repeat(head, len(part), axis=0)
-    out[:, cols] = np.tile(part, (len(head), 1))
-    return out
+def _kept(head: np.ndarray, tail: np.ndarray, tests: list[tuple]) -> np.ndarray:
+    """The rows head[i] + tail[j] that every firm test in ``tests`` keeps."""
+    # The first firm tests the whole grid, the others its survivors.
+    i, j = np.arange(len(head))[:, None], np.arange(len(tail))
+    for code_col, mask_col, accept, bits in tests:
+        code = head[i, code_col] + tail[j, code_col]
+        keep = accept[code] & (((head[i, mask_col] | tail[j, mask_col]) & bits[code]) == 0)
+        i, j = np.nonzero(keep) if keep.ndim == 2 else (i[keep], j[keep])
+    return (head[i] + tail[j]).reshape(-1, head.shape[1])
+
+
+def _join(
+    rows: np.ndarray,
+    depth: int,
+    adds: list[tuple],
+    complete: list[list[tuple]],
+    n_edges: int,
+    found: list[tuple[int, ...]],
+) -> None:
+    """Place the workers from ``depth`` on, depth-first, into ``found``."""
+    if depth == len(adds):
+        values = np.zeros((len(rows), n_edges), dtype=np.int64)
+        for d, (cells, idx, _) in enumerate(adds):
+            values[:, idx] = cells[rows[:, d]]
+        found.extend(map(tuple, values.tolist()))
+        return
+    part = adds[depth][2]
+    step = max(1, _CHUNK // len(part))
+    for i in range(0, len(rows), step):
+        for j in range(0, len(part), _CHUNK):
+            survivors = _kept(rows[i:i + step], part[j:j + _CHUNK], complete[depth + 1])
+            if len(survivors):
+                _join(survivors, depth + 1, adds, complete, n_edges, found)
 
 
 def enumerate_stable(inst: Instance, limit: int = DEFAULT_LIMIT) -> EnumeratedLattice:
@@ -104,61 +145,63 @@ def enumerate_stable(inst: Instance, limit: int = DEFAULT_LIMIT) -> EnumeratedLa
 
     Refuses when the raw capacity box exceeds ``limit`` points, and
     after the sweep when it found over ``_STABLE_LIMIT`` points.  The
-    sweep adds the workers in canonical order; a partial row carries
-    the values and the worker-side interest flags of its edges.  Once a
-    firm's last worker is placed (a firm with no edges: before the
-    first), rows where it rejects its share or one of its edges blocks
-    are dropped.  Both tests read only placed vertices, so a dropped row
-    cannot become stable.  Expansions over ``_CHUNK`` rows are split and
-    joined depth-first.
+    sweep adds the workers in canonical order.  A partial row holds the
+    index of each placed worker's accepted cell and, per firm, the
+    mixed-radix code of its local vector so far and a bitmask of the
+    worker-side interest flags on its edges (one bit per edge of
+    positive capacity; no unit fits on the others).  Each of these is a
+    sum over the placed workers, so placing a worker adds its accepted
+    cells' rows, computed once, to every partial row.  Once a firm's
+    last worker is placed (a firm with no edges: before the first),
+    rows where it rejects its share or where one of its edges is
+    interesting to both ends, ``mask & interest[code] != 0``, are
+    dropped.  Both tests read only placed vertices, so a dropped row
+    cannot become stable.  Expansions over ``_CHUNK`` candidate rows
+    are split and joined depth-first; only the candidates that the
+    firms complete at the new depth keep are built, and edge values
+    only for the rows that survive the last worker.
     """
     raw = prod(e.capacity + 1 for e in inst.edges)
     if raw > limit:
         raise LimitError(
             f"enumeration needs a box of {raw} points, over the limit {limit}"
         )
-    idx = inst.edge_index
-    workers = list(inst.workers)
+    workers, firms = inst.workers, inst.firms
+    n, nf = len(workers), len(firms)
     depth_of = {w: i + 1 for i, w in enumerate(workers)}
-    tables = {v: _vertex_table(inst, v) for v in workers + list(inst.firms)}
-    cols = {
-        v: np.array([idx[eid] for eid in inst.edges_of(v)], dtype=np.int64)
-        for v in tables
-    }
-    # Worker d's rows: its accepted cells with their interest flags.
+    # Row columns: a cell index per worker, then per firm a code, then
+    # per firm a mask.  Each edge's unit adds its radix to its firm's
+    # code; its worker's interest flag sets its bit in its firm's mask.
+    # Both fit in int64: a code is below its firm's box size, and a firm
+    # with b mask bits has a box of at least 2**b cells to tabulate.
+    code_of = np.zeros((len(inst.edges), n + 2 * nf), dtype=np.int64)
+    bit_of = np.zeros_like(code_of)
+    # complete[d]: the tests of the firms whose workers are all among the first d.
+    complete: list[list[tuple]] = [[] for _ in range(n + 1)]
+    for j, f in enumerate(firms):
+        radix, _, accept, interest = _vertex_table(inst, f)
+        idx = list(inst.edge_indices(f))
+        live = 0
+        for p, i in enumerate(idx):
+            code_of[i, n + j] = radix[p]
+            if inst.edges[i].capacity:  # no unit fits on the other edges
+                bit_of[i, n + nf + j] = 1 << live
+                live += 1
+        d = max((depth_of[inst.edges[i].worker] for i in idx), default=0)
+        complete[d].append((n + j, n + nf + j, accept, interest @ bit_of[idx, n + nf + j]))
+    # Worker d's accepted cells, its edge indices and its rows to add.
     adds = []
-    for w in workers:
-        cells, accept, interesting, _ = tables[w]
-        adds.append((cells[accept], interesting[accept], cols[w]))
-    # complete[d]: the firms whose workers are all among the first d.
-    complete: list[list[str]] = [[] for _ in range(len(workers) + 1)]
-    for f in inst.firms:
-        d = max((depth_of[inst.edge(eid).worker] for eid in inst.edges_of(f)), default=0)
-        complete[d].append(f)
+    for d, w in enumerate(workers):
+        _, cells, accept, interest = _vertex_table(inst, w)
+        cells = cells[accept]
+        idx = list(inst.edge_indices(w))
+        part = cells @ code_of[idx] + interest[accept] @ bit_of[idx]
+        part[:, d] = np.arange(len(cells))
+        adds.append((cells, idx, part))
 
     found: list[tuple[int, ...]] = []
-
-    def join(depth: int, values: np.ndarray, flags: np.ndarray) -> None:
-        for f in complete[depth]:
-            _, accept, interesting, radix = tables[f]
-            code = values[:, cols[f]] @ radix
-            keep = accept[code] & ~(flags[:, cols[f]] & interesting[code]).any(axis=1)
-            values, flags = values[keep], flags[keep]
-        if depth == len(workers) or not len(values):
-            found.extend(map(tuple, values.tolist()))
-            return
-        rows, row_flags, c = adds[depth]
-        step = max(1, _CHUNK // max(1, len(rows)))
-        for i in range(0, len(values), step):
-            for j in range(0, len(rows), _CHUNK):
-                join(
-                    depth + 1,
-                    _extend(values[i:i + step], rows[j:j + _CHUNK], c),
-                    _extend(flags[i:i + step], row_flags[j:j + _CHUNK], c),
-                )
-
-    n_edges = len(inst.edges)
-    join(0, np.zeros((1, n_edges), dtype=np.int64), np.zeros((1, n_edges), dtype=bool))
+    start = np.zeros((1, n + 2 * nf), dtype=np.int64)
+    _join(_kept(start, start, complete[0]), 0, adds, complete, len(inst.edges), found)
 
     if len(found) > _STABLE_LIMIT:
         raise LimitError(

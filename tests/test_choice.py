@@ -9,12 +9,14 @@ from galloc import (
     LimitError,
     TableauChoice,
     a3_filling,
+    build_full_route,
     check_axioms,
     check_gapless,
     enumerate_stable,
     evaluator_for,
     instance_from_dict,
     make_ring_instance,
+    solve_xmin_by_stages,
 )
 from galloc.choice import (
     ChoiceEvaluator,
@@ -27,6 +29,7 @@ from galloc.choice import (
     revealed_prefers,
     single_unit_response,
     total_choice_calls,
+    total_fresh_evaluations,
 )
 from galloc.errors import InvariantViolation
 
@@ -82,6 +85,29 @@ def test_evaluator_kinds_and_memo(ring4):
         with pytest.raises(GallocError, match="outside its box"):
             w(z)
     assert w.call_count == 1
+
+
+def test_box_choices_go_through_the_memo(ring4):
+    w = evaluator_for(ring4, "w1")
+    w((0, 0, 0))
+    got = w.box_choices()
+    assert got == [w(z) for z in iter_box(w.caps)]
+    assert w.call_count == w.fresh_count == len(got)
+    assert w.box_choices() == got
+    assert w.call_count == len(got)
+
+
+def test_the_fresh_total_is_the_sum_of_fresh_counts():
+    inst = latin(4)
+    fresh = [total_fresh_evaluations(inst)]
+    solve_xmin_by_stages(inst)
+    fresh.append(total_fresh_evaluations(inst))
+    build_full_route(inst)
+    fresh.append(total_fresh_evaluations(inst))
+    enumerate_stable(inst)
+    fresh.append(total_fresh_evaluations(inst))
+    assert fresh[0] == 0 and fresh == sorted(set(fresh))
+    assert fresh[-1] == sum(ev.fresh_count for ev in inst._evaluators.values())
 
 
 def test_single_unit_response_trichotomy():

@@ -14,9 +14,9 @@ from galloc import (
     verify_lattice_properties,
 )
 from galloc import oracle
-from galloc.choice import evaluator_for, interesting_at
+from galloc.choice import box_size, evaluator_for, interesting_at, iter_box
 
-from builders import one_on_one, two_swaps
+from builders import latin, one_on_one, two_swaps
 
 RING_CHAIN = ((0, 2, 2), (1, 2, 1), (2, 1, 1), (3, 1, 0), (4, 0, 0))
 
@@ -145,6 +145,87 @@ def test_sweep_matches_the_plain_box_on_hand_built_instances(name):
     assert elements(inst) == reference_stable(inst)
 
 
+def test_sweep_asks_the_rule_once_per_cell(ring4):
+    inst = generated(7)
+    for cold in (inst, ring4):
+        enumerate_stable(cold)
+        for v in cold.workers + cold.firms:
+            cf = evaluator_for(cold, v)
+            assert cf.call_count == box_size(cf.caps), v
+
+
+def wide_firm():
+    """A firm with 70 incident edges, three of them of capacity 1.
+
+    Those sit at its positions 0, 40 and 66, so an interest bit per
+    position would not fit in 64 bits.  Worker w1 prefers f and w2
+    prefers f2, while f prefers w2 and f2 prefers w1: two stable points.
+    """
+    live = ("e0", "e40", "e66")
+    edges = [
+        {"id": f"e{i}", "worker": "w1" if i < 35 else "w2", "firm": "f",
+         "capacity": int(f"e{i}" in live)}
+        for i in range(70)
+    ]
+    edges += [
+        {"id": "g", "worker": "w1", "firm": "f2", "capacity": 1},
+        {"id": "h", "worker": "w2", "firm": "f2", "capacity": 1},
+    ]
+    dead = [e["id"] for e in edges if e["capacity"] == 0]
+    return instance_from_dict(
+        {
+            "workers": ["w1", "w2"],
+            "firms": ["f", "f2"],
+            "edges": edges,
+            "worker_quotas": {"w1": 1, "w2": 1},
+            "worker_orders": {
+                "w1": ["e0", "g"] + dead[:34],
+                "w2": ["h", "e66", "e40"] + dead[34:],
+            },
+            "firm_cfs": {
+                "f": {"type": "linear", "order": ["e66", "e40", "e0"] + dead, "quota": 1},
+                "f2": {"type": "linear", "order": ["g", "h"], "quota": 1},
+            },
+        }
+    )
+
+
+def complete_markets():
+    """Complete 3 x 3 markets: no firm is complete before the last worker."""
+    yield latin(3)
+    for seed in range(3):
+        yield generate(
+            GeneratorConfig(
+                seed=seed, workers=3, firms=3, density=1.0, capacity_bound=2,
+                family=("tableau", "mixed", "linear")[seed],
+            )
+        )
+
+
+def test_a_firm_with_many_edges_matches_the_plain_box():
+    inst = wide_firm()
+    assert len(inst.edges_of("f")) == 70
+    found = elements(inst)
+    assert found == reference_stable(inst)
+    assert len(found) > 1
+
+
+def test_complete_markets_match_the_plain_box():
+    for inst in complete_markets():
+        last = inst.workers[-1]
+        assert all(
+            any(inst.edge(eid).worker == last for eid in inst.edges_of(f)) for f in inst.firms
+        )
+        assert elements(inst) == reference_stable(inst)
+
+
+def test_a_hand_built_worker_accepts_more_than_five_vectors():
+    # So that the split test below also splits a worker's own rows.
+    inst = HAND_BUILT["two swaps 2, 3"]()
+    cf = evaluator_for(inst, "w2")
+    assert sum(cf.accepts(z) for z in iter_box(cf.caps)) > 5
+
+
 @pytest.mark.parametrize("name", HAND_BUILT)
 def test_split_expansions_give_the_same_lattice(name, monkeypatch):
     # Five rows per expansion splits both the partial rows and, where a
@@ -156,10 +237,14 @@ def test_split_expansions_give_the_same_lattice(name, monkeypatch):
 
 
 def test_sweep_memory_stays_within_the_row_bound():
-    # The ring holds its 1.95M accepted worker combinations until its
-    # last worker is placed.  One expansion holds at most _CHUNK rows of
-    # |E| int64 values and |E| flags (20 MB for the ring's 9 edges); the
-    # bound leaves room for one copy of the rows and the firm lookups.
+    # No firm of the ring is complete before its last worker, so its
+    # 1.95M accepted worker combinations are all tested.  One expansion
+    # tests at most _CHUNK (row, cell) pairs; a pair is a sum of two
+    # rows of 9 int64 columns (a cell index per worker, a code and a
+    # mask per firm), and only the pairs every firm keeps are built.
+    # The firm lookups hold a few arrays of _CHUNK codes (2 MB each),
+    # and 15,625 partial rows wait before the last worker (1.1 MB).
+    # Measured peak: 7.6 MB.
     inst = make_ring_instance(8)
     tracemalloc.start()
     try:
