@@ -19,14 +19,14 @@ Evaluators memoize every answer of the rule.  ``call_count`` counts
 its memo misses only: the oracle calls, the paper's unit of cost.  They
 come one vector at a time, or from ``box_choices``, which asks the rule
 at every cell of the box at once (the brute-force oracle's tables) and
-counts each miss the same way.  ``fresh_count`` also counts the
-closed-form evaluations below that were not memoized yet, which is what
-the weight-search budget meters; the evaluators of one instance keep a
-running total of it.  The
-solver asks an evaluator four questions: acceptance, interest in one
-more unit, the response to it, and a weight-mu swap.  Tableau
-evaluators answer them by probing the rule.  Linear evaluators answer
-in closed form and do not call it: a greedy rule down a strict order
+counts each miss the same way.  One meter, ``fresh_total``, shared by
+the evaluators of an instance, counts those misses plus the closed-form
+evaluations below that were not memoized yet; it is what the
+weight-search budget meters.  The solver asks an evaluator four
+questions: acceptance, interest in one more unit, the response to it,
+and a weight-mu swap.  Tableau evaluators answer them by probing the
+rule.  Linear evaluators answer in closed form and do not call it: a
+greedy rule down a strict order
 (Baïou & Balinski 2002, Math. OR 27(4)) is settled by the total of the
 vector and the rank of its last supported position.  The brute-force
 oracle and the axiom checks call the rule itself.
@@ -129,10 +129,9 @@ class ChoiceEvaluator:
         caps: capacities of the incident edges, canonical order.
         quota: the quota the function fills up to.
         call_count: number of memo misses of the rule so far.
-        fresh_count: ``call_count`` plus the closed-form evaluations
-            that were not memoized yet.
         fresh_total: a one-entry list shared by the evaluators of one
-            instance, the running sum of their ``fresh_count``.
+            instance, the running count of their memo misses of the rule
+            and of their closed-form evaluations not memoized yet.
     """
 
     def __init__(self, owner: str, kind: str, caps: Vec, quota: int) -> None:
@@ -141,7 +140,6 @@ class ChoiceEvaluator:
         self.caps = caps
         self.quota = quota
         self.call_count = 0
-        self.fresh_count = 0
         self.fresh_total = [0]
         self._memo: dict[Vec, Vec] = {}
 
@@ -158,7 +156,6 @@ class ChoiceEvaluator:
 
     def _miss(self, z: Vec) -> Vec:
         self.call_count += 1
-        self.fresh_count += 1
         self.fresh_total[0] += 1
         out = self._memo[z] = self._evaluate(z)
         return out
@@ -216,7 +213,7 @@ class LinearChoice(ChoiceEvaluator):
     outside the box, unaccepted bumps and null or self swaps go to the
     generic probe, which raises or answers as the rule does.  The total
     and the cut are memoized per vector, as the rule's answers are;
-    computing them counts in ``fresh_count`` but is not a call of the
+    computing them counts in ``fresh_total`` but is not a call of the
     rule.
     """
 
@@ -236,7 +233,6 @@ class LinearChoice(ChoiceEvaluator):
         """The total and the cut of ``z``, memoized; None outside the box."""
         got = self._shapes.get(z)
         if got is None and self._in_box(z):
-            self.fresh_count += 1
             self.fresh_total[0] += 1
             total = sum(z)
             if total != self.quota:
@@ -473,21 +469,6 @@ def interesting_at(cf: ChoiceEvaluator, z: Sequence[int], pos: int) -> bool:
         return False
     bumped = zt[:pos] + (zt[pos] + 1,) + zt[pos + 1 :]
     return cf(bumped) != zt
-
-
-def revealed_prefers(
-    cf: ChoiceEvaluator, z: Sequence[int], zp: Sequence[int]
-) -> bool:
-    """True when the owner revealed-prefers accepted ``z`` over ``zp``.
-
-    Strict: a vector is never preferred over itself.
-    """
-    zt, zpt = tuple(z), tuple(zp)
-    if not cf.accepts(zt) or not cf.accepts(zpt):
-        raise GallocError(
-            f"revealed preference at {cf.owner} needs accepted vectors"
-        )
-    return zpt != zt and cf(join(zt, zpt)) == zt
 
 
 # -- laws ----------------------------------------------------------------

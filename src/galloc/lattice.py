@@ -189,7 +189,7 @@ def _growth_invariants_broken(inst: Instance, x: Assignment) -> str | None:
 
 
 def _admissible_path(
-    inst: Instance, x: Assignment, w0: str, view: PointView
+    view: PointView, w0: str
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[Tandem, ...], bool]:
     """Follow admissible edges and displacement partners from a worker.
 
@@ -206,7 +206,7 @@ def _admissible_path(
     w = w0
     cycle_from: int | None = None
     while True:
-        move = admissible_move(inst, x, w, view)
+        move = admissible_move(view, w)
         if move is None:
             break  # ends at a worker
         a, t = move
@@ -225,7 +225,7 @@ def _admissible_path(
             break
         pos[c] = len(seq)
         seq.append(c)
-        w = inst.edge(c).worker
+        w = view.inst.edge(c).worker
     if cycle_from is not None:
         seq = seq[cycle_from:]
         if len(seq) < 2 or len(seq) % 2 != 0:
@@ -238,8 +238,8 @@ def _admissible_path(
     )
 
 
-def stage1_find_stable(inst: Instance, start: Assignment | None = None) -> Assignment:
-    """Grow a stable assignment from zero (or a given valid start).
+def stage1_find_stable(inst: Instance) -> Assignment:
+    """Grow a stable assignment from zero.
 
     Repeatedly picks a worker under quota with an admissible edge,
     follows the unique walk of displacement pairs from it, and shifts
@@ -254,10 +254,7 @@ def stage1_find_stable(inst: Instance, start: Assignment | None = None) -> Assig
     and moves no other firm, so no point recurs in the finite box.  This
     takes each firm once per walk; the step monitor stays as the guard.
     """
-    x = start if start is not None else inst.zero()
-    broken = _growth_invariants_broken(inst, x)
-    if broken is not None:
-        raise GallocError(f"start violates the growth invariants: {broken}")
+    x = inst.zero()
     guard = _step_monitor(inst)
     steps = 0
     while True:
@@ -266,7 +263,7 @@ def stage1_find_stable(inst: Instance, start: Assignment | None = None) -> Assig
         for w in inst.workers:
             if inst.size_at(x, w) >= inst.quota(w):
                 continue
-            if admissible_edge(inst, x, w, view) is not None:
+            if admissible_edge(view, w) is not None:
                 chosen = w
                 break
         if chosen is None:
@@ -279,7 +276,7 @@ def stage1_find_stable(inst: Instance, start: Assignment | None = None) -> Assig
         steps += 1
         if steps > guard:
             raise InvariantViolation(f"growth stage exceeded {guard} iterations")
-        plus, minus, pairs, is_path = _admissible_path(inst, x, chosen, view)
+        plus, minus, pairs, is_path = _admissible_path(view, chosen)
         nu = shift_room(inst, x, plus, minus)
         if is_path:
             nu = min(nu, inst.quota(chosen) - inst.size_at(x, chosen))
@@ -313,10 +310,6 @@ class ReversalSets:
     u_minus: tuple[str, ...]
     u_plus: dict[str, tuple[str, ...]]
 
-    @property
-    def u_plus_all(self) -> tuple[str, ...]:
-        return tuple(e for edges in self.u_plus.values() for e in edges)
-
 
 def build_reversal_sets(inst: Instance, x: Assignment) -> ReversalSets:
     idx = inst.edge_index
@@ -341,7 +334,7 @@ def build_reversal_sets(inst: Instance, x: Assignment) -> ReversalSets:
 
 
 def essential_f_pairs(
-    inst: Instance, x: Assignment, f: str, rs: ReversalSets, view: PointView | None = None
+    view: PointView, f: str, rs: ReversalSets
 ) -> tuple[tuple[str, str], ...]:
     """Essential down-swap pairs (add, drop) at one firm.
 
@@ -351,13 +344,12 @@ def essential_f_pairs(
     finds interesting becomes interesting for the firm at that vector.
     Probing the reversal candidates alone is not enough: a swap down the
     firm's taste can free room for an edge of an under-quota worker, and
-    such an edge blocks the shifted point just the same.  ``view`` is
-    the view of ``x``; one is built when it is None.
+    such an edge blocks the shifted point just the same.
     """
+    inst, x, wants = view.inst, view.x, view.wants
     cf = evaluator_for(inst, f)
-    cands = [c for c in rs.u_plus_all if inst.edge(c).firm == f]
+    cands = [c for ups in rs.u_plus.values() for c in ups if inst.edge(c).firm == f]
     drops = [a for a in rs.u_minus if inst.edge(a).firm == f]
-    wants = (view or PointView(inst, x)).wants
     wanted = []
     for d in inst.edges_of(f):
         w = inst.edge(d).worker
@@ -394,7 +386,7 @@ def _reversal_graph(
     arcs: dict[str, list[tuple[str, str, str]]] = {}
     view = PointView(inst, x)
     for f in inst.firms:
-        for c, a in essential_f_pairs(inst, x, f, rs, view):
+        for c, a in essential_f_pairs(view, f, rs):
             w, w2 = inst.edge(c).worker, inst.edge(a).worker
             arcs.setdefault(w, []).append((c, a, w2))
     idx = inst.edge_index

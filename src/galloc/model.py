@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import GallocError, ValidationError
 
@@ -51,9 +51,8 @@ _REQUIRED_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One edge of the bipartite graph."""
+class Edge(NamedTuple):
+    """One edge of the bipartite graph; a tuple, cheap to build per edge."""
 
     id: str
     worker: str

@@ -267,10 +267,6 @@ def closedness_problem(poset: RotationPoset, values: tuple[int, ...]) -> str | N
     return None
 
 
-def is_closed(poset: RotationPoset, values: tuple[int, ...]) -> bool:
-    return closedness_problem(poset, values) is None
-
-
 def enumerate_closed_functions(
     poset: RotationPoset, limit: int = 10**6
 ) -> tuple[tuple[int, ...], ...]:

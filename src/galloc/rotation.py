@@ -12,13 +12,15 @@ partners) moves to another stable assignment, higher on the firm side.
 The construction follows three steps: build the moves, clean them down
 to the workers on cycles, then read off the cycles, as for
 stable-marriage rotations (Gusfield & Irving 1989, section 2.5).  The
-moves are read from and stored in the point's view
-(:class:`galloc.stability.PointView`).  Routes carry one view from each
-point they search to the next, and a shift changes only the vertices of
-the edges it moves: only the workers at those vertices, and the workers
-of those firms, search for their move again; every other worker keeps
-the move it had, as Gusfield & Irving's all-rotations search keeps the
-pointers it has already advanced.  The maximal shiftable weight is found per displacement pair by binary
+probes take the point's view (:class:`galloc.stability.PointView`)
+alone, read the moves from it and store them in it; only
+``applicable_rotations`` builds a view when none is given.  Routes
+carry one view from each point they search to the next, and a shift
+changes only the vertices of the edges it moves: only the workers at
+those vertices, and the workers of those firms, search for their move
+again; every other worker keeps the move it had, as Gusfield & Irving's
+all-rotations search keeps the pointers it has already advanced.  The
+maximal shiftable weight is found per displacement pair by binary
 search; the number of fresh choice-function evaluations it spends is
 metered against a hard budget.
 """
@@ -84,18 +86,15 @@ class Event:
     partner: str | None = None
 
 
-def admissible_edge(
-    inst: Instance, x: Assignment, w: str, view: PointView | None = None
-) -> str | None:
-    """The worker's admissible edge, if any.
+def admissible_edge(view: PointView, w: str) -> str | None:
+    """The worker's admissible edge at the view's point, if any.
 
     Scans the worker's order from its least preferred supported edge on
     down (its whole order when it holds nothing), returning the first
-    edge the far firm finds interesting.  ``view`` is the view of ``x``;
-    one is built when it is None.
+    edge the far firm finds interesting.
     """
-    wants = (view or PointView(inst, x)).wants
-    start = inst.last_supported(x, w)
+    inst, wants = view.inst, view.wants
+    start = inst.last_supported(view.x, w)
     for eid in inst.worker_orders[w][start or 0:]:
         f = inst.edge(eid).firm
         if wants[f](inst.local_pos(f, eid)):
@@ -103,18 +102,16 @@ def admissible_edge(
     return None
 
 
-def admissible_move(
-    inst: Instance, x: Assignment, w: str, view: PointView | None = None
-) -> tuple[str, Tandem | None] | None:
+def admissible_move(view: PointView, w: str) -> tuple[str, Tandem | None] | None:
     """The worker's admissible edge and the displacement pair it starts.
 
     The pair is None when the far firm absorbs the extra unit outright;
     the whole result is None when the worker has no admissible edge.
     """
-    view = view or PointView(inst, x)
-    a = admissible_edge(inst, x, w, view)
+    a = admissible_edge(view, w)
     if a is None:
         return None
+    inst = view.inst
     f = inst.edge(a).firm
     verdict, c_pos = evaluator_for(inst, f).unit_response(
         view.local[f], inst.local_pos(f, a)
@@ -126,28 +123,25 @@ def admissible_move(
     return a, Tandem(f, a, inst.edges_of(f)[c_pos])
 
 
-def build_auxiliary(
-    inst: Instance, x: Assignment, view: PointView | None = None
-) -> dict[str, Tandem | None]:
-    """Each worker's admissible move at a stable assignment.
+def build_auxiliary(view: PointView) -> dict[str, Tandem | None]:
+    """Each worker's admissible move at a stable point.
 
     Maps every worker at a positive quota that it fills and that has an
     admissible edge to the displacement pair the edge starts, or to None
     when the far firm absorbs the unit outright.  Canonical worker order.
 
-    ``view`` is the view of ``x``, possibly built from the view of
-    another stable point; one is built when it is None.  The stability
-    check and the moves are read from it, and the moves are stored in
-    it.  From a stable parent only the dirty workers and the workers of
-    dirty firms are searched again: any other worker keeps its vector,
-    and so does every firm its scan and its displacement read.
+    The stability check and the moves are read from the view, which may
+    be built from the view of another stable point, and the moves are
+    stored in it; the result is ``view.moves`` itself.  From a stable
+    parent only the dirty workers and the workers of dirty firms are
+    searched again: any other worker keeps its vector, and so does every
+    firm its scan and its displacement read.
     """
-    view = view or PointView(inst, x)
     report = view.report
     if not report.stable:
         raise GallocError(f"auxiliary structure needs a stable assignment; {report}")
     if view.moves is None:
-        old = view.parent_moves
+        inst, old = view.inst, view.parent_moves
         stale: set[str] | None = None
         if old is not None:
             stale = set()
@@ -165,11 +159,11 @@ def build_auxiliary(
             quota = inst.quota(w)
             if quota == 0 or sum(view.local[w]) != quota:
                 continue
-            move = admissible_move(inst, x, w, view)
+            move = admissible_move(view, w)
             if move is not None:
                 moves[w] = move[1]
         view.moves, view.parent_moves = moves, None
-    return dict(view.moves)
+    return view.moves
 
 
 def clean(inst: Instance, moves: dict[str, Tandem | None]) -> dict[str, Tandem]:
@@ -229,9 +223,12 @@ def applicable_rotations(
 ) -> tuple[Rotation, ...]:
     """All rotations applicable at a stable assignment, canonical order.
 
-    ``view`` is passed on to ``build_auxiliary``.
+    ``view`` is the view of ``x``; this is the one search that builds
+    one when none is given.
     """
-    return extract_rotations(inst, clean(inst, build_auxiliary(inst, x, view)))
+    if view is None:
+        view = PointView(inst, x)
+    return extract_rotations(inst, clean(inst, build_auxiliary(view)))
 
 
 def weight_budget(inst: Instance, rot: Rotation) -> int:

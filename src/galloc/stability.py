@@ -13,17 +13,20 @@ ask the choice rule itself, so the brute-force oracle, which orders its
 elements with them, never reads the closed-form probes of linear
 evaluators.
 
-A check reads a view of the point (``PointView``): every vertex's local
-vector and interest predicate, built once, with every edge probed at
-most twice, the worker side first and the firm side only when the worker
-is interested.  A view built from the view of another stable point
-recomputes only the dirty vertices, the endpoints of the edges whose
-values differ between the two points.  Every other vertex keeps its
-vector, so it stays accepted and its edges to other clean vertices stay
-non-blocking: checking acceptance at the dirty vertices and blocking on
-their edges gives exactly the full report.  Rotation searches carry one
-view from each point they search to the next, and store each filled
-worker's admissible move in it (see :mod:`galloc.rotation`).
+Every check and probe at a point reads one view of it (``PointView``):
+every vertex's local vector and interest predicate, built once.  The
+probes of :mod:`galloc.rotation` and :mod:`galloc.lattice` take the view
+alone, since it holds the instance and the point.  A stability check
+probes every edge at most twice, the worker side first and the firm side
+only when the worker is interested.  A view built from the view of
+another stable point recomputes only the dirty vertices, the endpoints
+of the edges whose values differ between the two points.  Every other
+vertex keeps its vector, so it stays accepted and its edges to other
+clean vertices stay non-blocking: checking acceptance at the dirty
+vertices and blocking on their edges gives exactly the full report.
+Rotation searches carry one view from each point they search to the
+next, and store each filled worker's admissible move in it (see
+:mod:`galloc.rotation`).
 """
 
 from __future__ import annotations
@@ -108,17 +111,28 @@ class PointView:
         self.moves: dict | None = None
         self.parent_moves = parent.moves if stable and dirty is not None else None
 
-    def unacceptable(self, scope=None) -> tuple[str, ...]:
-        """Vertices rejecting their local vector, canonical order."""
-        inst, local = self.inst, self.local
+    @property
+    def report(self) -> StabilityReport:
+        if self._report is None:
+            bad = self._unacceptable()
+            if bad:
+                self._report = StabilityReport(False, bad, ())
+            else:
+                blocking = self._blocking()
+                self._report = StabilityReport(not blocking, (), blocking)
+        return self._report
+
+    def _unacceptable(self) -> tuple[str, ...]:
+        """Vertices (in scope) rejecting their local vector, canonical order."""
+        inst, local, scope = self.inst, self.local, self._scope
         vertices = inst.workers + inst.firms
         if scope is not None:
             vertices = [v for v in vertices if v in scope]
         return tuple(v for v in vertices if not evaluator_for(inst, v).accepts(local[v]))
 
-    def blocking(self, scope=None) -> tuple[str, ...]:
-        """Blocking edges (with an endpoint in ``scope``), canonical order."""
-        inst, wants, ends = self.inst, self.wants, self.inst.edge_ends
+    def _blocking(self) -> tuple[str, ...]:
+        """Blocking edges (with an endpoint in scope), canonical order."""
+        inst, wants, ends, scope = self.inst, self.wants, self.inst.edge_ends, self._scope
         if scope is None:
             ids = range(len(ends))
         else:
@@ -129,36 +143,6 @@ class PointView:
             if wants[w](wpos) and wants[f](fpos):
                 out.append(inst.edges[i].id)
         return tuple(out)
-
-    @property
-    def report(self) -> StabilityReport:
-        if self._report is None:
-            bad = self.unacceptable(self._scope)
-            if bad:
-                self._report = StabilityReport(False, bad, ())
-            else:
-                blocking = self.blocking(self._scope)
-                self._report = StabilityReport(not blocking, (), blocking)
-        return self._report
-
-
-def unacceptable_vertices(inst: Instance, x: Assignment) -> tuple[str, ...]:
-    return PointView(inst, x).unacceptable()
-
-
-def is_interesting(inst: Instance, x: Assignment, v: str, eid: str) -> bool:
-    """Whether vertex v would keep one more unit on edge eid.
-
-    Saturated edges are never interesting.  The restriction of x to v
-    must be accepted by v's choice function.
-    """
-    wants = evaluator_for(inst, v).interest(inst.local_values(x, v))
-    return wants(inst.local_pos(v, eid))
-
-
-def blocking_edges(inst: Instance, x: Assignment) -> tuple[str, ...]:
-    """Edges interesting for both endpoints, canonical order."""
-    return PointView(inst, x).blocking()
 
 
 def check_stability(inst: Instance, x: Assignment) -> StabilityReport:

@@ -26,7 +26,6 @@ from galloc.choice import (
     interesting_at,
     iter_box,
     join,
-    revealed_prefers,
     single_unit_response,
     total_choice_calls,
     total_fresh_evaluations,
@@ -92,12 +91,14 @@ def test_box_choices_go_through_the_memo(ring4):
     w((0, 0, 0))
     got = w.box_choices()
     assert got == [w(z) for z in iter_box(w.caps)]
-    assert w.call_count == w.fresh_count == len(got)
+    assert w.call_count == total_fresh_evaluations(ring4) == len(got)
     assert w.box_choices() == got
     assert w.call_count == len(got)
 
 
 def test_the_fresh_total_is_the_sum_of_fresh_counts():
+    # Each fresh evaluation fills one memo: the rule's or, for linear
+    # evaluators, the closed form's table of totals and cuts.
     inst = latin(4)
     fresh = [total_fresh_evaluations(inst)]
     solve_xmin_by_stages(inst)
@@ -107,7 +108,9 @@ def test_the_fresh_total_is_the_sum_of_fresh_counts():
     enumerate_stable(inst)
     fresh.append(total_fresh_evaluations(inst))
     assert fresh[0] == 0 and fresh == sorted(set(fresh))
-    assert fresh[-1] == sum(ev.fresh_count for ev in inst._evaluators.values())
+    assert fresh[-1] == sum(
+        len(ev._memo) + len(getattr(ev, "_shapes", ())) for ev in inst._evaluators.values()
+    )
 
 
 def test_single_unit_response_trichotomy():
@@ -124,19 +127,13 @@ def test_interesting_at_respects_capacity():
     assert not interesting_at(cf, (1, 0), 1)
 
 
-def test_revealed_preference_is_strict():
-    cf = LinearChoice("w", "worker-linear", (1, 1), (0, 1), 1)
-    assert revealed_prefers(cf, (1, 0), (0, 1))
-    assert not revealed_prefers(cf, (0, 1), (1, 0))
-    assert not revealed_prefers(cf, (1, 0), (1, 0))
-    with pytest.raises(GallocError, match="needs accepted"):
-        revealed_prefers(cf, (1, 1), (1, 0))
-
-
 def test_revealed_preference_on_the_ring_tableau():
+    # z is revealed-preferred to zp when the firm, offered both, keeps z.
     cf = TableauChoice("f", (4, 2, 2), a3_filling(4), 4)
-    assert revealed_prefers(cf, (1, 2, 1), (0, 2, 2))
-    assert not revealed_prefers(cf, (0, 2, 2), (1, 2, 1))
+    z, zp = (1, 2, 1), (0, 2, 2)
+    assert cf.accepts(z) and cf.accepts(zp)
+    assert cf(join(z, zp)) == z
+    assert cf(join(zp, z)) != zp
 
 
 def test_axioms_hold_for_builtin_rules():

@@ -27,6 +27,7 @@ from galloc import (
 from galloc.choice import evaluator_for
 from galloc.genrand import GeneratorConfig, generate
 from galloc.lattice import build_reversal_sets, essential_f_pairs
+from galloc.stability import PointView
 from perfbench.corpus import oracle_corpus, random_complete
 
 from builders import acceptance_corpora, latin, parallel_pair, two_swaps
@@ -63,7 +64,6 @@ def test_capacity_reduction_reaches_the_bottom(ring4):
 def test_stage1_finds_a_stable_point(ring4):
     x = stage1_find_stable(ring4)
     assert check_stability(ring4, x).stable
-    assert stage1_find_stable(ring4, ring4.zero()).values == x.values
 
 
 @pytest.mark.parametrize(
@@ -114,21 +114,19 @@ def test_growth_stage_terminates_where_a_shift_overshot(family, seed):
 
 
 def test_reversal_sets_on_the_ring(ring4):
-    rs = build_reversal_sets(ring4, ring_point(ring4, 2, 1, 1))
+    x = ring_point(ring4, 2, 1, 1)
+    rs = build_reversal_sets(ring4, x)
     assert rs.u_minus == ("a1", "a2", "a3")
     assert rs.u_plus == {
         "w1": ("c1", "d1"),
         "w2": ("c2", "d2"),
         "w3": ("c3", "d3"),
     }
-    assert essential_f_pairs(ring4, ring_point(ring4, 2, 1, 1), "f1", rs) == (
-        ("c3", "a1"),
-    )
-    rs = build_reversal_sets(ring4, ring_point(ring4, 1, 2, 1))
+    assert essential_f_pairs(PointView(ring4, x), "f1", rs) == (("c3", "a1"),)
+    x = ring_point(ring4, 1, 2, 1)
+    rs = build_reversal_sets(ring4, x)
     assert rs.u_plus == {"w1": ("d1",), "w2": ("d2",), "w3": ("d3",)}
-    assert essential_f_pairs(ring4, ring_point(ring4, 1, 2, 1), "f1", rs) == (
-        ("d2", "a1"),
-    )
+    assert essential_f_pairs(PointView(ring4, x), "f1", rs) == (("d2", "a1"),)
 
 
 def test_full_route_up_the_ring(ring4):

@@ -23,6 +23,7 @@ from galloc.rotation import (
     extract_rotations,
     weight_budget,
 )
+from galloc.stability import PointView
 
 from builders import one_on_one, parallel_pair, two_swaps
 
@@ -116,26 +117,27 @@ def test_disjoint_swaps_give_two_rotations():
 
 def test_auxiliary_requires_stability(ring4):
     with pytest.raises(GallocError, match="needs a stable assignment"):
-        build_auxiliary(ring4, ring4.zero())
+        build_auxiliary(PointView(ring4, ring4.zero()))
 
 
 def test_admissible_edge_scans_an_empty_worker_from_the_top():
     inst = one_on_one()
     x = inst.zero()
-    assert admissible_edge(inst, x, "w1") == "e1"
+    assert admissible_edge(PointView(inst, x), "w1") == "e1"
     # At quota 0 the worker is full while holding nothing: it starts no
     # rotation, although its first edge is admissible.
     doc = inst.to_dict()
     doc["worker_quotas"]["w1"] = 0
     inst = instance_from_dict(doc)
-    assert admissible_edge(inst, x, "w1") == "e1"
-    assert build_auxiliary(inst, x) == {}
+    view = PointView(inst, x)
+    assert admissible_edge(view, "w1") == "e1"
+    assert build_auxiliary(view) == {}
 
 
 def test_unfilled_workers_start_no_rotation():
     inst = parallel_pair(1, worker_quota=2, firm_quota=1)
     x = inst.assignment((1, 0))
-    assert build_auxiliary(inst, x) == {}
+    assert build_auxiliary(PointView(inst, x)) == {}
     assert applicable_rotations(inst, x) == ()
 
 

@@ -13,12 +13,8 @@ from galloc import (
     compare_W,
     generate,
 )
-from galloc.choice import evaluator_for
-from galloc.stability import (
-    blocking_edges,
-    is_interesting,
-    unacceptable_vertices,
-)
+from galloc.choice import evaluator_for, interesting_at
+from galloc.stability import PointView
 
 from builders import one_on_one, two_swaps
 
@@ -56,10 +52,11 @@ def test_ring_off_chain_points_are_not_stable(ring4):
 
 def test_interesting_needs_room(ring4):
     x = ring_point(ring4, 0, 2, 2)
-    assert not is_interesting(ring4, x, "w1", "c1")
-    assert is_interesting(ring4, x, "f1", "a1")
-    assert not is_interesting(ring4, x, "w1", "a1")
-    assert blocking_edges(ring4, x) == ()
+    wants = PointView(ring4, x).wants
+    assert not wants["w1"](ring4.local_pos("w1", "c1"))
+    assert wants["f1"](ring4.local_pos("f1", "a1"))
+    assert not wants["w1"](ring4.local_pos("w1", "a1"))
+    assert check_stability(ring4, x).blocking == ()
 
 
 def test_ring_firm_order_is_a_chain(ring4):
@@ -107,8 +104,8 @@ def test_comparison_rejects_unaccepted_restrictions():
 def test_unacceptable_vertices_lists_both_sides():
     inst = two_swaps()
     x = inst.assignment((1, 1, 0, 0))
-    assert unacceptable_vertices(inst, x) == ("w1", "f1")
-    assert unacceptable_vertices(inst, inst.assignment((0, 1, 0, 1))) == ()
+    assert check_stability(inst, x).unacceptable_vertices == ("w1", "f1")
+    assert check_stability(inst, inst.assignment((0, 1, 0, 1))).unacceptable_vertices == ()
 
 
 def corpus_points():
@@ -135,23 +132,29 @@ def corpus_points():
         yield inst, points
 
 
+def rule_interest(inst, x, v, eid):
+    """Whether ``v`` would keep one more unit on ``eid``, asked of its rule."""
+    cf = evaluator_for(inst, v)
+    return interesting_at(cf, inst.local_values(x, v), inst.local_pos(v, eid))
+
+
 def test_one_pass_check_matches_the_definition():
+    # Acceptance and interest are asked of the rules themselves, so the
+    # closed-form probes of linear evaluators are checked against them.
     unacceptable_seen = blocking_seen = 0
     for inst, points in corpus_points():
         for x in points:
             bad = tuple(
                 v
                 for v in inst.workers + inst.firms
-                if not evaluator_for(inst, v).accepts(inst.local_values(x, v))
+                if evaluator_for(inst, v)(inst.local_values(x, v)) != inst.local_values(x, v)
             )
             want = tuple(
                 e.id
                 for e in inst.edges
-                if is_interesting(inst, x, e.worker, e.id)
-                and is_interesting(inst, x, e.firm, e.id)
+                if rule_interest(inst, x, e.worker, e.id)
+                and rule_interest(inst, x, e.firm, e.id)
             )
-            assert unacceptable_vertices(inst, x) == bad
-            assert blocking_edges(inst, x) == want
             report = check_stability(inst, x)
             assert report.unacceptable_vertices == bad
             assert report.blocking == (() if bad else want)

@@ -64,7 +64,8 @@ def assert_view_is_full(inst, x, view):
     assert view.local == fresh.local
     assert view.report == check_stability(inst, x)
     got = applicable_rotations(inst, x, view)
-    assert view.moves == build_auxiliary(inst, x)
+    assert build_auxiliary(view) is view.moves  # the search left them whole
+    assert view.moves == build_auxiliary(PointView(inst, x))
     assert got == applicable_rotations(inst, x)
 
 
@@ -143,9 +144,9 @@ def test_unstable_children_of_a_stable_point_fail_as_the_full_check_does(ring4):
         assert child.report == check_stability(ring4, y)
         assert str(child.report) == report
         with pytest.raises(GallocError) as full:
-            build_auxiliary(ring4, y)
+            build_auxiliary(PointView(ring4, y))
         with pytest.raises(GallocError) as carried:
-            build_auxiliary(ring4, y, child)
+            build_auxiliary(child)
         assert str(carried.value) == str(full.value)
         assert str(full.value) == f"auxiliary structure needs a stable assignment; {report}"
     # Below an unstable parent, or one never checked, a clean vertex may be
