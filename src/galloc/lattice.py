@@ -539,7 +539,7 @@ def walk_route(
     pick: Callable[[tuple[Rotation, ...]], Rotation] | None = None,
     assume_gapless: bool = False,
     rotations_at: Callable[[Assignment], tuple[Rotation, ...]] | None = None,
-    weight_at: Callable[[Assignment, Rotation], int] | None = None,
+    step_at: Callable[[Assignment, Rotation], tuple[int, Assignment]] | None = None,
 ) -> Route:
     """Route from ``start`` until no rotation is offered.
 
@@ -547,8 +547,9 @@ def walk_route(
     canonical key order; the first by default), which is shifted by its
     maximal weight.  The rotation search carries one view from each
     point it searches to the next (``carried_search``).  ``rotations_at``
-    and ``weight_at`` stand in for the two searches when a caller
-    memoizes them or restricts them; a targeted route offers at most one
+    stands in for the search, and ``step_at`` for the step, which gives
+    the weight shifted and the point reached, when a caller memoizes
+    them or restricts them; a targeted route offers at most one
     rotation, and caps its weight, so as to stay below its target.
     Route length is monitored against (|W|+|F|)·|E|² under the gapless
     assumption, where a repeated rotation key raises GaplessnessError
@@ -556,9 +557,15 @@ def walk_route(
     """
     mult = len(inst.workers) + len(inst.firms) if assume_gapless else max(1, inst.b_max)
     bound = mult * max(1, len(inst.edges)) ** 2
-    # The searches are looked up at call time, so rebinding them is seen.
+
+    # The searches and the shift are looked up at call time, so rebinding
+    # them is seen.
+    def maximal(y: Assignment, rot: Rotation) -> tuple[int, Assignment]:
+        tau = max_feasible_weight(inst, y, rot)
+        return tau, apply_rotation(inst, y, rot, tau)
+
     search = rotations_at or carried_search(inst)
-    weigh = weight_at or (lambda y, rot: max_feasible_weight(inst, y, rot))
+    step = step_at or maximal
     steps: list[RouteStep] = []
     seen_keys: set[tuple[str, ...]] = set()
     x = start
@@ -576,8 +583,7 @@ def walk_route(
                 f"rotation {rot.key} repeated on a route; the instance is not gapless"
             )
         seen_keys.add(rot.key)
-        tau = weigh(x, rot)
-        x = apply_rotation(inst, x, rot, tau)
+        tau, x = step(x, rot)
         steps.append(RouteStep(rot, tau, x))
 
 
@@ -622,14 +628,15 @@ def route_to_target(inst: Instance, start: Assignment, target: Assignment) -> Ro
         stays = (r for r in search(x) if below(x, r, 1))
         return tuple(islice(stays, 1))
 
-    def weight(x: Assignment, rot: Rotation) -> int:
+    def step(x: Assignment, rot: Rotation) -> tuple[int, Assignment]:
         # The points x + mu * rot form a chain, so staying weakly below
         # the target holds on a prefix of the weights.
-        return largest_weight(
+        tau = largest_weight(
             max_feasible_weight(inst, x, rot), lambda mu: below(x, rot, mu)
         )
+        return tau, apply_rotation(inst, x, rot, tau)
 
-    route = walk_route(inst, start, rotations_at=toward, weight_at=weight)
+    route = walk_route(inst, start, rotations_at=toward, step_at=step)
     if route.end.values != target.values:
         raise InvariantViolation("no rotation moves toward the target")
     return route

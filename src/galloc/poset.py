@@ -22,7 +22,7 @@ from .errors import GallocError, InvariantViolation, LimitError
 from .lattice import Route, carried_search, route_pairs, route_to_target, walk_route
 from .lattice import xmin_by_capacity_reduction
 from .model import Assignment, CostVector, Instance
-from .rotation import Rotation, max_feasible_weight
+from .rotation import Rotation, apply_rotation, max_feasible_weight
 from .stability import check_stability
 
 
@@ -80,10 +80,14 @@ class RotationPoset:
 
 def linear_extension(poset: RotationPoset) -> tuple[int, ...]:
     """Topological order of the elements, lowest index first among ties."""
-    n = len(poset.elements)
+    return _topological_order(len(poset.elements), poset.hasse)
+
+
+def _topological_order(n: int, arcs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Kahn's order of 0..n-1 under the arcs, lowest index first among ties."""
     indeg = [0] * n
-    succ: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, b in poset.hasse:
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for a, b in arcs:
         indeg[b] += 1
         succ[a].append(b)
     heap = [i for i in range(n) if indeg[i] == 0]
@@ -102,16 +106,29 @@ def linear_extension(poset: RotationPoset) -> tuple[int, ...]:
 
 
 def _check_reduction(edges: set[tuple[int, int]], n: int) -> None:
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(edges)
-    if not nx.is_directed_acyclic_graph(g):
-        raise InvariantViolation("the rotation poset contains a directed cycle")
-    reduced = set(nx.transitive_reduction(g).edges)
-    if reduced != edges:
+    """The arcs must form a DAG that is its own transitive reduction.
+
+    An arc (a, b) is redundant when b is reachable from another successor
+    of a; reachability is one bitset per element, OR-ed up in reverse
+    topological order.
+    """
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        succ[a].append(b)
+    reach = [0] * n  # bit j of reach[i]: j is reachable from i by an arc or more
+    for i in reversed(_topological_order(n, edges)):
+        for j in succ[i]:
+            reach[i] |= reach[j] | 1 << j
+    dropped = []
+    for a in range(n):
+        via = 0
+        for c in succ[a]:
+            via |= reach[c]
+        dropped.extend((a, b) for b in succ[a] if via >> b & 1)
+    if dropped:
         raise InvariantViolation(
             "successor sets are not the immediate-precedence arcs: "
-            f"transitive reduction drops {sorted(edges - reduced)}"
+            f"transitive reduction drops {sorted(dropped)}"
         )
 
 
@@ -149,30 +166,51 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     One full route fixes the occurrence counts and the (key, weight)
     multiset.  For each rotation a route deferring it maximally locates
     its occurrence points; the rotations applicable at each point give
-    the successor occurrences, counted back from the route's tail.
-    These routes pass the same stable points many times, so the build
-    searches each point for rotations, and each rotation there for its
-    maximal weight, only once.  The searches carry one view from each
-    point searched to the next; the memo keeps rotations, not views.
+    the successor occurrences, read off one running count of the keys
+    the route has shifted so far.
+
+    These routes pass the same stable points many times, so a build pays
+    only for what it has not seen.  Each distinct point is one
+    ``Assignment`` object, interned by its values when first reached,
+    and the memos key on that object: its rotations, searched once, and
+    each step out of it, (point, rotation key) to (weight, next point),
+    shifted once.  A replayed step neither copies nor hashes the point's
+    values.  A weight search reads only the rotation's edges and the
+    local vectors of its firms, so the weights are memoized by the key
+    and those vectors; every search that runs is metered as always.
+    The searches carry one view from each point searched to the next;
+    the memo keeps rotations, not views.
     """
     xmin = xmin_by_capacity_reduction(inst).assignment
-    found: dict[tuple[int, ...], tuple[Rotation, ...]] = {}
-    weights: dict[tuple[tuple[int, ...], tuple[str, ...]], int] = {}
+    # Interned points live as long as the build, so their ids are keys.
+    points = {xmin.values: xmin}
+    found: dict[int, tuple[Rotation, ...]] = {}
+    moves: dict[tuple[int, tuple[str, ...]], tuple[int, Assignment]] = {}
+    weights: dict[tuple[tuple[str, ...], tuple[tuple[int, ...], ...]], int] = {}
     search = carried_search(inst)
 
     def rotations_at(x: Assignment) -> tuple[Rotation, ...]:
-        if x.values not in found:
-            found[x.values] = search(x)
-        return found[x.values]
+        if id(x) not in found:  # not searched yet, or not the interned object
+            x = points.setdefault(x.values, x)
+            if id(x) not in found:
+                found[id(x)] = search(x)
+        return found[id(x)]
 
-    def weight_at(x: Assignment, rot: Rotation) -> int:
-        if (x.values, rot.key) not in weights:
-            weights[(x.values, rot.key)] = max_feasible_weight(inst, x, rot)
-        return weights[(x.values, rot.key)]
+    def step_at(x: Assignment, rot: Rotation) -> tuple[int, Assignment]:
+        move = moves.get((id(x), rot.key))
+        if move is None:
+            firms = dict.fromkeys(inst.edge(a).firm for a in rot.plus_edges)
+            local = (rot.key, tuple(inst.local_values(x, f) for f in firms))
+            tau = weights.get(local)
+            if tau is None:
+                tau = weights[local] = max_feasible_weight(inst, x, rot)
+            y = apply_rotation(inst, x, rot, tau)
+            move = moves[(id(x), rot.key)] = (tau, points.setdefault(y.values, y))
+        return move
 
     def walk(**how) -> Route:
         return walk_route(
-            inst, xmin, rotations_at=rotations_at, weight_at=weight_at, **how
+            inst, xmin, rotations_at=rotations_at, step_at=step_at, **how
         )
 
     base = walk(assume_gapless=mode == "gapless")
@@ -185,24 +223,30 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
         route = walk(
             pick=lambda rots, key=key: next((r for r in rots if r.key != key), rots[0])
         )
-        steps = route.steps
         if route.end.values != base.end.values:
             raise InvariantViolation("a deferred route ended away from the maximum")
         if route_pairs(route) != pair_multiset:
             raise InvariantViolation(
                 "route weight multisets differ between full routes"
             )
-        occs = [p for p, s in enumerate(steps) if s.rotation.key == key]
-        if len(occs) != counts[key]:
+        occurred = sum(1 for s in route.steps if s.rotation.key == key)
+        if occurred != counts[key]:
             raise InvariantViolation(
-                f"rotation {key} occurred {len(occs)} times deferred "
+                f"rotation {key} occurred {occurred} times deferred "
                 f"but {counts[key]} times on the base route"
             )
-        for i, p in enumerate(occs):
-            elements.append(PosetElement(key, i, steps[p].weight))
-            for succ in rotations_at(steps[p].end):
-                later = sum(1 for s in steps[p + 1:] if s.rotation.key == succ.key)
-                j = counts[succ.key] - later
+        # The route shifts each key counts[key] times (its multiset is the
+        # base route's), so a successor's occurrence index, counts minus
+        # its later shifts, is the number of its shifts so far.
+        shifted: Counter[tuple[str, ...]] = Counter()
+        for s in route.steps:
+            shifted[s.rotation.key] += 1
+            if s.rotation.key != key:
+                continue
+            i = shifted[key] - 1
+            elements.append(PosetElement(key, i, s.weight))
+            for succ in rotations_at(s.end):
+                j = shifted[succ.key]
                 if not 0 <= j < counts[succ.key]:
                     raise InvariantViolation(
                         f"successor occurrence of {succ.key} after {key} "

@@ -20,9 +20,14 @@ changes only the vertices of the edges it moves: only the workers at
 those vertices, and the workers of those firms, search for their move
 again; every other worker keeps the move it had, as Gusfield & Irving's
 all-rotations search keeps the pointers it has already advanced.  The
-maximal shiftable weight is found per displacement pair by binary
-search; the number of fresh choice-function evaluations it spends is
-metered against a hard budget.
+cycles are carried the same way: a cycle of the last point none of whose
+workers changed its move is still a cycle, and the new ones are read
+only from the walks out of the workers that did (Gusfield & Irving keep
+the rotations already found, section 3.3).  A point whose every vertex
+moved is searched in full, with nothing carried.  The maximal shiftable
+weight is found per displacement pair by binary search; the number of
+fresh choice-function evaluations it spends is metered against a hard
+budget.
 """
 
 from __future__ import annotations
@@ -135,16 +140,20 @@ def build_auxiliary(view: PointView) -> dict[str, Tandem | None]:
     stored in it; the result is ``view.moves`` itself.  From a stable
     parent only the dirty workers and the workers of dirty firms are
     searched again: any other worker keeps its vector, and so does every
-    firm its scan and its displacement read.
+    firm its scan and its displacement read.  The searched workers whose
+    move differs from the parent's, absorbed or none counting as one,
+    are stored as ``view.changed``.
     """
     report = view.report
     if not report.stable:
         raise GallocError(f"auxiliary structure needs a stable assignment; {report}")
     if view.moves is None:
-        inst, old = view.inst, view.parent_moves
+        inst = view.inst
+        old = None if view.parent is None else view.parent.moves
         stale: set[str] | None = None
+        changed: list[str] | None = None
         if old is not None:
-            stale = set()
+            stale, changed = set(), []
             for v in view.dirty:
                 if inst.is_worker(v):
                     stale.add(v)
@@ -157,12 +166,13 @@ def build_auxiliary(view: PointView) -> dict[str, Tandem | None]:
                     moves[w] = old[w]
                 continue
             quota = inst.quota(w)
-            if quota == 0 or sum(view.local[w]) != quota:
-                continue
-            move = admissible_move(view, w)
-            if move is not None:
-                moves[w] = move[1]
-        view.moves, view.parent_moves = moves, None
+            if quota and sum(view.local[w]) == quota:
+                move = admissible_move(view, w)
+                if move is not None:
+                    moves[w] = move[1]
+            if changed is not None and moves.get(w) != old.get(w):
+                changed.append(w)
+        view.moves, view.changed = moves, changed
     return view.moves
 
 
@@ -224,11 +234,66 @@ def applicable_rotations(
     """All rotations applicable at a stable assignment, canonical order.
 
     ``view`` is the view of ``x``; this is the one search that builds
-    one when none is given.
+    one when none is given.  The answer is stored in the view.  From a
+    stable parent that was searched, the parent's cycles are carried
+    (see ``_carried_rotations``); otherwise every cycle is extracted.
     """
     if view is None:
         view = PointView(inst, x)
-    return extract_rotations(inst, clean(inst, build_auxiliary(view)))
+    if view.rotations is None:
+        moves = build_auxiliary(view)
+        parent = view.parent
+        if view.changed is None or parent.rotations is None:
+            view.rotations = extract_rotations(inst, clean(inst, moves))
+        else:
+            view.rotations, view.cycles = _carried_rotations(view, parent)
+        view.parent = None
+    return view.rotations
+
+
+def _carried_rotations(
+    view: PointView, parent: PointView
+) -> tuple[tuple[Rotation, ...], dict[str, Rotation]]:
+    """The view's rotations and cycle map, from its searched parent's.
+
+    The successor map differs from the parent's only at the changed
+    workers.  A parent cycle with no changed worker is still a cycle,
+    and every new cycle passes a changed worker, so the parent's other
+    cycles are kept and the new ones are found by walking from the
+    changed workers.  A walk stops at a worker with no successor, at a
+    worker already walked, and at a worker on a kept cycle, which leads
+    only around that cycle.  ``clean`` and ``extract_rotations`` then
+    read the new cycles off the walked moves alone.  A parent searched
+    in full has no cycle map yet; it is built here, so that a search
+    with no child to carry to does not pay for one.
+    """
+    inst, moves, old = view.inst, view.moves, parent.rotations
+    on = parent.cycles
+    if on is None:
+        on = {inst.edge(a).worker: r for r in old for a in r.plus_edges}
+    # Cycles by identity: hashing a Rotation would hash its whole cycle.
+    gone = {id(r): r for r in (on.get(w) for w in view.changed) if r is not None}
+    walked: dict[str, Tandem] = {}
+    for w in view.changed:
+        while w not in walked:
+            t = moves.get(w)
+            r = on.get(w)
+            if t is None or (r is not None and id(r) not in gone):
+                break
+            walked[w] = t
+            w = inst.edge(t.minus).worker
+    new = extract_rotations(inst, clean(inst, walked)) if walked else ()
+    if not gone and not new:
+        return old, on
+    cycles = dict(on)
+    for r in gone.values():
+        for a in r.plus_edges:
+            del cycles[inst.edge(a).worker]
+    for r in new:
+        for a in r.plus_edges:
+            cycles[inst.edge(a).worker] = r
+    kept = [r for r in old if id(r) not in gone]
+    return tuple(sorted(kept + list(new), key=lambda r: r.key)), cycles
 
 
 def weight_budget(inst: Instance, rot: Rotation) -> int:

@@ -25,7 +25,8 @@ vertex keeps its vector, so it stays accepted and its edges to other
 clean vertices stay non-blocking: checking acceptance at the dirty
 vertices and blocking on their edges gives exactly the full report.
 Rotation searches carry one view from each point they search to the
-next, and store each filled worker's admissible move in it (see
+next, and store in it each filled worker's admissible move and the
+rotations found, which the next search keeps where nothing moved (see
 :mod:`galloc.rotation`).
 """
 
@@ -74,13 +75,21 @@ class PointView:
     The stability ``report`` is computed on first use.  When the parent's
     report was stable it checks acceptance at the dirty vertices and
     blocking on their incident edges only, which gives the full report;
-    otherwise it checks everything.  ``moves`` holds each filled
-    worker's admissible move once a rotation search has computed it;
-    ``parent_moves`` is the stable parent's, kept only until then.
+    otherwise it checks everything.
+
+    A rotation search stores its results in the view: ``moves``, each
+    filled worker's admissible move; ``changed``, the workers whose move
+    differs from the parent's (None when every move was searched);
+    ``rotations``, the search's answer; and ``cycles``, each cycle
+    worker's rotation, kept only by a search that carried its parent's
+    cycles.  ``parent`` is the stable parent's view, kept only until the
+    search has read its moves and rotations, so that no chain of views
+    stays alive.
     """
 
     __slots__ = (
-        "inst", "x", "local", "wants", "dirty", "_scope", "_report", "moves", "parent_moves"
+        "inst", "x", "local", "wants", "dirty", "_scope", "_report",
+        "parent", "moves", "changed", "rotations", "cycles",
     )
 
     def __init__(self, inst: Instance, x: Assignment, parent: PointView | None = None) -> None:
@@ -108,8 +117,11 @@ class PointView:
         stable = parent is not None and parent._report is not None and parent._report.stable
         self._scope = dirty if stable else None
         self._report: StabilityReport | None = None
+        self.parent = parent if stable and dirty is not None else None
         self.moves: dict | None = None
-        self.parent_moves = parent.moves if stable and dirty is not None else None
+        self.changed: list[str] | None = None
+        self.rotations: tuple | None = None
+        self.cycles: dict | None = None
 
     @property
     def report(self) -> StabilityReport:

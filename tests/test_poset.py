@@ -1,5 +1,6 @@
 import networkx as nx
 import pytest
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from galloc import (
     GallocError,
     GaplessnessError,
     GeneratorConfig,
+    InvariantViolation,
     LimitError,
     build_poset,
     build_poset_gapless,
@@ -19,17 +21,20 @@ from galloc import (
     enumerate_stable,
     from_closed_function,
     generate,
+    instance_from_dict,
     make_ring_instance,
     min_cost_stable,
     to_closed_function,
 )
 from galloc.poset import (
     ClosedFunction,
+    _check_reduction,
     closedness_problem,
     linear_extension,
 )
+from perfbench.corpus import rings
 
-from builders import parallel_pair, two_swaps
+from builders import acceptance_corpora, latin, parallel_pair, two_swaps
 
 RING_L = ("a1", "d2", "a2", "d3", "a3", "d1")
 RING_LP = ("a1", "c3", "a3", "c2", "a2", "c1")
@@ -128,6 +133,129 @@ def test_builds_search_each_stable_point_exactly_once(monkeypatch, ring4):
         build_poset(inst, general=general)
         assert searched
         assert set(searched.values()) == {1}, searched
+
+
+def firm_local_state(inst, x, rot):
+    """What a weight search reads: the key and its firms' local vectors."""
+    firms = dict.fromkeys(inst.edge(a).firm for a in rot.plus_edges)
+    return rot.key, tuple(inst.local_values(x, f) for f in firms)
+
+
+@pytest.mark.parametrize(
+    "make, general",
+    [(lambda: latin(16, 2, 4), False), (lambda: instance_from_dict(rings(12, 8).doc), True)],
+    ids=["latin16cap2", "rings12q8"],
+)
+def test_builds_shift_and_weigh_each_distinct_step_once(monkeypatch, make, general):
+    # Every deferred route replays the steps the routes before it took;
+    # a replayed step is a memo hit, and a weight search runs once per
+    # rotation and local state, wherever the rest of the market stands.
+    steps, shifted, weighed = Counter(), Counter(), Counter()
+    states = set()  # (key, firm-local state) of every distinct step
+    walk = galloc.poset.walk_route
+    apply = galloc.poset.apply_rotation
+    weigh = galloc.poset.max_feasible_weight
+
+    def counting_walk(*args, **kwargs):
+        route = walk(*args, **kwargs)
+        steps["taken"] += len(route.steps)
+        return route
+
+    def counted_apply(inst, x, rot, weight):
+        shifted[(x.values, rot.key)] += 1
+        states.add(firm_local_state(inst, x, rot))
+        return apply(inst, x, rot, weight)
+
+    def counted_weigh(inst, x, rot):
+        weighed[firm_local_state(inst, x, rot)] += 1
+        return weigh(inst, x, rot)
+
+    monkeypatch.setattr(galloc.poset, "walk_route", counting_walk)
+    monkeypatch.setattr(galloc.poset, "apply_rotation", counted_apply)
+    monkeypatch.setattr(galloc.poset, "max_feasible_weight", counted_weigh)
+    build_poset(make(), general=general)
+    assert set(shifted.values()) == {1}
+    assert set(weighed.values()) == {1}
+    assert set(weighed) == states
+    assert len(shifted) < steps["taken"]
+    if general:  # disjoint rings: one ring's states recur under every other's
+        assert 4 * len(weighed) < len(shifted)
+
+
+def memo_free_corpus():
+    return [
+        *acceptance_corpora(),
+        *(make_ring_instance(q) for q in (2, 4, 6, 8)),
+        latin(4),
+        latin(5),
+    ]
+
+
+def build_outcome(inst, general):
+    try:
+        return build_poset(inst, general=general).to_dict()
+    except GaplessnessError as exc:
+        return str(exc)
+
+
+def test_memoized_builds_equal_builds_with_memo_free_walks(monkeypatch):
+    insts = memo_free_corpus()
+    modes = (False, True)
+    memoized = [build_outcome(inst, general) for inst in insts for general in modes]
+    walk = galloc.poset.walk_route
+
+    def plain(inst, start, *, rotations_at=None, step_at=None, **how):
+        return walk(inst, start, **how)  # walk_route's own search and step
+
+    monkeypatch.setattr(galloc.poset, "walk_route", plain)
+    insts = memo_free_corpus()  # fresh instances, fresh evaluator memos
+    plain_built = [build_outcome(inst, general) for inst in insts for general in modes]
+    assert plain_built == memoized
+    # The acceptance posets are small; the rings and Latin squares at the
+    # end give chains and repeated rotations in general mode.
+    assert all(len(d["elements"]) > 1 for d in memoized[-11::2])
+
+
+def reference_reduction_problem(edges, n):
+    """The reduction check as networkx reads it, or None."""
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    if not nx.is_directed_acyclic_graph(g):
+        return "the rotation poset contains a directed cycle"
+    reduced = set(nx.transitive_reduction(g).edges)
+    if reduced != edges:
+        return (
+            "successor sets are not the immediate-precedence arcs: "
+            f"transitive reduction drops {sorted(edges - reduced)}"
+        )
+    return None
+
+
+def test_the_reduction_check_reads_as_networkx_does():
+    rng = random.Random(5)
+    outcomes = Counter()
+    for _ in range(400):
+        n = rng.randrange(1, 9)
+        p = rng.choice((0.15, 0.3, 0.5))
+        forward = rng.random() < 0.8  # mostly acyclic, some cyclic
+        edges = {
+            (a, b)
+            for a in range(n)
+            for b in range(n)
+            if (a < b or not forward) and a != b and rng.random() < p
+        }
+        if rng.random() < 0.05 and n:
+            edges.add((0, 0))
+        want = reference_reduction_problem(edges, n)
+        try:
+            _check_reduction(edges, n)
+            got = None
+        except InvariantViolation as exc:
+            got = str(exc)
+        assert got == want, (n, sorted(edges))
+        outcomes[None if want is None else want[:10]] += 1
+    assert len(outcomes) == 3, outcomes
 
 
 def test_small_ring_poset_is_a_two_chain():

@@ -1,5 +1,6 @@
 import pytest
 
+import galloc.rotation
 from galloc import (
     GallocError,
     InvariantViolation,
@@ -13,6 +14,7 @@ from galloc import (
     linear_scan_feasible_weight,
     make_ring_instance,
     max_feasible_weight,
+    solve_extremes,
 )
 from galloc.choice import LinearChoice, total_choice_calls, total_fresh_evaluations
 from galloc.rotation import (
@@ -24,6 +26,7 @@ from galloc.rotation import (
     weight_budget,
 )
 from galloc.stability import PointView
+from perfbench.corpus import rings
 
 from builders import one_on_one, parallel_pair, two_swaps
 
@@ -231,3 +234,70 @@ def test_weight_search_rejects_inapplicable_rotations(ring4):
         max_feasible_weight(ring4, x0, Rotation(("c1", "a1")))
     with pytest.raises(GallocError, match="does not swap"):
         max_feasible_weight(ring4, x0, Rotation(("a1", "c3")))
+
+
+def test_a_search_whose_moves_did_not_change_returns_its_parents_rotations():
+    # One unit of the heavy swap moves w2 and f2, but w2 still adds on b1
+    # and displaces b2, so every cycle is the parent's.
+    inst = two_swaps(1, 3)
+    lo, _ = solve_extremes(inst)
+    parent = PointView(inst, lo)
+    rots = applicable_rotations(inst, lo, parent)
+    (heavy,) = [r for r in rots if r.key == ("b1", "b2")]
+    y = apply_rotation(inst, lo, heavy, 1)
+    child = PointView(inst, y, parent)
+    assert child.dirty == {"w2", "f2"}
+    assert applicable_rotations(inst, y, child) is rots
+    assert child.changed == [] and child.parent is None
+    assert rots == applicable_rotations(inst, y)
+
+
+def components(inst):
+    """Each vertex's connected component, as a frozenset of vertices."""
+    of = {}
+    for v0 in inst.workers + inst.firms:
+        if v0 in of:
+            continue
+        group, stack = set(), [v0]
+        while stack:
+            v = stack.pop()
+            if v not in group:
+                group.add(v)
+                stack.extend(e.firm if e.worker == v else e.worker
+                             for e in map(inst.edge, inst.edges_of(v)))
+        of.update(dict.fromkeys(group, frozenset(group)))
+    return of
+
+
+def test_carried_searches_extract_only_the_cycles_through_changed_workers(monkeypatch):
+    inst = instance_from_dict(rings(4, 4).doc)
+    ring_of = components(inst)
+    extract = galloc.rotation.extract_rotations
+    seen = []
+
+    def recording(inst, active):
+        got = extract(inst, active)
+        seen.append((set(active), got))
+        return got
+
+    monkeypatch.setattr(galloc.rotation, "extract_rotations", recording)
+    route = build_full_route(inst)
+    view = PointView(inst, route.start)
+    first = applicable_rotations(inst, route.start, view)
+    assert len(first) == 4  # the full search reads every ring's cycle
+    kept = 0
+    for step in route.steps:
+        seen.clear()
+        view = PointView(inst, step.end, view)
+        got = applicable_rotations(inst, step.end, view)
+        assert view.changed  # each step moves one ring's workers
+        assert {ring_of[w] for w in view.changed} == {ring_of[view.changed[0]]}
+        extracted = [r for _, rs in seen for r in rs]
+        for active, rs in seen:
+            assert active <= ring_of[view.changed[0]]
+            assert active == {inst.edge(a).worker for r in rs for a in r.plus_edges}
+        for r in extracted:
+            assert any(inst.edge(a).worker in view.changed for a in r.plus_edges)
+        kept += len(got) - len(extracted)
+        assert got == applicable_rotations(inst, step.end)
+    assert kept > 0
