@@ -113,7 +113,8 @@ def _kept(head: np.ndarray, tail: np.ndarray, tests: list[tuple]) -> np.ndarray:
         code = head[i, code_col] + tail[j, code_col]
         keep = accept[code] & (((head[i, mask_col] | tail[j, mask_col]) & bits[code]) == 0)
         i, j = np.nonzero(keep) if keep.ndim == 2 else (i[keep], j[keep])
-    return (head[i] + tail[j]).reshape(-1, head.shape[1])
+    # The row count is explicit: with no columns, -1 would be ambiguous.
+    return (head[i] + tail[j]).reshape(np.broadcast(i, j).size, head.shape[1])
 
 
 def _join(

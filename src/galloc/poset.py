@@ -5,13 +5,20 @@ stable assignments correspond one-to-one to closed functions on that
 poset (zero outside a down-set, full weight on every strict ancestor of
 a positive occurrence).  On gapless instances each rotation occurs once
 and minimum-cost selection reduces to a minimum cut over the poset.
+
+The poset is built from one full route and one deferral route per
+rotation.  A rotation lies in one connected component of the market,
+and its deferral route walks only that component, so a build costs the
+base route plus, per component c, |R_c| routes of that component's
+length: on k equal submarkets, k times fewer points than routes over
+the whole market.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,6 +167,25 @@ def build_poset_general(inst: Instance) -> RotationPoset:
     return _build_poset(inst, "general")
 
 
+def _edge_components(inst: Instance) -> dict[str, int]:
+    """Each edge's connected component of the market, over all edges.
+
+    Components are numbered in order of their first edge.  Edges of
+    zero capacity join components too, which only makes them coarser.
+    """
+    parent = {v: v for v in inst.workers + inst.firms}
+
+    def root(v: str) -> str:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for e in inst.edges:
+        parent[root(e.worker)] = root(e.firm)
+    number: dict[str, int] = {}
+    return {e.id: number.setdefault(root(e.worker), len(number)) for e in inst.edges}
+
+
 def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     """The rotation poset, from routes that defer one rotation each.
 
@@ -169,17 +195,31 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     the successor occurrences, read off one running count of the keys
     the route has shifted so far.
 
+    A rotation is a cycle of edges, so it lies in one connected
+    component of the market, and stability is local to each vertex's
+    edges: the stable set is the product of the components' own.  A
+    deferral route therefore walks only its key's component, from the
+    minimum, and sees only that component's rotations.  Where the
+    global route would shift the deferred key, it is the only rotation
+    offered, so every other component is at its maximum and offers no
+    successor; the component's steps are the same with or without the
+    others interleaved.  Its end and multiset are checked against the
+    base route's, restricted to the component.  A build walks the base
+    route plus, per component c, |R_c| routes of that component's
+    length L_c, not |R| routes of the full length.
+
     These routes pass the same stable points many times, so a build pays
     only for what it has not seen.  Each distinct point is one
     ``Assignment`` object, interned by its values when first reached,
     and the memos key on that object: its rotations, searched once, and
     each step out of it, (point, rotation key) to (weight, next point),
     shifted once.  A replayed step neither copies nor hashes the point's
-    values.  A weight search reads only the rotation's edges and the
-    local vectors of its firms, so the weights are memoized by the key
-    and those vectors; every search that runs is metered as always.
-    The searches carry one view from each point searched to the next;
-    the memo keeps rotations, not views.
+    values, and its component's share of the point's rotations is
+    filtered once per point.  A weight search reads only the
+    rotation's edges and the local vectors of its firms, so the weights
+    are memoized by the key and those vectors; every search that runs is
+    metered as always.  The searches carry one view from each point
+    searched to the next; the memo keeps rotations, not views.
     """
     xmin = xmin_by_capacity_reduction(inst).assignment
     # Interned points live as long as the build, so their ids are keys.
@@ -208,26 +248,57 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
             move = moves[(id(x), rot.key)] = (tau, points.setdefault(y.values, y))
         return move
 
-    def walk(**how) -> Route:
-        return walk_route(
-            inst, xmin, rotations_at=rotations_at, step_at=step_at, **how
-        )
+    component = _edge_components(inst)  # a key's is its first edge's
 
-    base = walk(assume_gapless=mode == "gapless")
+    def rotations_in(c: int) -> Callable[[Assignment], tuple[Rotation, ...]]:
+        # Each entry keeps its point alive, so a point's id is its key.
+        shares: dict[int, tuple[Assignment, tuple[Rotation, ...]]] = {}
+
+        def share_at(x: Assignment) -> tuple[Rotation, ...]:
+            entry = shares.get(id(x))
+            if entry is None:
+                share = tuple(r for r in rotations_at(x) if component[r.key[0]] == c)
+                entry = shares[id(x)] = (x, share)
+            return entry[1]
+
+        return share_at
+
+    def walk(rotations: Callable[[Assignment], tuple[Rotation, ...]], **how) -> Route:
+        return walk_route(inst, xmin, rotations_at=rotations, step_at=step_at, **how)
+
+    base = walk(rotations_at, assume_gapless=mode == "gapless")
     pair_multiset = route_pairs(base)
     counts = Counter(step.rotation.key for step in base.steps)
+
+    # Per component: the base end on its edges and the minimum elsewhere,
+    # its share of the multiset, and its restricted search.
+    restricted: dict[int, tuple[tuple[int, ...], Counter, Callable]] = {}
+    for c in sorted({component[key[0]] for key in counts}):
+        end = tuple(
+            b if component[e.id] == c else a
+            for a, b, e in zip(xmin.values, base.end.values, inst.edges)
+        )
+        pairs = Counter(
+            {p: n for p, n in pair_multiset.items() if component[p[0][0]] == c}
+        )
+        restricted[c] = (end, pairs, rotations_in(c))
 
     elements: list[PosetElement] = []
     arcs: set[tuple[tuple, tuple]] = set()  # between (key, occurrence) pairs
     for key in sorted(counts):
+        end, pairs, rotations = restricted[component[key[0]]]
         route = walk(
-            pick=lambda rots, key=key: next((r for r in rots if r.key != key), rots[0])
+            rotations,
+            pick=lambda rots, key=key: next((r for r in rots if r.key != key), rots[0]),
         )
-        if route.end.values != base.end.values:
-            raise InvariantViolation("a deferred route ended away from the maximum")
-        if route_pairs(route) != pair_multiset:
+        if route.end.values != end:
             raise InvariantViolation(
-                "route weight multisets differ between full routes"
+                "a deferred route ended away from its component's maximum"
+            )
+        if route_pairs(route) != pairs:
+            raise InvariantViolation(
+                "route weight multisets differ between full routes "
+                "of a component"
             )
         occurred = sum(1 for s in route.steps if s.rotation.key == key)
         if occurred != counts[key]:
@@ -235,9 +306,10 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
                 f"rotation {key} occurred {occurred} times deferred "
                 f"but {counts[key]} times on the base route"
             )
-        # The route shifts each key counts[key] times (its multiset is the
-        # base route's), so a successor's occurrence index, counts minus
-        # its later shifts, is the number of its shifts so far.
+        # The route shifts each key of the component counts[key] times
+        # (its multiset is the base route's there), so a successor's
+        # occurrence index, counts minus its later shifts, is the number
+        # of its shifts so far.
         shifted: Counter[tuple[str, ...]] = Counter()
         for s in route.steps:
             shifted[s.rotation.key] += 1
@@ -245,7 +317,7 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
                 continue
             i = shifted[key] - 1
             elements.append(PosetElement(key, i, s.weight))
-            for succ in rotations_at(s.end):
+            for succ in rotations(s.end):
                 j = shifted[succ.key]
                 if not 0 <= j < counts[succ.key]:
                     raise InvariantViolation(

@@ -122,3 +122,45 @@ def acceptance_corpora():
         for s in range(100)
     ]
     return [generate(cfg) for cfg in sam + gapless]
+
+
+def relabelled(inst, tag):
+    """The instance with ``tag`` appended to every worker, firm and edge id."""
+    doc = inst.to_dict()
+
+    def r(name):
+        return f"{name}{tag}"
+
+    cfs = {}
+    for f, spec in doc["firm_cfs"].items():
+        spec = dict(spec)
+        for ids in ("order", "columns"):
+            if ids in spec:
+                spec[ids] = [r(e) for e in spec[ids]]
+        cfs[r(f)] = spec
+    return instance_from_dict(
+        {
+            "workers": [r(w) for w in doc["workers"]],
+            "firms": [r(f) for f in doc["firms"]],
+            "edges": [
+                dict(e, id=r(e["id"]), worker=r(e["worker"]), firm=r(e["firm"]))
+                for e in doc["edges"]
+            ],
+            "worker_quotas": {r(w): q for w, q in doc["worker_quotas"].items()},
+            "worker_orders": {
+                r(w): [r(e) for e in order] for w, order in doc["worker_orders"].items()
+            },
+            "firm_cfs": cfs,
+        }
+    )
+
+
+def disjoint_union(a, b):
+    """Markets a and b side by side, relabelled apart with tags ":A" and ":B"."""
+    docs = (relabelled(a, ":A").to_dict(), relabelled(b, ":B").to_dict())
+    union = {}
+    for key in ("workers", "firms", "edges"):
+        union[key] = docs[0][key] + docs[1][key]
+    for key in ("worker_quotas", "worker_orders", "firm_cfs"):
+        union[key] = {**docs[0][key], **docs[1][key]}
+    return instance_from_dict(union)

@@ -335,6 +335,22 @@ def test_brute_counts_the_chain(ring_file, capsys):
     assert doc["problems"] == []
 
 
+def test_the_empty_market_verifies_without_a_traceback(tmp_path, capsys):
+    doc = {"workers": [], "firms": [], "edges": [], "worker_quotas": {},
+           "worker_orders": {}, "firm_cfs": {}}
+    path = write_json(tmp_path / "empty.json", doc)
+    rc, out, err = run(capsys, ["brute", path])
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {
+        "count": 1, "xmin": {}, "xmax": {}, "properties_ok": True, "problems": []
+    }
+    for argv in (["solve", "--verify"], ["route", "--verify"], ["poset", "--verify"],
+                 ["poset", "--general", "--verify"]):
+        rc, out, err = run(capsys, [argv[0], path, *argv[1:]])
+        assert (rc, err) == (0, ""), argv
+        assert json.loads(out)
+
+
 def test_brute_refuses_large_stable_sets(tmp_path, capsys):
     # Five disjoint capacity-3 swaps: a 4**10-cell box, under the box
     # limit, holding 4**5 = 1024 stable points.

@@ -31,6 +31,18 @@ def test_single_edge_lattice():
     assert lat.order == (("equal",),)
 
 
+def test_empty_market_has_the_one_empty_assignment():
+    # No workers and no firms: every partial row has zero columns.
+    inst = instance_from_dict(
+        {"workers": [], "firms": [], "edges": [], "worker_quotas": {},
+         "worker_orders": {}, "firm_cfs": {}}
+    )
+    lat = enumerate_stable(inst)
+    assert [x.values for x in lat.elements] == [()]
+    assert lat.min_element.values == lat.max_element.values == ()
+    assert verify_lattice_properties(lat).ok
+
+
 def test_ring_lattice_is_the_frozen_chain(ring4):
     lat = enumerate_stable(ring4)
     assert len(lat) == 5

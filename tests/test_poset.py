@@ -1,3 +1,5 @@
+import json
+
 import networkx as nx
 import pytest
 import random
@@ -13,6 +15,7 @@ from galloc import (
     GeneratorConfig,
     InvariantViolation,
     LimitError,
+    build_full_route,
     build_poset,
     build_poset_gapless,
     build_poset_general,
@@ -32,9 +35,17 @@ from galloc.poset import (
     closedness_problem,
     linear_extension,
 )
+from galloc.cli import main
 from perfbench.corpus import rings
 
-from builders import acceptance_corpora, latin, parallel_pair, two_swaps
+from builders import (
+    acceptance_corpora,
+    disjoint_union,
+    latin,
+    parallel_pair,
+    relabelled,
+    two_swaps,
+)
 
 RING_L = ("a1", "d2", "a2", "d3", "a3", "d1")
 RING_LP = ("a1", "c3", "a3", "c2", "a2", "c1")
@@ -142,19 +153,31 @@ def firm_local_state(inst, x, rot):
 
 
 @pytest.mark.parametrize(
-    "make, general",
-    [(lambda: latin(16, 2, 4), False), (lambda: instance_from_dict(rings(12, 8).doc), True)],
+    "make, general, searches",
+    [
+        (lambda: latin(16, 2, 4), False, None),
+        # k disjoint rings of quota q: each deferral route stays in its ring.
+        (lambda: instance_from_dict(rings(12, 8).doc), True, 1 + 2 * 12 * 8),
+    ],
     ids=["latin16cap2", "rings12q8"],
 )
-def test_builds_shift_and_weigh_each_distinct_step_once(monkeypatch, make, general):
+def test_builds_shift_and_weigh_each_distinct_step_once(
+    monkeypatch, make, general, searches
+):
     # Every deferred route replays the steps the routes before it took;
     # a replayed step is a memo hit, and a weight search runs once per
     # rotation and local state, wherever the rest of the market stands.
     steps, shifted, weighed = Counter(), Counter(), Counter()
     states = set()  # (key, firm-local state) of every distinct step
+    searched = set()
     walk = galloc.poset.walk_route
     apply = galloc.poset.apply_rotation
     weigh = galloc.poset.max_feasible_weight
+    search = galloc.lattice.applicable_rotations
+
+    def counted_search(inst, x, view=None):
+        searched.add(x.values)
+        return search(inst, x, view)
 
     def counting_walk(*args, **kwargs):
         route = walk(*args, **kwargs)
@@ -173,18 +196,20 @@ def test_builds_shift_and_weigh_each_distinct_step_once(monkeypatch, make, gener
     monkeypatch.setattr(galloc.poset, "walk_route", counting_walk)
     monkeypatch.setattr(galloc.poset, "apply_rotation", counted_apply)
     monkeypatch.setattr(galloc.poset, "max_feasible_weight", counted_weigh)
+    monkeypatch.setattr(galloc.lattice, "applicable_rotations", counted_search)
     build_poset(make(), general=general)
     assert set(shifted.values()) == {1}
     assert set(weighed.values()) == {1}
     assert set(weighed) == states
     assert len(shifted) < steps["taken"]
-    if general:  # disjoint rings: one ring's states recur under every other's
-        assert 4 * len(weighed) < len(shifted)
+    if searches is not None:
+        assert len(searched) <= searches
 
 
 def memo_free_corpus():
     return [
         *acceptance_corpora(),
+        disjoint_union(make_ring_instance(2), make_ring_instance(4)),
         *(make_ring_instance(q) for q in (2, 4, 6, 8)),
         latin(4),
         latin(5),
@@ -204,16 +229,126 @@ def test_memoized_builds_equal_builds_with_memo_free_walks(monkeypatch):
     memoized = [build_outcome(inst, general) for inst in insts for general in modes]
     walk = galloc.poset.walk_route
 
-    def plain(inst, start, *, rotations_at=None, step_at=None, **how):
-        return walk(inst, start, **how)  # walk_route's own search and step
+    def plain(inst, start, *, rotations_at, step_at=None, pick=None, **how):
+        # walk_route's own search and step.  A deferral route keeps the
+        # build's restriction to one component, which it reads off the
+        # rotations the build offers at the start: that component's own.
+        search = galloc.lattice.carried_search(inst)
+        if pick is not None:
+            component = component_of(inst)
+            kept = component[rotations_at(start)[0].key[0]]
+            search = lambda x, full=search: tuple(
+                r for r in full(x) if component[r.key[0]] == kept
+            )
+        return walk(inst, start, rotations_at=search, pick=pick, **how)
 
     monkeypatch.setattr(galloc.poset, "walk_route", plain)
     insts = memo_free_corpus()  # fresh instances, fresh evaluator memos
     plain_built = [build_outcome(inst, general) for inst in insts for general in modes]
     assert plain_built == memoized
     # The acceptance posets are small; the rings and Latin squares at the
-    # end give chains and repeated rotations in general mode.
-    assert all(len(d["elements"]) > 1 for d in memoized[-11::2])
+    # end give chains and repeated rotations in general mode, and so does
+    # the union of two rings before them.
+    assert all(len(d["elements"]) > 1 for d in memoized[-13::2])
+    assert len(memoized[-13]["elements"]) == 2 + 4
+
+
+def component_of(inst):
+    """Each edge's connected component of the market, as networkx finds it."""
+    g = nx.Graph()
+    g.add_nodes_from(inst.workers + inst.firms)
+    g.add_edges_from((e.worker, e.firm) for e in inst.edges)
+    return {
+        e.id: c
+        for c, part in enumerate(nx.connected_components(g))
+        for e in inst.edges
+        if e.worker in part
+    }
+
+
+def tableau_market():
+    """A connected 3 x 3 market of tableau firms whose poset is a two-chain."""
+    return generate(
+        GeneratorConfig(
+            seed=275, workers=3, firms=3, density=0.8,
+            capacity_bound=2, quota_bound=3, family="tableau",
+        )
+    )
+
+
+def merged(a, b):
+    """The posets of two disjoint markets as one, in the build's element order.
+
+    Elements are ordered by (key, occurrence) and each side's arcs are
+    remapped to the new indices.
+    """
+    sides = (a.to_dict(), b.to_dict())
+    tagged = sorted(
+        ((el["cycle"], el["occurrence"]), side, i)
+        for side, d in enumerate(sides)
+        for i, el in enumerate(d["elements"])
+    )
+    index = {(side, i): n for n, (_, side, i) in enumerate(tagged)}
+    return {
+        "mode": a.mode,
+        "elements": [sides[side]["elements"][i] for _, side, i in tagged],
+        "hasse": sorted(
+            [index[side, p], index[side, q]]
+            for side, d in enumerate(sides)
+            for p, q in d["hasse"]
+        ),
+    }
+
+
+UNION_PAIRS = {
+    "ring2+ring4": (lambda: make_ring_instance(2), lambda: make_ring_instance(4)),
+    "ring6+latin4": (lambda: make_ring_instance(6), lambda: latin(4)),
+    "latin5+ring8": (lambda: latin(5), lambda: make_ring_instance(8)),
+    "tableau+ring2": (tableau_market, lambda: make_ring_instance(2)),
+    "latin4+latin5": (lambda: latin(4), lambda: latin(5)),
+}
+
+
+@pytest.mark.parametrize("pair", UNION_PAIRS.values(), ids=UNION_PAIRS.keys())
+def test_the_poset_of_a_disjoint_union_merges_the_parts(pair):
+    # Stability is local to each vertex's edges, so the stable set of
+    # A + B is the product of theirs and its poset the two side by side.
+    make_a, make_b = pair
+    assert len(set(component_of(make_a()).values())) == 1
+    assert len(set(component_of(make_b()).values())) == 1
+    union = disjoint_union(make_a(), make_b())
+    assert len(set(component_of(union).values())) == 2
+    for general in (False, True):
+        try:
+            parts = [build_poset(relabelled(m(), t), general=general) for m, t in
+                     zip(pair, (":A", ":B"))]
+        except GaplessnessError:
+            with pytest.raises(GaplessnessError) as refused:
+                build_poset(union, general=general)
+            # The refusal is the base route's own.
+            with pytest.raises(GaplessnessError) as walked:
+                build_full_route(union, assume_gapless=True)
+            assert str(refused.value) == str(walked.value)
+            continue
+        poset = build_poset(union, general=general)
+        assert poset.to_dict() == merged(*parts)
+        assert poset.xmin.values == parts[0].xmin.values + parts[1].xmin.values
+        assert poset.xmax.values == parts[0].xmax.values + parts[1].xmax.values
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(tableau_market, lambda: make_ring_instance(2)),
+     (lambda: make_ring_instance(2), lambda: make_ring_instance(2))],
+    ids=["tableau+ring2", "ring2+ring2"],
+)
+def test_union_posets_verify_against_the_oracle(pair, tmp_path, capsys):
+    path = tmp_path / "union.json"
+    path.write_text(json.dumps(disjoint_union(pair[0](), pair[1]()).to_dict()))
+    assert main(["poset", str(path), "--general", "--verify"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert len(json.loads(out)["elements"]) == 4
 
 
 def reference_reduction_problem(edges, n):
