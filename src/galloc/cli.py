@@ -90,10 +90,6 @@ def _dot(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _assignment_doc(inst, x) -> dict:
-    return solution_doc(inst, x, check_stability(inst, x).stable)
-
-
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     if args.mode == "min":
@@ -108,7 +104,8 @@ def _cmd_solve(args) -> int:
                 "solver and oracle disagree on the "
                 f"{args.mode}imum stable assignment"
             )
-    _emit(_assignment_doc(inst, x))
+    # Capacity reduction raises unless its fixpoint is stable.
+    _emit(solution_doc(inst, x, True))
     return 0
 
 
@@ -200,7 +197,8 @@ def _cmd_poset(args) -> int:
 def _cmd_mincost(args) -> int:
     inst = load_instance(args.instance)
     result = min_cost_stable(inst, CostVector.load(inst, args.costs))
-    doc = _assignment_doc(inst, result.assignment)
+    # from_closed_function raises unless the point it returns is stable.
+    doc = solution_doc(inst, result.assignment, True)
     doc["cost"] = fraction_str(result.cost)
     _emit(doc)
     return 0

@@ -16,6 +16,7 @@ the whole market.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import Counter
 from collections.abc import Callable, Iterable
@@ -87,11 +88,16 @@ class RotationPoset:
 
 def linear_extension(poset: RotationPoset) -> tuple[int, ...]:
     """Topological order of the elements, lowest index first among ties."""
-    return _topological_order(len(poset.elements), poset.hasse)
+    return _topological_order(len(poset.elements), poset.hasse)[0]
 
 
-def _topological_order(n: int, arcs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Kahn's order of 0..n-1 under the arcs, lowest index first among ties."""
+def _topological_order(
+    n: int, arcs: Iterable[tuple[int, int]]
+) -> tuple[tuple[int, ...], list[list[int]]]:
+    """Kahn's order of 0..n-1 under the arcs, and the successor lists.
+
+    Ties go to the lowest index first.
+    """
     indeg = [0] * n
     succ: list[list[int]] = [[] for _ in range(n)]
     for a, b in arcs:
@@ -109,7 +115,7 @@ def _topological_order(n: int, arcs: Iterable[tuple[int, int]]) -> tuple[int, ..
                 heapq.heappush(heap, j)
     if len(out) != n:
         raise InvariantViolation("the rotation poset contains a directed cycle")
-    return tuple(out)
+    return tuple(out), succ
 
 
 def _check_reduction(edges: set[tuple[int, int]], n: int) -> None:
@@ -119,11 +125,9 @@ def _check_reduction(edges: set[tuple[int, int]], n: int) -> None:
     of a; reachability is one bitset per element, OR-ed up in reverse
     topological order.
     """
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        succ[a].append(b)
+    order, succ = _topological_order(n, edges)
     reach = [0] * n  # bit j of reach[i]: j is reachable from i by an arc or more
-    for i in reversed(_topological_order(n, edges)):
+    for i in reversed(order):
         for j in succ[i]:
             reach[i] |= reach[j] | 1 << j
     dropped = []
@@ -211,30 +215,38 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     These routes pass the same stable points many times, so a build pays
     only for what it has not seen.  Each distinct point is one
     ``Assignment`` object, interned by its values when first reached,
-    and the memos key on that object: its rotations, searched once, and
-    each step out of it, (point, rotation key) to (weight, next point),
-    shifted once.  A replayed step neither copies nor hashes the point's
-    values, and its component's share of the point's rotations is
-    filtered once per point.  A weight search reads only the
-    rotation's edges and the local vectors of its firms, so the weights
-    are memoized by the key and those vectors; every search that runs is
-    metered as always.  The searches carry one view from each point
-    searched to the next; the memo keeps rotations, not views.
+    and the memos key on that object: one table holds its rotations,
+    searched once, and each component's share of them, filtered once;
+    another each step out of it, (point, rotation key) to (weight, next
+    point), shifted once.  A replayed step neither copies nor hashes the
+    point's values.  A weight search reads only the rotation's edges and
+    the local vectors of its firms, so the weights are memoized by the
+    key and those vectors; every search that runs is metered as always.
+    The searches carry one view from each point searched to the next;
+    the memo keeps rotations, not views.
     """
     xmin = xmin_by_capacity_reduction(inst).assignment
     # Interned points live as long as the build, so their ids are keys.
     points = {xmin.values: xmin}
-    found: dict[int, tuple[Rotation, ...]] = {}
+    # (point, component) to that component's rotations there; None: all.
+    found: dict[tuple[int, int | None], tuple[Rotation, ...]] = {}
     moves: dict[tuple[int, tuple[str, ...]], tuple[int, Assignment]] = {}
     weights: dict[tuple[tuple[str, ...], tuple[tuple[int, ...], ...]], int] = {}
     search = carried_search(inst)
+    component = _edge_components(inst)  # a key's is its first edge's
 
-    def rotations_at(x: Assignment) -> tuple[Rotation, ...]:
-        if id(x) not in found:  # not searched yet, or not the interned object
+    def rotations_at(x: Assignment, c: int | None = None) -> tuple[Rotation, ...]:
+        rots = found.get((id(x), c))
+        if rots is None:  # not read yet, or not the interned object
             x = points.setdefault(x.values, x)
-            if id(x) not in found:
-                found[id(x)] = search(x)
-        return found[id(x)]
+            rots = found.get((id(x), c))
+            if rots is None:
+                if c is None:
+                    rots = search(x)
+                else:
+                    rots = tuple(r for r in rotations_at(x) if component[r.key[0]] == c)
+                found[(id(x), c)] = rots
+        return rots
 
     def step_at(x: Assignment, rot: Rotation) -> tuple[int, Assignment]:
         move = moves.get((id(x), rot.key))
@@ -248,21 +260,6 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
             move = moves[(id(x), rot.key)] = (tau, points.setdefault(y.values, y))
         return move
 
-    component = _edge_components(inst)  # a key's is its first edge's
-
-    def rotations_in(c: int) -> Callable[[Assignment], tuple[Rotation, ...]]:
-        # Each entry keeps its point alive, so a point's id is its key.
-        shares: dict[int, tuple[Assignment, tuple[Rotation, ...]]] = {}
-
-        def share_at(x: Assignment) -> tuple[Rotation, ...]:
-            entry = shares.get(id(x))
-            if entry is None:
-                share = tuple(r for r in rotations_at(x) if component[r.key[0]] == c)
-                entry = shares[id(x)] = (x, share)
-            return entry[1]
-
-        return share_at
-
     def walk(rotations: Callable[[Assignment], tuple[Rotation, ...]], **how) -> Route:
         return walk_route(inst, xmin, rotations_at=rotations, step_at=step_at, **how)
 
@@ -271,8 +268,8 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     counts = Counter(step.rotation.key for step in base.steps)
 
     # Per component: the base end on its edges and the minimum elsewhere,
-    # its share of the multiset, and its restricted search.
-    restricted: dict[int, tuple[tuple[int, ...], Counter, Callable]] = {}
+    # and its share of the multiset.
+    restricted: dict[int, tuple[tuple[int, ...], Counter]] = {}
     for c in sorted({component[key[0]] for key in counts}):
         end = tuple(
             b if component[e.id] == c else a
@@ -281,12 +278,14 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
         pairs = Counter(
             {p: n for p, n in pair_multiset.items() if component[p[0][0]] == c}
         )
-        restricted[c] = (end, pairs, rotations_in(c))
+        restricted[c] = (end, pairs)
 
     elements: list[PosetElement] = []
     arcs: set[tuple[tuple, tuple]] = set()  # between (key, occurrence) pairs
     for key in sorted(counts):
-        end, pairs, rotations = restricted[component[key[0]]]
+        c = component[key[0]]
+        end, pairs = restricted[c]
+        rotations = functools.partial(rotations_at, c=c)
         route = walk(
             rotations,
             pick=lambda rots, key=key: next((r for r in rots if r.key != key), rots[0]),
@@ -486,8 +485,9 @@ def min_cost_stable(inst: Instance, costs: CostVector) -> MinCostResult:
 
     Each rotation gets weight (cost of added edges minus cost of dropped
     edges) times its shift weight; a minimum s-t cut over the poset
-    (precedence arcs uncuttable) picks the optimal down-set.  The
-    residual side reaching the sink is the minimal optimal down-set.
+    (precedence arcs uncuttable) picks the optimal down-set.  The cut's
+    sink side, what reaches the sink in the residual network, is the
+    minimal optimal down-set.
     """
     poset = build_poset_gapless(inst)
     ints, scale = costs.scaled_integers()
@@ -509,26 +509,11 @@ def min_cost_stable(inst: Instance, costs: CostVector) -> MinCostResult:
             g.add_edge(i, "t", capacity=-w)
     for a, b in poset.hasse:
         g.add_edge(a, b, capacity=inf)
-    residual = edmonds_karp(g, "s", "t")
-    into: dict[object, list[object]] = {n: [] for n in residual.nodes}
-    for u, v in residual.edges:
-        if residual[u][v]["capacity"] - residual[u][v]["flow"] > 0:
-            into[v].append(u)
-    reach: set[object] = set()
-    stack: list[object] = ["t"]
-    while stack:
-        node = stack.pop()
-        if node in reach:
-            continue
-        reach.add(node)
-        stack.extend(into[node])
-    ideal = tuple(sorted(i for i in range(len(poset.elements)) if i in reach))
-    in_ideal = set(ideal)
-    if any(b in in_ideal and a not in in_ideal for a, b in poset.hasse):
+    # perfbench's tracer rebinds this module's edmonds_karp: read it per call.
+    _, (_, sink_side) = nx.minimum_cut(g, "s", "t", flow_func=edmonds_karp)
+    ideal = tuple(sorted(i for i in range(len(poset.elements)) if i in sink_side))
+    if any(b in sink_side and a not in sink_side for a, b in poset.hasse):
         raise InvariantViolation("minimum cut side is not a down-set")
-    values = tuple(
-        poset.elements[i].weight if i in in_ideal else 0
-        for i in range(len(poset.elements))
-    )
+    values = tuple(el.weight if i in sink_side else 0 for i, el in enumerate(poset.elements))
     x = from_closed_function(inst, poset, ClosedFunction(values))
     return MinCostResult(x, costs.cost_of(x), ideal, poset)

@@ -4,7 +4,7 @@ They live outside ``conftest.py`` so that ``from builders import ...``
 cannot pick up another directory's conftest module.
 """
 
-from galloc import GeneratorConfig, generate, instance_from_dict
+from galloc import GeneratorConfig, generate, instance_from_dict, make_ring_instance
 
 
 def parallel_pair(cap, worker_quota=None, firm_quota=None):
@@ -164,3 +164,36 @@ def disjoint_union(a, b):
     for key in ("worker_quotas", "worker_orders", "firm_cfs"):
         union[key] = {**docs[0][key], **docs[1][key]}
     return instance_from_dict(union)
+
+
+def tableau_market():
+    """A connected 3 x 3 market of tableau firms whose poset is a two-chain."""
+    return generate(
+        GeneratorConfig(
+            seed=275, workers=3, firms=3, density=0.8,
+            capacity_bound=2, quota_bound=3, family="tableau",
+        )
+    )
+
+
+def poset_corpus():
+    """Small markets with non-empty rotation posets, each one the oracle lists.
+
+    Connected ones: the rings q = 2..8 (chains of q general-mode
+    elements, gapless only at q = 2), Latin 4 and 5, Latin 4 at capacity
+    and quota 2, and the tableau market; then disjoint unions of them,
+    whose posets are the parts side by side.
+    """
+    ring = {q: make_ring_instance(q) for q in (2, 4, 6, 8)}
+    return [
+        *ring.values(),
+        latin(4),
+        latin(5),
+        latin(4, 2, 2),
+        tableau_market(),
+        disjoint_union(ring[2], ring[4]),
+        disjoint_union(ring[2], ring[2]),
+        disjoint_union(ring[6], latin(4)),
+        disjoint_union(latin(4), latin(5)),
+        disjoint_union(tableau_market(), ring[2]),
+    ]

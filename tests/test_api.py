@@ -66,9 +66,14 @@ def test_traced_commands_run_every_hook(tmp_path, monkeypatch):
             for home, attr, name, hook in tracing.TARGETS
         ),
     )
+    latin4 = instance_from_dict(latin(4).doc)
+    costs = tmp_path / "latin4-costs.json"
+    costs.write_text(json.dumps({e.id: i % 5 - 2 for i, e in enumerate(latin4.edges)}))
     argvs = commands(tmp_path, "ring4", make_ring_instance(4)) + commands(
-        tmp_path, "latin4", instance_from_dict(latin(4).doc)
+        tmp_path, "latin4", latin4
     )
+    # The cut reaches edmonds_karp through networkx's minimum_cut.
+    argvs.append(["mincost", str(tmp_path / "latin4.json"), str(costs)])
     plain = [run(argv) for argv in argvs]
     t = Tracer()
     replaced = install(t)
@@ -81,6 +86,7 @@ def test_traced_commands_run_every_hook(tmp_path, monkeypatch):
     assert traced == plain
     names = {s.name for s in t.spans}
     assert {"rotation.search", "rotation.aux", "rotation.weight", "lattice.route"} <= names
+    assert {"poset.build", "poset.mincut", "poset.closed"} <= names
     assert set(ran) == {"_on_search", "_on_weight", "_on_capred", "_on_route"}
     layers = layer_metrics(t, root.end - root.start)
     assert layers["lattice.route.steps"][0] > 0

@@ -266,13 +266,31 @@ def small_linear_vertices():
                     yield LinearChoice("v", "firm-linear", caps, order, quota)
 
 
+def outside_points(caps):
+    """One point past the cap and one below zero at each position."""
+    for i, cap in enumerate(caps):
+        for v in (cap + 1, -1):
+            yield tuple(v if j == i else 0 for j in range(len(caps)))
+
+
 def test_linear_closed_form_matches_the_generic_probes():
     # Every box point, including those over the quota and quota 0, and
-    # every position, with or without room.
+    # every position, with or without room; and points outside the box,
+    # where both sides ask the rule, which raises.
     generic = ChoiceEvaluator
     probes = 0
+    refused = 0
     for cf in small_linear_vertices():
         k = len(cf.caps)
+        for z in outside_points(cf.caps):
+            for pos in range(k):
+                mine = outcome(cf.interest(z), pos)
+                assert mine == outcome(generic.interest(cf, z), pos), (cf.order, z, pos)
+                refused += mine is GallocError
+            for plus, minus in itertools.permutations(range(k), 2):
+                mine = outcome(cf.swaps, z, plus, minus, 1)
+                assert mine == outcome(generic.swaps, cf, z, plus, minus, 1), (z, plus)
+                refused += mine is GallocError
         for z in iter_box(cf.caps):
             assert cf.accepts(z) == generic.accepts(cf, z)
             mine, theirs = cf.interest(z), generic.interest(cf, z)
@@ -289,6 +307,7 @@ def test_linear_closed_form_matches_the_generic_probes():
                         cf, z, plus, minus, mu
                     ), (cf.order, cf.quota, z, plus, minus, mu)
     assert probes > 10_000
+    assert refused > 1_000
 
 
 def test_linear_probes_do_not_call_the_rule():

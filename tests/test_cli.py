@@ -247,6 +247,121 @@ def test_mistyped_instance_fields_exit_one(key, value, message, tmp_path, capsys
     assert err.count("\n") == 1
 
 
+LINEAR = {"type": "linear", "order": ["e1", "e2"], "quota": 1}
+
+
+def pair_doc(spec=LINEAR):
+    """Worker w and firm f joined by unit edges e1 and e2; f linear by default."""
+    return {
+        "workers": ["w"],
+        "firms": ["f"],
+        "edges": [{"id": e, "worker": "w", "firm": "f", "capacity": 1} for e in ("e1", "e2")],
+        "worker_quotas": {"w": 1},
+        "worker_orders": {"w": ["e1", "e2"]},
+        "firm_cfs": {"f": dict(spec)},
+    }
+
+
+def tableau_doc(**spec):
+    return pair_doc(
+        {"type": "tableau", "columns": ["e1", "e2"], "quota": 1, "filling": [[0, 1], [2, 3]],
+         **spec}
+    )
+
+
+def a3_doc(**spec):
+    doc = make_ring_instance(2).to_dict()
+    doc["firm_cfs"]["f1"].update(spec)
+    return doc
+
+
+def changed(doc, key, value):
+    doc[key] = value
+    return doc
+
+
+def added(doc, key, name, value):
+    doc[key][name] = value
+    return doc
+
+
+def without(doc, key):
+    del doc[key]
+    return doc
+
+
+# (case, document or gen argv, message): each is refused on exit code 1.
+INVALID = [
+    ("dup-firm", lambda: changed(pair_doc(), "firms", ["f", "f"]),
+     "duplicate firm id 'f'"),
+    ("worker-and-firm", lambda: changed(pair_doc(), "firms", ["f", "w"]),
+     "id 'w' used for both a worker and a firm"),
+    ("missing-quota", lambda: changed(pair_doc(), "worker_quotas", {}),
+     "missing quota for worker 'w'"),
+    ("unknown-quota", lambda: added(pair_doc(), "worker_quotas", "x", 1),
+     "quota for unknown worker 'x'"),
+    ("missing-order", lambda: changed(pair_doc(), "worker_orders", {}),
+     "missing order for worker 'w'"),
+    ("unknown-order", lambda: added(pair_doc(), "worker_orders", "x", []),
+     "order for unknown worker 'x'"),
+    ("repeated-order", lambda: added(pair_doc(), "worker_orders", "w", ["e1", "e2", "e1"]),
+     "order for worker 'w' repeats an edge"),
+    ("not-an-object", lambda: [pair_doc()],
+     "instance document must be a JSON object"),
+    ("missing-key", lambda: without(pair_doc(), "edges"),
+     "missing instance key 'edges'"),
+    ("edge-not-object", lambda: changed(pair_doc(), "edges", [5]),
+     "edge #0 is not an object"),
+    ("meta-not-object", lambda: changed(pair_doc(), "meta", []),
+     "meta must be an object"),
+    ("spec-unknown-keys", lambda: pair_doc(dict(LINEAR, x=0)),
+     "firm 'f': unknown keys ['x']"),
+    ("spec-negative-quota", lambda: pair_doc(dict(LINEAR, quota=-1)),
+     "firm 'f': negative quota -1"),
+    ("a3-odd-quota", lambda: a3_doc(quota=3),
+     "tableau-a3 quota must be even and >= 2"),
+    ("a3-small-quota", lambda: a3_doc(quota=0),
+     "tableau-a3 quota must be even and >= 2"),
+    ("a3-edge-count", lambda: pair_doc({"type": "tableau-a3", "quota": 2}),
+     "firm 'f': tableau-a3 needs exactly 3 edges"),
+    ("a3-capacities", lambda: a3_doc(columns=["c3", "a1", "d2"]),
+     "firm 'f1': tableau-a3 capacities must be (2, 1, 1) in column order, got (1, 2, 1)"),
+    ("filling-shape", lambda: tableau_doc(filling=5),
+     "firm 'f': filling must list one column of entries per edge"),
+    ("filling-columns", lambda: tableau_doc(filling=[[0, 1]]),
+     "firm 'f': filling must list one column of entries per edge"),
+    ("filling-column-length", lambda: tableau_doc(filling=[[0, 1], [2]]),
+     "firm 'f': filling column 1 must have 2 entries"),
+    ("filling-non-integer", lambda: tableau_doc(filling=[[0, 1], [2, "3"]]),
+     "firm 'f': filling entries must be integers"),
+    ("filling-boolean", lambda: tableau_doc(filling=[[False, 1], [2, 3]]),
+     "firm 'f': filling entries must be integers"),
+    ("filling-not-increasing", lambda: tableau_doc(filling=[[0, 1], [3, 2]]),
+     "firm 'f': filling column 1 is not strictly increasing"),
+    ("filling-repeat", lambda: tableau_doc(filling=[[0, 1], [1, 2]]),
+     "firm 'f': filling entry 1 repeats"),
+    ("gen-capacity-bound", ["gen", "--seed", "1", "--capacity-bound", "0"],
+     "capacity and quota bounds must be positive"),
+    ("gen-quota-bound", ["gen", "--seed", "1", "--quota-bound", "0"],
+     "capacity and quota bounds must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "source, message", [case[1:] for case in INVALID], ids=[case[0] for case in INVALID]
+)
+def test_invalid_documents_and_bounds_exit_one(source, message, tmp_path, capsys):
+    for doc in (pair_doc(), tableau_doc(), a3_doc()):  # the bases are valid
+        assert run(capsys, ["solve", write_json(tmp_path / "ok.json", doc)])[0] == 0
+    argv = source if isinstance(source, list) else [
+        "solve", write_json(tmp_path / "bad.json", source())
+    ]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("galloc: error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_mincost_refuses_the_ring(ring_file, tmp_path, capsys):
     costs = write_json(tmp_path / "c.json", {"a1": 1})
     rc, _, err = run(capsys, ["mincost", ring_file, costs])

@@ -43,7 +43,9 @@ from builders import (
     disjoint_union,
     latin,
     parallel_pair,
+    poset_corpus,
     relabelled,
+    tableau_market,
     two_swaps,
 )
 
@@ -207,13 +209,7 @@ def test_builds_shift_and_weigh_each_distinct_step_once(
 
 
 def memo_free_corpus():
-    return [
-        *acceptance_corpora(),
-        disjoint_union(make_ring_instance(2), make_ring_instance(4)),
-        *(make_ring_instance(q) for q in (2, 4, 6, 8)),
-        latin(4),
-        latin(5),
-    ]
+    return [*acceptance_corpora(), *poset_corpus()]
 
 
 def build_outcome(inst, general):
@@ -246,11 +242,45 @@ def test_memoized_builds_equal_builds_with_memo_free_walks(monkeypatch):
     insts = memo_free_corpus()  # fresh instances, fresh evaluator memos
     plain_built = [build_outcome(inst, general) for inst in insts for general in modes]
     assert plain_built == memoized
-    # The acceptance posets are small; the rings and Latin squares at the
-    # end give chains and repeated rotations in general mode, and so does
-    # the union of two rings before them.
-    assert all(len(d["elements"]) > 1 for d in memoized[-13::2])
-    assert len(memoized[-13]["elements"]) == 2 + 4
+    # The acceptance posets are almost all empty; the poset corpus at the
+    # end gives chains, antichains of parts and repeated rotations.
+    assert corpus_totals(memoized[-2 * len(poset_corpus()):]) == CORPUS_TOTALS
+
+
+# Per mode, of the poset corpus: elements, arcs and gapless refusals.
+CORPUS_TOTALS = {"gapless": (29, 18, 5), "general": (62, 44, 0)}
+
+
+def corpus_totals(outcomes):
+    """Totals as in CORPUS_TOTALS; the outcomes alternate gapless and general."""
+    totals = {}
+    for mode, docs in (("gapless", outcomes[0::2]), ("general", outcomes[1::2])):
+        built = [d for d in docs if isinstance(d, dict)]
+        totals[mode] = (
+            sum(len(d["elements"]) for d in built),
+            sum(len(d["hasse"]) for d in built),
+            len(docs) - len(built),
+        )
+    return totals
+
+
+def test_the_poset_corpus_verifies_against_the_oracle(tmp_path, capsys):
+    # Each closed function's image against the oracle's stable set, in
+    # both modes; a gapless refusal is the base route's, on exit code 1.
+    outcomes = []
+    for i, inst in enumerate(poset_corpus()):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(inst.to_dict()))
+        for flags in ([], ["--general"]):
+            rc = main(["poset", str(path), "--verify", "--limit", str(10**15), *flags])
+            out, err = capsys.readouterr()
+            if rc == 1 and not flags:
+                assert out == "" and err.endswith("the instance is not gapless\n")
+                outcomes.append(err)
+                continue
+            assert (rc, err) == (0, "")
+            outcomes.append(json.loads(out))
+    assert corpus_totals(outcomes) == CORPUS_TOTALS
 
 
 def component_of(inst):
@@ -264,16 +294,6 @@ def component_of(inst):
         for e in inst.edges
         if e.worker in part
     }
-
-
-def tableau_market():
-    """A connected 3 x 3 market of tableau firms whose poset is a two-chain."""
-    return generate(
-        GeneratorConfig(
-            seed=275, workers=3, firms=3, density=0.8,
-            capacity_bound=2, quota_bound=3, family="tableau",
-        )
-    )
 
 
 def merged(a, b):

@@ -12,6 +12,7 @@ from galloc import (
     compare_F,
     compare_W,
     generate,
+    instance_from_dict,
 )
 from galloc.choice import evaluator_for, interesting_at
 from galloc.stability import PointView
@@ -90,12 +91,32 @@ def test_disjoint_swaps_are_incomparable():
     assert compare_W(inst, x, y) == "incomparable"
 
 
+def test_a_join_choice_that_is_neither_point_is_incomparable():
+    # Firm f takes 2 of e1 > e2 > e3; from the join (1, 1, 1) of its
+    # restrictions (1, 0, 1) and (0, 1, 1) it keeps (1, 1, 0), neither.
+    inst = instance_from_dict(
+        {
+            "workers": ["w1", "w2", "w3"],
+            "firms": ["f"],
+            "edges": [
+                {"id": f"e{i}", "worker": f"w{i}", "firm": "f", "capacity": 1}
+                for i in (1, 2, 3)
+            ],
+            "worker_quotas": {"w1": 1, "w2": 1, "w3": 1},
+            "worker_orders": {"w1": ["e1"], "w2": ["e2"], "w3": ["e3"]},
+            "firm_cfs": {"f": {"type": "linear", "order": ["e1", "e2", "e3"], "quota": 2}},
+        }
+    )
+    x, y = inst.assignment((1, 0, 1)), inst.assignment((0, 1, 1))
+    assert evaluator_for(inst, "f")((1, 1, 1)) == (1, 1, 0)
+    assert compare_F(inst, x, y) == "incomparable"
+    assert compare_F(inst, y, x) == "incomparable"
+
+
 def test_comparison_rejects_unaccepted_restrictions():
     inst = one_on_one()
     doc = inst.to_dict()
     doc["edges"][0]["capacity"] = 2
-    from galloc import instance_from_dict
-
     wide = instance_from_dict(doc)
     with pytest.raises(GallocError, match="accepted restrictions"):
         compare_F(wide, wide.assignment((2,)), wide.assignment((0,)))
