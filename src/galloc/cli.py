@@ -105,7 +105,7 @@ def _cmd_solve(args) -> int:
                 f"{args.mode}imum stable assignment"
             )
     # Capacity reduction raises unless its fixpoint is stable.
-    _emit(solution_doc(inst, x, True))
+    _emit(solution_doc(inst, x))
     return 0
 
 
@@ -170,11 +170,13 @@ def _cmd_poset(args) -> int:
     poset = build_poset(inst, general=args.general)
     if args.verify:
         lat = _oracle(inst, args)
+        closed = enumerate_closed_functions(poset)
         images = {
             from_closed_function(inst, poset, ClosedFunction(v)).values
-            for v in enumerate_closed_functions(poset)
+            for v in closed
         }
-        if images != {el.values for el in lat.elements}:
+        # Equal sizes and equal image sets: a bijection.
+        if len(closed) != len(lat) or images != {el.values for el in lat.elements}:
             raise InvariantViolation(
                 "closed functions and enumerated stable set disagree"
             )
@@ -198,7 +200,7 @@ def _cmd_mincost(args) -> int:
     inst = load_instance(args.instance)
     result = min_cost_stable(inst, CostVector.load(inst, args.costs))
     # from_closed_function raises unless the point it returns is stable.
-    doc = solution_doc(inst, result.assignment, True)
+    doc = solution_doc(inst, result.assignment)
     doc["cost"] = fraction_str(result.cost)
     _emit(doc)
     return 0

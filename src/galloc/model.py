@@ -475,8 +475,9 @@ def load_assignment(inst: Instance, path: str | Path) -> Assignment:
     return assignment_from_doc(inst, _read_json(path))
 
 
-def solution_doc(inst: Instance, x: Assignment, stable: bool) -> dict[str, Any]:
-    return {"assignment": x.to_mapping(inst), "stable": stable}
+def solution_doc(inst: Instance, x: Assignment) -> dict[str, Any]:
+    """The output document of a point its pipeline has certified stable."""
+    return {"assignment": x.to_mapping(inst), "stable": True}
 
 
 # -- costs ---------------------------------------------------------------

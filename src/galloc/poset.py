@@ -218,12 +218,9 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     and the memos key on that object: one table holds its rotations,
     searched once, and each component's share of them, filtered once;
     another each step out of it, (point, rotation key) to (weight, next
-    point), shifted once.  A replayed step neither copies nor hashes the
-    point's values.  A weight search reads only the rotation's edges and
-    the local vectors of its firms, so the weights are memoized by the
-    key and those vectors; every search that runs is metered as always.
-    The searches carry one view from each point searched to the next;
-    the memo keeps rotations, not views.
+    point), weighed and shifted once.  A replayed step neither copies nor
+    hashes the point's values.  The searches carry one view from each
+    point searched to the next; the memo keeps rotations, not views.
     """
     xmin = xmin_by_capacity_reduction(inst).assignment
     # Interned points live as long as the build, so their ids are keys.
@@ -231,7 +228,6 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     # (point, component) to that component's rotations there; None: all.
     found: dict[tuple[int, int | None], tuple[Rotation, ...]] = {}
     moves: dict[tuple[int, tuple[str, ...]], tuple[int, Assignment]] = {}
-    weights: dict[tuple[tuple[str, ...], tuple[tuple[int, ...], ...]], int] = {}
     search = carried_search(inst)
     component = _edge_components(inst)  # a key's is its first edge's
 
@@ -251,11 +247,7 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     def step_at(x: Assignment, rot: Rotation) -> tuple[int, Assignment]:
         move = moves.get((id(x), rot.key))
         if move is None:
-            firms = dict.fromkeys(inst.edge(a).firm for a in rot.plus_edges)
-            local = (rot.key, tuple(inst.local_values(x, f) for f in firms))
-            tau = weights.get(local)
-            if tau is None:
-                tau = weights[local] = max_feasible_weight(inst, x, rot)
+            tau = max_feasible_weight(inst, x, rot)
             y = apply_rotation(inst, x, rot, tau)
             move = moves[(id(x), rot.key)] = (tau, points.setdefault(y.values, y))
         return move

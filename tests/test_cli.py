@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import galloc.poset
 from galloc import InvariantViolation, make_ring_instance, xmin_by_capacity_reduction
 from galloc.choice import A3_QUOTA_LIMIT
 from galloc.cli import main
 
-from builders import one_on_one, two_swaps
+from builders import latin, one_on_one, two_swaps
 
 X0 = {"a1": 0, "c1": 2, "d1": 2, "a2": 0, "c2": 2, "d2": 2, "a3": 0, "c3": 2, "d3": 2}
 X4 = {"a1": 4, "c1": 0, "d1": 0, "a2": 4, "c2": 0, "d2": 0, "a3": 4, "c3": 0, "d3": 0}
@@ -635,6 +637,92 @@ def test_internal_failures_exit_two(ring_file, capsys, monkeypatch):
     rc, _, err = run(capsys, ["solve", ring_file])
     assert rc == 2
     assert "invariant violation" in err
+
+
+def test_poset_verify_exits_two_unless_closed_functions_biject(ring_file, capsys, monkeypatch):
+    import galloc.cli as cli_mod
+
+    enumerate_closed = cli_mod.enumerate_closed_functions
+
+    def repeating(poset):
+        closed = enumerate_closed(poset)
+        return closed + closed[:1]  # same image set, one function too many
+
+    monkeypatch.setattr(cli_mod, "enumerate_closed_functions", repeating)
+    rc, out, err = run(capsys, ["poset", ring_file, "--general", "--verify"])
+    assert (rc, out) == (2, "")
+    assert err == (
+        "galloc: invariant violation: "
+        "closed functions and enumerated stable set disagree\n"
+    )
+
+
+def poset_general_ring4(tmp_path):
+    ring = write_json(tmp_path / "ring.json", make_ring_instance(4).to_dict())
+    return ["poset", ring, "--general"]
+
+
+def mincost_latin4(tmp_path):
+    inst = latin(4)
+    costs = write_json(tmp_path / "c.json", {e.id: 1 for e in inst.edges})
+    return ["mincost", write_json(tmp_path / "latin4.json", inst.to_dict()), costs]
+
+
+def deferral_routes(change):
+    """A patch that applies ``change`` to each route walked with ``pick``."""
+
+    def patch(monkeypatch):
+        walk = galloc.poset.walk_route
+
+        def broken(*args, **kwargs):
+            route = walk(*args, **kwargs)
+            return change(route) if "pick" in kwargs else route
+
+        monkeypatch.setattr(galloc.poset, "walk_route", broken)
+
+    return patch
+
+
+def drop_last_step(route):
+    return dataclasses.replace(route, steps=route.steps[:-1], end=route.steps[-2].end)
+
+
+def heavier_last_step(route):
+    last = dataclasses.replace(route.steps[-1], weight=route.steps[-1].weight + 1)
+    return dataclasses.replace(route, steps=route.steps[:-1] + (last,))
+
+
+def cut_without_a_predecessor(monkeypatch):
+    def cut(g, s, t, flow_func):
+        # The head of a precedence arc without its tail.
+        b = next(b for a, b in g.edges if a != s and b != t)
+        return 0, (set(g) - {t, b}, {t, b})
+
+    monkeypatch.setattr(galloc.poset.nx, "minimum_cut", cut)
+
+
+@pytest.mark.parametrize(
+    "command, patch, message",
+    [
+        (
+            poset_general_ring4,
+            deferral_routes(drop_last_step),
+            "a deferred route ended away from its component's maximum",
+        ),
+        (
+            poset_general_ring4,
+            deferral_routes(heavier_last_step),
+            "route weight multisets differ between full routes of a component",
+        ),
+        (mincost_latin4, cut_without_a_predecessor, "minimum cut side is not a down-set"),
+    ],
+    ids=["deferred-end", "deferred-multiset", "cut-down-set"],
+)
+def test_broken_invariants_exit_two(command, patch, message, tmp_path, capsys, monkeypatch):
+    patch(monkeypatch)
+    rc, out, err = run(capsys, command(tmp_path))
+    assert (rc, out) == (2, "")
+    assert err == f"galloc: invariant violation: {message}\n"
 
 
 def test_solve_max_exits_two_when_a_rotation_applies_at_the_top(ring_file, capsys, monkeypatch):

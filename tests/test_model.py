@@ -122,7 +122,7 @@ def test_assignment_doc_forms():
         assignment_from_doc(inst, {"nope": 1})
     with pytest.raises(ValidationError, match="outside"):
         assignment_from_doc(inst, {"e1": 2})
-    doc = solution_doc(inst, Assignment((1,)), True)
+    doc = solution_doc(inst, Assignment((1,)))
     assert doc == {"assignment": {"e1": 1}, "stable": True}
     assert assignment_from_doc(inst, doc).values == (1,)
 
