@@ -66,9 +66,18 @@ class Assignment:
 
     Attributes:
         values: one integer per edge, aligned with ``Instance.edges``.
+
+    The hash is ``hash(values)``, computed once per object.
     """
 
     values: tuple[int, ...]
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(self.values)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def to_mapping(self, inst: "Instance") -> dict[str, int]:
         return {e.id: v for e, v in zip(inst.edges, self.values)}

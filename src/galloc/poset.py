@@ -213,44 +213,28 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     length L_c, not |R| routes of the full length.
 
     These routes pass the same stable points many times, so a build pays
-    only for what it has not seen.  Each distinct point is one
-    ``Assignment`` object, interned by its values when first reached,
-    and the memos key on that object: one table holds its rotations,
-    searched once, and each component's share of them, filtered once;
-    another each step out of it, (point, rotation key) to (weight, next
-    point), weighed and shifted once.  A replayed step neither copies nor
-    hashes the point's values.  The searches carry one view from each
-    point searched to the next; the memo keeps rotations, not views.
+    only for what it has not seen.  Its memos are ``functools.cache``
+    entries, keyed on points that hash their values once: a point's
+    rotations, searched once; each component's share of them, filtered
+    once; and each step, (point, rotation) to (weight, next point),
+    weighed and shifted once.  A step interns the point it reaches, so a
+    replayed step neither copies nor hashes the point's values.  The
+    memos keep rotations, not the views the searches carry.
     """
     xmin = xmin_by_capacity_reduction(inst).assignment
-    # Interned points live as long as the build, so their ids are keys.
-    points = {xmin.values: xmin}
-    # (point, component) to that component's rotations there; None: all.
-    found: dict[tuple[int, int | None], tuple[Rotation, ...]] = {}
-    moves: dict[tuple[int, tuple[str, ...]], tuple[int, Assignment]] = {}
-    search = carried_search(inst)
+    points = {xmin: xmin}
+    rotations_at = functools.cache(carried_search(inst))
     component = _edge_components(inst)  # a key's is its first edge's
 
-    def rotations_at(x: Assignment, c: int | None = None) -> tuple[Rotation, ...]:
-        rots = found.get((id(x), c))
-        if rots is None:  # not read yet, or not the interned object
-            x = points.setdefault(x.values, x)
-            rots = found.get((id(x), c))
-            if rots is None:
-                if c is None:
-                    rots = search(x)
-                else:
-                    rots = tuple(r for r in rotations_at(x) if component[r.key[0]] == c)
-                found[(id(x), c)] = rots
-        return rots
+    @functools.cache
+    def share(c: int, x: Assignment) -> tuple[Rotation, ...]:
+        return tuple(r for r in rotations_at(x) if component[r.key[0]] == c)
 
+    @functools.cache
     def step_at(x: Assignment, rot: Rotation) -> tuple[int, Assignment]:
-        move = moves.get((id(x), rot.key))
-        if move is None:
-            tau = max_feasible_weight(inst, x, rot)
-            y = apply_rotation(inst, x, rot, tau)
-            move = moves[(id(x), rot.key)] = (tau, points.setdefault(y.values, y))
-        return move
+        tau = max_feasible_weight(inst, x, rot)
+        y = apply_rotation(inst, x, rot, tau)
+        return tau, points.setdefault(y, y)
 
     def walk(rotations: Callable[[Assignment], tuple[Rotation, ...]], **how) -> Route:
         return walk_route(inst, xmin, rotations_at=rotations, step_at=step_at, **how)
@@ -277,7 +261,7 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     for key in sorted(counts):
         c = component[key[0]]
         end, pairs = restricted[c]
-        rotations = functools.partial(rotations_at, c=c)
+        rotations = functools.partial(share, c)
         route = walk(
             rotations,
             pick=lambda rots, key=key: next((r for r in rots if r.key != key), rots[0]),
@@ -386,27 +370,34 @@ def enumerate_closed_functions(
             f"closed functions range over {raw} candidates, over the limit {limit}"
         )
     topo = linear_extension(poset)
-    preds: dict[int, list[int]] = {i: [] for i in topo}
+    preds: list[list[int]] = [[] for _ in poset.elements]
     for a, b in poset.hasse:
         preds[b].append(a)
+    weights = [el.weight for el in poset.elements]
     out: list[tuple[int, ...]] = []
-    values = [0] * len(poset.elements)
-
-    def rec(k: int) -> None:
-        if k == len(topo):
-            out.append(tuple(values))
-            return
-        i = topo[k]
-        full = all(values[j] == poset.elements[j].weight for j in preds[i])
-        choices = range(poset.elements[i].weight + 1) if full else (0,)
-        for v in choices:
-            values[i] = v
-            rec(k + 1)
-        values[i] = 0
-
-    rec(0)
+    _closed_from(0, topo, preds, weights, [0] * len(weights), out)
     out.sort()
     return tuple(out)
+
+
+def _closed_from(
+    k: int,
+    topo: tuple[int, ...],
+    preds: list[list[int]],
+    weights: list[int],
+    values: list[int],
+    out: list[tuple[int, ...]],
+) -> None:
+    """Extend ``values`` over ``topo[k:]`` in every closed way, into ``out``."""
+    if k == len(topo):
+        out.append(tuple(values))
+        return
+    i = topo[k]
+    full = all(values[j] == weights[j] for j in preds[i])
+    for v in range(weights[i] + 1) if full else (0,):
+        values[i] = v
+        _closed_from(k + 1, topo, preds, weights, values, out)
+    values[i] = 0
 
 
 def to_closed_function(

@@ -271,14 +271,13 @@ def _carried_rotations(
     on = parent.cycles
     if on is None:
         on = {inst.edge(a).worker: r for r in old for a in r.plus_edges}
-    # Cycles by identity: hashing a Rotation would hash its whole cycle.
-    gone = {id(r): r for r in (on.get(w) for w in view.changed) if r is not None}
+    gone = {r for r in (on.get(w) for w in view.changed) if r is not None}
     walked: dict[str, Tandem] = {}
     for w in view.changed:
         while w not in walked:
             t = moves.get(w)
             r = on.get(w)
-            if t is None or (r is not None and id(r) not in gone):
+            if t is None or (r is not None and r not in gone):
                 break
             walked[w] = t
             w = inst.edge(t.minus).worker
@@ -286,13 +285,13 @@ def _carried_rotations(
     if not gone and not new:
         return old, on
     cycles = dict(on)
-    for r in gone.values():
+    for r in gone:
         for a in r.plus_edges:
             del cycles[inst.edge(a).worker]
     for r in new:
         for a in r.plus_edges:
             cycles[inst.edge(a).worker] = r
-    kept = [r for r in old if id(r) not in gone]
+    kept = [r for r in old if r not in gone]
     return tuple(sorted(kept + list(new), key=lambda r: r.key)), cycles
 
 

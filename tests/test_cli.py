@@ -7,7 +7,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import galloc.poset
-from galloc import InvariantViolation, make_ring_instance, xmin_by_capacity_reduction
+from galloc import (
+    InvariantViolation,
+    make_ring_instance,
+    xmax_by_capacity_reduction,
+    xmin_by_capacity_reduction,
+)
 from galloc.choice import A3_QUOTA_LIMIT
 from galloc.cli import main
 
@@ -226,10 +231,16 @@ def test_missing_files_exit_one(tmp_path, capsys):
             {"f": {"type": "tableau-a3", "columns": 5, "quota": 2}},
             "firm 'f': 'columns' must be a list",
         ),
+        ("worker_quotas", {"w": 2.5}, "quota for worker 'w' is not an integer"),
+        (
+            "edges",
+            [{"id": "e", "worker": "w", "firm": "f"}],
+            "edge #0 missing keys ['capacity']",
+        ),
     ],
     ids=["quotas-list", "edges-int", "cf-int", "workers-string", "order-string",
          "order-list-entry", "order-bool-entry", "firm-order-string", "firm-order-list-entry",
-         "firm-columns-int"],
+         "firm-columns-int", "quota-float", "edge-no-capacity"],
 )
 def test_mistyped_instance_fields_exit_one(key, value, message, tmp_path, capsys):
     doc = {
@@ -657,9 +668,14 @@ def test_poset_verify_exits_two_unless_closed_functions_biject(ring_file, capsys
     )
 
 
-def poset_general_ring4(tmp_path):
-    ring = write_json(tmp_path / "ring.json", make_ring_instance(4).to_dict())
-    return ["poset", ring, "--general"]
+def ring4_file(*argv):
+    """A command that runs ``argv`` with ring 4 as its instance."""
+
+    def command(tmp_path):
+        ring = write_json(tmp_path / "ring.json", make_ring_instance(4).to_dict())
+        return [argv[0], ring, *argv[1:]]
+
+    return command
 
 
 def mincost_latin4(tmp_path):
@@ -701,22 +717,64 @@ def cut_without_a_predecessor(monkeypatch):
     monkeypatch.setattr(galloc.poset.nx, "minimum_cut", cut)
 
 
+def replaced(name, by):
+    """A patch that puts ``by`` in place of ``name`` in ``galloc.cli``."""
+    return lambda monkeypatch: monkeypatch.setattr(f"galloc.cli.{name}", by)
+
+
+def the_top(inst):
+    return xmax_by_capacity_reduction(inst).assignment
+
+
+def route_without_its_last_step(monkeypatch):
+    build = galloc.cli.build_full_route
+    monkeypatch.setattr(
+        "galloc.cli.build_full_route", lambda *a, **k: drop_last_step(build(*a, **k))
+    )
+
+
 @pytest.mark.parametrize(
     "command, patch, message",
     [
         (
-            poset_general_ring4,
+            ring4_file("solve", "--verify"),
+            replaced("xmin_by_capacity_reduction", xmax_by_capacity_reduction),
+            "solver and oracle disagree on the minimum stable assignment",
+        ),
+        (
+            ring4_file("solve", "--mode", "max", "--verify"),
+            replaced("xmax_by_capacity_reduction", xmin_by_capacity_reduction),
+            "solver and oracle disagree on the maximum stable assignment",
+        ),
+        (
+            ring4_file("route", "--verify"),
+            route_without_its_last_step,
+            "route endpoints disagree with the oracle",
+        ),
+        (
+            ring4_file("bench"),
+            replaced("solve_xmin_by_stages", the_top),
+            "the two minimum pipelines disagree",
+        ),
+        (
+            ring4_file("bench"),
+            replaced("xmax_by_capacity_reduction", xmin_by_capacity_reduction),
+            "the two maximum pipelines disagree",
+        ),
+        (
+            ring4_file("poset", "--general"),
             deferral_routes(drop_last_step),
             "a deferred route ended away from its component's maximum",
         ),
         (
-            poset_general_ring4,
+            ring4_file("poset", "--general"),
             deferral_routes(heavier_last_step),
             "route weight multisets differ between full routes of a component",
         ),
         (mincost_latin4, cut_without_a_predecessor, "minimum cut side is not a down-set"),
     ],
-    ids=["deferred-end", "deferred-multiset", "cut-down-set"],
+    ids=["solve-min", "solve-max", "route", "bench-min", "bench-max", "deferred-end",
+         "deferred-multiset", "cut-down-set"],
 )
 def test_broken_invariants_exit_two(command, patch, message, tmp_path, capsys, monkeypatch):
     patch(monkeypatch)

@@ -257,6 +257,27 @@ def test_extremes_of_larger_rings():
 # -- both extremes by capacity reduction ---------------------------------
 
 
+def quota_zero_market():
+    """Two workers who swap two firms, and a third at quota 0."""
+    edges = ("a w1 f1", "b w1 f2", "c w2 f1", "d w2 f2", "z w0 f1")
+    return instance_from_dict(
+        {
+            "workers": ["w1", "w2", "w0"],
+            "firms": ["f1", "f2"],
+            "edges": [
+                {"id": e, "worker": w, "firm": f, "capacity": 1}
+                for e, w, f in map(str.split, edges)
+            ],
+            "worker_quotas": {"w1": 1, "w2": 1, "w0": 0},
+            "worker_orders": {"w1": ["a", "b"], "w2": ["d", "c"], "w0": ["z"]},
+            "firm_cfs": {
+                "f1": {"type": "linear", "order": ["c", "z", "a"], "quota": 1},
+                "f2": {"type": "linear", "order": ["b", "d"], "quota": 1},
+            },
+        }
+    )
+
+
 CORPORA = {
     "acceptance": (acceptance_corpora, 300),
     "rings": (lambda: [make_ring_instance(q) for q in range(2, 9, 2)], 3),
@@ -264,6 +285,8 @@ CORPORA = {
     "oracle_corpus": (
         lambda: [instance_from_dict(b.doc) for b in oracle_corpus(1)], 100
     ),
+    # The stages skip a worker at quota 0 when they build reversal sets.
+    "quota_zero": (lambda: [quota_zero_market()], 1),
 }
 
 

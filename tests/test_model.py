@@ -1,5 +1,6 @@
 import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,16 @@ def test_restrict_uses_canonical_local_order(ring4):
     assert ring4.size_at(x, "f1") == 3
 
 
+def test_assignments_hash_as_their_values():
+    values = (2, 0, 1)
+    x, y = Assignment(values), Assignment((2, 0, 1))
+    assert x is not y and x == y
+    assert hash(x) == hash(y) == hash(values)
+    assert {x: "found"}[y] == "found"
+    for z in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert z == x and hash(z) == hash(x)
+
+
 def test_cost_vector_parsing_and_exactness():
     inst = parallel_pair(1)
     cv = CostVector.from_doc(inst, {"e1": 1, "e2": 0.1})
@@ -152,8 +163,9 @@ def test_cost_vector_parsing_and_exactness():
     assert cv.values[0] == Fraction(2, 3)
     with pytest.raises(ValidationError, match="unknown edge"):
         CostVector.from_doc(inst, {"zz": 1})
-    with pytest.raises(ValidationError, match="not a number"):
-        CostVector.from_doc(inst, {"e1": True})
+    for bad in (True, "abc", "1/0"):
+        with pytest.raises(ValidationError, match="not a number"):
+            CostVector.from_doc(inst, {"e1": bad})
     ints, scale = CostVector.from_doc(inst, {"e1": 0.5, "e2": "1/3"}).scaled_integers()
     assert ints == (3, 2) and scale == 6
 

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import networkx as nx
 import pytest
@@ -525,3 +527,32 @@ def test_min_cost_handles_fractions():
 def test_min_cost_needs_a_gapless_instance(ring4):
     with pytest.raises(GaplessnessError):
         min_cost_stable(ring4, CostVector.from_doc(ring4, {"a1": -1}))
+
+
+def cheapest_on_latin4(inst):
+    return min_cost_stable(inst, CostVector.from_doc(inst, {"e0_1": -1}))
+
+
+@pytest.mark.parametrize(
+    "make, use",
+    [
+        (lambda: make_ring_instance(4), lambda inst: build_poset(inst, general=True)),
+        (lambda: latin(4), cheapest_on_latin4),
+        (lambda: build_poset(two_swaps(1, 3)), enumerate_closed_functions),
+    ],
+    ids=["general-build", "min-cost", "closed-functions"],
+)
+def test_no_reference_cycle_outlives_the_call(make, use):
+    # With the collector off, an object left in a reference cycle stays
+    # alive after its last outside reference is dropped.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        obj = make()
+        ref = weakref.ref(obj)
+        use(obj)
+        del obj
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
