@@ -23,11 +23,12 @@ all-rotations search keeps the pointers it has already advanced.  The
 cycles are carried the same way: a cycle of the last point none of whose
 workers changed its move is still a cycle, and the new ones are read
 only from the walks out of the workers that did (Gusfield & Irving keep
-the rotations already found, section 3.3).  A point whose every vertex
-moved is searched in full, with nothing carried.  The maximal shiftable
-weight is found per displacement pair by binary search; the number of
-fresh choice-function evaluations it spends is metered against a hard
-budget.
+the rotations already found, section 3.3).  There is one search: a point
+with no searched parent, or whose every vertex moved, is searched as the
+child of a point with no moves and no cycles, so every move is changed
+and every cycle is read.  The maximal shiftable weight is found per
+displacement pair by binary search; the number of fresh choice-function
+evaluations it spends is metered against a hard budget.
 """
 
 from __future__ import annotations
@@ -55,25 +56,21 @@ class Tandem:
 class Rotation:
     """An alternating cycle of admissible edges.
 
-    ``cycle`` lists edge ids: worker-chosen, displaced, worker-chosen,
+    ``key`` lists edge ids: worker-chosen, displaced, worker-chosen,
     displaced, ...  It is rotated so the first entry belongs to the
     worker with the smallest canonical index, which makes it a usable
     identity key.  Workers occur at most once; firms may repeat.
     """
 
-    cycle: tuple[str, ...]
+    key: tuple[str, ...]
 
     @property
     def plus_edges(self) -> tuple[str, ...]:
-        return self.cycle[0::2]
+        return self.key[0::2]
 
     @property
     def minus_edges(self) -> tuple[str, ...]:
-        return self.cycle[1::2]
-
-    @property
-    def key(self) -> tuple[str, ...]:
-        return self.cycle
+        return self.key[1::2]
 
 
 @dataclass(frozen=True)
@@ -138,28 +135,32 @@ def build_auxiliary(view: PointView) -> dict[str, Tandem | None]:
     The stability check and the moves are read from the view, which may
     be built from the view of another stable point, and the moves are
     stored in it; the result is ``view.moves`` itself.  From a stable
-    parent only the dirty workers and the workers of dirty firms are
-    searched again: any other worker keeps its vector, and so does every
-    firm its scan and its displacement read.  The searched workers whose
-    move differs from the parent's, absorbed or none counting as one,
-    are stored as ``view.changed``.
+    parent whose rotations were searched, only the dirty workers and the
+    workers of dirty firms are searched again: any other worker keeps
+    its vector, and so does every firm its scan and its displacement
+    read.  Any other parent is dropped and every worker is searched, as
+    below a parent with no moves.  The searched workers whose move
+    differs from the parent's, absorbed or none counting as one, are
+    stored as ``view.changed``.
     """
     report = view.report
     if not report.stable:
         raise GallocError(f"auxiliary structure needs a stable assignment; {report}")
     if view.moves is None:
-        inst = view.inst
-        old = None if view.parent is None else view.parent.moves
+        inst, parent = view.inst, view.parent
+        old: dict[str, Tandem | None] = {}
         stale: set[str] | None = None
-        changed: list[str] | None = None
-        if old is not None:
-            stale, changed = set(), []
+        if parent is not None and parent.rotations is not None:
+            old, stale = parent.moves, set()
             for v in view.dirty:
                 if inst.is_worker(v):
                     stale.add(v)
                 else:
                     stale.update(inst.edges[i].worker for i in inst.edge_indices(v))
+        else:
+            view.parent = None  # never searched: it has no rotations to carry
         moves: dict[str, Tandem | None] = {}
+        changed: list[str] = []
         for w in inst.workers:
             if stale is not None and w not in stale:
                 if w in old:
@@ -170,7 +171,7 @@ def build_auxiliary(view: PointView) -> dict[str, Tandem | None]:
                 move = admissible_move(view, w)
                 if move is not None:
                     moves[w] = move[1]
-            if changed is not None and moves.get(w) != old.get(w):
+            if moves.get(w) != old.get(w):
                 changed.append(w)
         view.moves, view.changed = moves, changed
     return view.moves
@@ -234,65 +235,64 @@ def applicable_rotations(
     """All rotations applicable at a stable assignment, canonical order.
 
     ``view`` is the view of ``x``; this is the one search that builds
-    one when none is given.  The answer is stored in the view.  From a
-    stable parent that was searched, the parent's cycles are carried
-    (see ``_carried_rotations``); otherwise every cycle is extracted.
+    one when none is given.  The answer is stored in the view.  Every
+    search carries its parent's rotations (see ``_carried_rotations``);
+    a view with no searched parent is searched as the child of a point
+    with no moves and no rotations.
     """
     if view is None:
         view = PointView(inst, x)
     if view.rotations is None:
-        moves = build_auxiliary(view)
-        parent = view.parent
-        if view.changed is None or parent.rotations is None:
-            view.rotations = extract_rotations(inst, clean(inst, moves))
-        else:
-            view.rotations, view.cycles = _carried_rotations(view, parent)
+        build_auxiliary(view)
+        view.rotations = _carried_rotations(view)
         view.parent = None
     return view.rotations
 
 
-def _carried_rotations(
-    view: PointView, parent: PointView
-) -> tuple[tuple[Rotation, ...], dict[str, Rotation]]:
-    """The view's rotations and cycle map, from its searched parent's.
+def _carried_rotations(view: PointView) -> tuple[Rotation, ...]:
+    """The view's rotations, from its parent's and its changed workers.
 
     The successor map differs from the parent's only at the changed
     workers.  A parent cycle with no changed worker is still a cycle,
-    and every new cycle passes a changed worker, so the parent's other
-    cycles are kept and the new ones are found by walking from the
-    changed workers.  A walk stops at a worker with no successor, at a
-    worker already walked, and at a worker on a kept cycle, which leads
-    only around that cycle.  ``clean`` and ``extract_rotations`` then
-    read the new cycles off the walked moves alone.  A parent searched
-    in full has no cycle map yet; it is built here, so that a search
-    with no child to carry to does not pay for one.
+    and every new cycle passes a changed worker.  The walks of the
+    parent's map from the changed workers close each parent cycle they
+    reach once; one that holds a changed worker is broken, and the
+    parent rotations kept are those whose first added edge is on no
+    broken cycle.  The new cycles are read by ``clean`` and
+    ``extract_rotations`` off the walks of the new map from the changed
+    workers, which stop at a worker with no successor or one already
+    walked.  A walk that runs into a kept cycle reads it again, and the
+    kept copy is dropped.  Below a parent with no moves every move is
+    changed, so the moves are read whole.
     """
-    inst, moves, old = view.inst, view.moves, parent.rotations
-    on = parent.cycles
-    if on is None:
-        on = {inst.edge(a).worker: r for r in old for a in r.plus_edges}
-    gone = {r for r in (on.get(w) for w in view.changed) if r is not None}
-    walked: dict[str, Tandem] = {}
-    for w in view.changed:
-        while w not in walked:
-            t = moves.get(w)
-            r = on.get(w)
-            if t is None or (r is not None and r not in gone):
-                break
-            walked[w] = t
-            w = inst.edge(t.minus).worker
+    inst, moves, changed, parent = view.inst, view.moves, view.changed, view.parent
+    old, rotations = ({}, ()) if parent is None else (parent.moves, parent.rotations)
+    drop: set[str] = set()  # the added edges of the broken cycles
+    walked: dict[str, Tandem | None] = moves
+    if old:
+        ours, reached = set(changed), {}
+        for w in changed:
+            trail, v = [], w
+            while v not in reached and (t := old.get(v)) is not None:
+                reached[v] = w
+                trail.append(v)
+                v = inst.edge(t.minus).worker
+            if reached.get(v) == w:  # this walk closed a parent cycle at v
+                cycle = trail[trail.index(v):]
+                if not ours.isdisjoint(cycle):
+                    drop.update(old[u].plus for u in cycle)
+        walked = {}
+        for w in changed:
+            while w not in walked and (t := moves.get(w)) is not None:
+                walked[w] = t
+                w = inst.edge(t.minus).worker
     new = extract_rotations(inst, clean(inst, walked)) if walked else ()
-    if not gone and not new:
-        return old, on
-    cycles = dict(on)
-    for r in gone:
-        for a in r.plus_edges:
-            del cycles[inst.edge(a).worker]
-    for r in new:
-        for a in r.plus_edges:
-            cycles[inst.edge(a).worker] = r
-    kept = [r for r in old if r not in gone]
-    return tuple(sorted(kept + list(new), key=lambda r: r.key)), cycles
+    if not drop and not new:
+        return rotations
+    # A kept cycle read anew starts at the same added edge.
+    drop.update(r.key[0] for r in new)
+    kept = [r for r in rotations if r.key[0] not in drop]
+    return tuple(sorted(kept + list(new), key=lambda r: r.key))
 
 
 def weight_budget(inst: Instance, rot: Rotation) -> int:

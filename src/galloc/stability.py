@@ -78,18 +78,17 @@ class PointView:
     otherwise it checks everything.
 
     A rotation search stores its results in the view: ``moves``, each
-    filled worker's admissible move; ``changed``, the workers whose move
-    differs from the parent's (None when every move was searched);
-    ``rotations``, the search's answer; and ``cycles``, each cycle
-    worker's rotation, kept only by a search that carried its parent's
-    cycles.  ``parent`` is the stable parent's view, kept only until the
-    search has read its moves and rotations, so that no chain of views
-    stays alive.
+    filled worker's admissible move; ``changed``, the searched workers
+    whose move differs from the parent's, a list also when there is no
+    parent to carry from, which counts as one with no moves; and
+    ``rotations``, the search's answer.  ``parent`` is the stable
+    parent's view, kept only until the search has read its moves and
+    rotations, so that no chain of views stays alive.
     """
 
     __slots__ = (
         "inst", "x", "local", "wants", "dirty", "_scope", "_report",
-        "parent", "moves", "changed", "rotations", "cycles",
+        "parent", "moves", "changed", "rotations",
     )
 
     def __init__(self, inst: Instance, x: Assignment, parent: PointView | None = None) -> None:
@@ -121,7 +120,6 @@ class PointView:
         self.moves: dict | None = None
         self.changed: list[str] | None = None
         self.rotations: tuple | None = None
-        self.cycles: dict | None = None
 
     @property
     def report(self) -> StabilityReport:

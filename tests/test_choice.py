@@ -147,20 +147,41 @@ def test_axioms_hold_for_builtin_rules():
         assert report.passed, report.failures
 
 
-def test_axiom_checker_catches_a_bad_rule():
-    class IdentityChoice(ChoiceEvaluator):
+@pytest.mark.parametrize(
+    "rule, quota, axioms",
+    [
+        (lambda z: z, 1, {"quota-filling"}),
+        (
+            lambda z: (z[1], z[0]),
+            2,
+            {"containment", "idempotence", "stationarity", "substitutability"},
+        ),
+        (
+            lambda z: z if sum(z) <= 1 else (0, 0),
+            2,
+            {"consistence", "quota-filling", "size-monotonicity", "stationarity"},
+        ),
+    ],
+    ids=["identity", "swap", "collapse"],
+)
+def test_axiom_checker_catches_a_bad_rule(rule, quota, axioms):
+    # Between them the three rules fail every axiom the checker knows.
+    class BadChoice(ChoiceEvaluator):
         def _evaluate(self, z):
-            return z
+            return rule(z)
 
-    report = check_axioms(IdentityChoice("f", "tableau", (1, 1), 1))
+    report = check_axioms(BadChoice("f", "tableau", (1, 1), quota))
     assert not report.passed
-    assert "quota-filling" in {f.axiom for f in report.failures}
+    assert {f.axiom for f in report.failures} == axioms
 
 
 def test_axiom_checker_pair_limit():
     cf = LinearChoice("w", "worker-linear", (3, 3, 3), (0, 1, 2), 4)
     with pytest.raises(LimitError, match="over the limit"):
         check_axioms(cf, pair_limit=10)
+    # The gapless check refuses the same way, before it reads a triple.
+    with pytest.raises(LimitError, match="triples, over the limit of 10"):
+        check_gapless(cf, triple_limit=10)
 
 
 def tableau_specs():

@@ -331,6 +331,10 @@ INVALID = [
      "firm 'f': unknown keys ['x']"),
     ("spec-negative-quota", lambda: pair_doc(dict(LINEAR, quota=-1)),
      "firm 'f': negative quota -1"),
+    ("spec-unknown-type", lambda: pair_doc({"type": "quadratic", "quota": 1}),
+     "firm 'f': unknown choice function type 'quadratic'"),
+    ("spec-missing-order", lambda: pair_doc({"type": "linear", "quota": 1}),
+     "firm 'f': missing 'order'"),
     ("a3-odd-quota", lambda: a3_doc(quota=3),
      "tableau-a3 quota must be even and >= 2"),
     ("a3-small-quota", lambda: a3_doc(quota=0),

@@ -136,6 +136,10 @@ def test_shift_checks_the_box():
         shift(inst, x, ["e1"], [], 2)
     with pytest.raises(GallocError, match="negative"):
         shift(inst, x, [], ["e2"], 2)
+    with pytest.raises(GallocError, match="shift weight must be nonnegative"):
+        shift(inst, x, ["e1"], ["e2"], -1)
+    with pytest.raises(GallocError, match="assignment has 3 values for 2 edges"):
+        inst.assignment((1, 2, 3))
 
 
 def test_restrict_uses_canonical_local_order(ring4):

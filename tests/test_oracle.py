@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import tracemalloc
@@ -15,8 +16,9 @@ from galloc import (
 )
 from galloc import oracle
 from galloc.choice import box_size, evaluator_for, interesting_at, iter_box
+from galloc.oracle import EnumeratedLattice
 
-from builders import latin, one_on_one, two_swaps
+from builders import latin, one_on_one, parallel_pair, two_swaps
 
 RING_CHAIN = ((0, 2, 2), (1, 2, 1), (2, 1, 1), (3, 1, 0), (4, 0, 0))
 
@@ -70,6 +72,53 @@ def test_lattice_properties_hold(ring4):
     for inst in (ring4, two_swaps(), two_swaps(2, 3)):
         report = verify_lattice_properties(enumerate_stable(inst))
         assert report.ok, report.problems
+
+
+def test_lattice_check_reports_hand_broken_lattices(ring4):
+    swaps = enumerate_stable(two_swaps())
+    keep = [i for i, x in enumerate(swaps.elements) if x != swaps.max_element]
+    topless = dataclasses.replace(
+        swaps,
+        elements=tuple(swaps.elements[i] for i in keep),
+        order=tuple(tuple(swaps.order[i][j] for j in keep) for i in keep),
+    )
+    ring = enumerate_stable(ring4)
+    flip = {"less": "greater", "greater": "less"}
+    reversed_ring = dataclasses.replace(
+        ring,
+        order=tuple(tuple(flip.get(r, r) for r in row) for row in ring.order),
+        min_element=ring.max_element,
+        max_element=ring.min_element,
+    )
+    # The pentagon on the ring's points: 0 < 1 < 2 < 4 and 0 < 3 < 4.
+    below = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)}
+
+    def rel(i, j):
+        if i == j:
+            return "equal"
+        if (i, j) in below:
+            return "less"
+        return "greater" if (j, i) in below else "incomparable"
+
+    pentagon = dataclasses.replace(
+        ring, order=tuple(tuple(rel(i, j) for j in range(5)) for i in range(5))
+    )
+    # w1 holds one unit of its quota 2, on a different edge at each element.
+    short = parallel_pair(1, worker_quota=2)
+    x, y = short.assignment((1, 0)), short.assignment((0, 1))
+    wandering = EnumeratedLattice(short, (x, y), (("equal", "less"), ("greater", "equal")), x, y)
+    for lat, problem in (
+        (topless, "elements 1 and 2 lack a join or meet"),
+        (reversed_ring,
+         "polarity fails between elements 0 and 1: firm order greater, worker order greater"),
+        (dataclasses.replace(ring, elements=(ring4.zero(),) + ring.elements[1:]),
+         "vertex w1 changes size across elements: [0, 4]"),
+        (pentagon, "meet does not distribute over join on (2, 1, 3)"),
+        (wandering, "deficient vertex w1 changes its restriction across elements"),
+    ):
+        report = verify_lattice_properties(lat)
+        assert not report.ok
+        assert problem in report.problems
 
 
 def test_enumeration_refuses_oversized_boxes(ring4):

@@ -28,7 +28,7 @@ from galloc import (
     route_to_target,
     solve_extremes,
 )
-from galloc.rotation import build_auxiliary
+from galloc.rotation import build_auxiliary, clean, extract_rotations
 from galloc.stability import PointView
 from perfbench.corpus import latin, oracle_corpus, random_complete, rings
 
@@ -68,6 +68,7 @@ def assert_view_is_full(inst, x, view):
     assert build_auxiliary(view) is view.moves  # the search left them whole
     assert view.moves == build_auxiliary(PointView(inst, x))
     assert got == applicable_rotations(inst, x)
+    assert got == extract_rotations(inst, clean(inst, build_auxiliary(PointView(inst, x))))
 
 
 @pytest.fixture
@@ -133,6 +134,23 @@ def test_views_advance_from_far_parents(name):
                 assert view.dirty == (None if all_moved else moved)
                 assert_view_is_full(inst, y, view)
             prev = view
+
+
+def test_a_child_of_a_parent_never_searched_is_searched_as_if_it_had_none():
+    # Only the moves were built at the parent, so it has no rotations to
+    # carry; the child must not read its changed workers off those moves.
+    inst = load(rings(4, 4))
+    route = build_full_route(inst)
+    points = [route.start] + [step.end for step in route.steps]
+    assert len(points) == 17
+    for x, y in zip(points, points[1:]):
+        parent = PointView(inst, x)
+        build_auxiliary(parent)
+        child = PointView(inst, y, parent)
+        assert child.parent is parent
+        assert applicable_rotations(inst, y, child) == applicable_rotations(inst, y)
+        assert child.parent is None
+        assert child.changed == [w for w, t in child.moves.items() if t is not None]
 
 
 def test_unstable_children_of_a_stable_point_fail_as_the_full_check_does(ring4):
