@@ -8,10 +8,11 @@ and minimum-cost selection reduces to a minimum cut over the poset.
 
 The poset is built from one full route and one deferral route per
 rotation.  A rotation lies in one connected component of the market,
-and its deferral route walks only that component, so a build costs the
-base route plus, per component c, |R_c| routes of that component's
-length: on k equal submarkets, k times fewer points than routes over
-the whole market.
+and its deferral route starts where every other component is at its
+maximum, so only its own component moves: a build costs the base route
+plus, per component c, |R_c| routes of that component's length, on k
+equal submarkets k times fewer points than routes over the whole
+market.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import functools
 import heapq
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -201,23 +202,25 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
 
     A rotation is a cycle of edges, so it lies in one connected
     component of the market, and stability is local to each vertex's
-    edges: the stable set is the product of the components' own.  A
-    deferral route therefore walks only its key's component, from the
-    minimum, and sees only that component's rotations.  Where the
-    global route would shift the deferred key, it is the only rotation
-    offered, so every other component is at its maximum and offers no
-    successor; the component's steps are the same with or without the
-    others interleaved.  Its end and multiset are checked against the
-    base route's, restricted to the component.  A build walks the base
-    route plus, per component c, |R_c| routes of that component's
-    length L_c, not |R| routes of the full length.
+    edges: the stable set is the product of the components' own, and a
+    component's rotations and weights at a point depend on its edges
+    alone.  A deferral route therefore starts at the minimum on its
+    key's component and at the base route's end, the maximum, on every
+    other edge.  The other components offer no rotation there, so the
+    route walks only its key's component, and where it shifts the
+    deferred key, that key is the only rotation offered anywhere; the
+    component's steps are the same with or without the others
+    interleaved.  Its end is checked against the base route's and its
+    multiset against the base route's share of the component.  A build
+    walks the base route plus, per component c, |R_c| routes of that
+    component's length L_c, not |R| routes of the full length.
 
     These routes pass the same stable points many times, so a build pays
     only for what it has not seen.  Its memos are ``functools.cache``
     entries, keyed on points that hash their values once: a point's
-    rotations, searched once; each component's share of them, filtered
-    once; and each step, (point, rotation) to (weight, next point),
-    weighed and shifted once.  A step interns the point it reaches, so a
+    rotations, searched once; and each step, (point, rotation) to
+    (weight, next point), weighed and shifted once.  A step interns the
+    point it reaches, and so does each deferral route its start, so a
     replayed step neither copies nor hashes the point's values.  The
     memos keep rotations, not the views the searches carry.
     """
@@ -227,46 +230,40 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     component = _edge_components(inst)  # a key's is its first edge's
 
     @functools.cache
-    def share(c: int, x: Assignment) -> tuple[Rotation, ...]:
-        return tuple(r for r in rotations_at(x) if component[r.key[0]] == c)
-
-    @functools.cache
     def step_at(x: Assignment, rot: Rotation) -> tuple[int, Assignment]:
         tau = max_feasible_weight(inst, x, rot)
         y = apply_rotation(inst, x, rot, tau)
         return tau, points.setdefault(y, y)
 
-    def walk(rotations: Callable[[Assignment], tuple[Rotation, ...]], **how) -> Route:
-        return walk_route(inst, xmin, rotations_at=rotations, step_at=step_at, **how)
+    def walk(start: Assignment, **how) -> Route:
+        return walk_route(inst, start, rotations_at=rotations_at, step_at=step_at, **how)
 
-    base = walk(rotations_at, assume_gapless=mode == "gapless")
+    base = walk(xmin, assume_gapless=mode == "gapless")
     pair_multiset = route_pairs(base)
     counts = Counter(step.rotation.key for step in base.steps)
 
-    # Per component: the base end on its edges and the minimum elsewhere,
+    # Per component: the minimum on its edges and the base end elsewhere,
     # and its share of the multiset.
-    restricted: dict[int, tuple[tuple[int, ...], Counter]] = {}
+    restricted: dict[int, tuple[Assignment, Counter]] = {}
     for c in sorted({component[key[0]] for key in counts}):
-        end = tuple(
-            b if component[e.id] == c else a
+        start = Assignment(tuple(
+            a if component[e.id] == c else b
             for a, b, e in zip(xmin.values, base.end.values, inst.edges)
-        )
+        ))
         pairs = Counter(
             {p: n for p, n in pair_multiset.items() if component[p[0][0]] == c}
         )
-        restricted[c] = (end, pairs)
+        restricted[c] = (points.setdefault(start, start), pairs)
 
     elements: list[PosetElement] = []
     arcs: set[tuple[tuple, tuple]] = set()  # between (key, occurrence) pairs
     for key in sorted(counts):
-        c = component[key[0]]
-        end, pairs = restricted[c]
-        rotations = functools.partial(share, c)
+        start, pairs = restricted[component[key[0]]]
         route = walk(
-            rotations,
+            start,
             pick=lambda rots, key=key: next((r for r in rots if r.key != key), rots[0]),
         )
-        if route.end.values != end:
+        if route.end.values != base.end.values:
             raise InvariantViolation(
                 "a deferred route ended away from its component's maximum"
             )
@@ -292,7 +289,7 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
                 continue
             i = shifted[key] - 1
             elements.append(PosetElement(key, i, s.weight))
-            for succ in rotations(s.end):
+            for succ in rotations_at(s.end):
                 j = shifted[succ.key]
                 if not 0 <= j < counts[succ.key]:
                     raise InvariantViolation(

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .choice import evaluator_for, total_fresh_evaluations
 from .errors import GallocError, InvariantViolation
@@ -43,8 +43,7 @@ from .model import Assignment, Instance, shift, shift_room
 from .stability import PointView
 
 
-@dataclass(frozen=True)
-class Tandem:
+class Tandem(NamedTuple):
     """At ``firm``, one extra unit on ``plus`` displaces one unit of ``minus``."""
 
     firm: str
@@ -130,18 +129,19 @@ def build_auxiliary(view: PointView) -> dict[str, Tandem | None]:
 
     Maps every worker at a positive quota that it fills and that has an
     admissible edge to the displacement pair the edge starts, or to None
-    when the far firm absorbs the unit outright.  Canonical worker order.
+    when the far firm absorbs the unit outright.  Not in canonical
+    worker order: a carried search adds the moves that appear last.
 
     The stability check and the moves are read from the view, which may
     be built from the view of another stable point, and the moves are
-    stored in it; the result is ``view.moves`` itself.  From a stable
-    parent whose rotations were searched, only the dirty workers and the
-    workers of dirty firms are searched again: any other worker keeps
-    its vector, and so does every firm its scan and its displacement
-    read.  Any other parent is dropped and every worker is searched, as
-    below a parent with no moves.  The searched workers whose move
-    differs from the parent's, absorbed or none counting as one, are
-    stored as ``view.changed``.
+    stored in it; the result is ``view.moves`` itself.  The moves start
+    as a copy of a stable parent's whose rotations were searched, and
+    only the dirty workers and the workers of dirty firms are searched
+    again: any other worker keeps its move, and so does every firm its
+    scan and its displacement read.  Any other parent is dropped and
+    every worker is searched, from no moves.  The searched workers whose
+    move differs from the parent's, absorbed or none counting as one,
+    are stored as ``view.changed``, in canonical order.
     """
     report = view.report
     if not report.stable:
@@ -149,28 +149,27 @@ def build_auxiliary(view: PointView) -> dict[str, Tandem | None]:
     if view.moves is None:
         inst, parent = view.inst, view.parent
         old: dict[str, Tandem | None] = {}
-        stale: set[str] | None = None
+        stale = inst.workers
         if parent is not None and parent.rotations is not None:
-            old, stale = parent.moves, set()
+            old, dirty = parent.moves, set()
             for v in view.dirty:
                 if inst.is_worker(v):
-                    stale.add(v)
+                    dirty.add(v)
                 else:
-                    stale.update(inst.edges[i].worker for i in inst.edge_indices(v))
+                    dirty.update(inst.edges[i].worker for i in inst.edge_indices(v))
+            stale = sorted(dirty, key=inst.worker_index.__getitem__)
         else:
             view.parent = None  # never searched: it has no rotations to carry
-        moves: dict[str, Tandem | None] = {}
+        moves = dict(old)
         changed: list[str] = []
-        for w in inst.workers:
-            if stale is not None and w not in stale:
-                if w in old:
-                    moves[w] = old[w]
-                continue
+        for w in stale:
             quota = inst.quota(w)
-            if quota and sum(view.local[w]) == quota:
-                move = admissible_move(view, w)
-                if move is not None:
-                    moves[w] = move[1]
+            filled = quota and sum(view.local[w]) == quota
+            move = admissible_move(view, w) if filled else None
+            if move is None:
+                moves.pop(w, None)
+            else:
+                moves[w] = move[1]
             if moves.get(w) != old.get(w):
                 changed.append(w)
         view.moves, view.changed = moves, changed
@@ -184,7 +183,7 @@ def clean(inst: Instance, moves: dict[str, Tandem | None]) -> dict[str, Tandem]:
     an absorbed move has none.  Workers nothing points into are deleted
     and the deletion cascades.  As every worker has at most one
     successor, the survivors are exactly the cycle workers, each with
-    one predecessor.  Canonical worker order.
+    one predecessor.  In the order of the moves.
     """
     succ = {w: None if t is None else inst.edge(t.minus).worker for w, t in moves.items()}
     indeg = Counter(succ.values())

@@ -331,6 +331,10 @@ INVALID = [
      "firm 'f': unknown keys ['x']"),
     ("spec-negative-quota", lambda: pair_doc(dict(LINEAR, quota=-1)),
      "firm 'f': negative quota -1"),
+    ("spec-string-quota", lambda: pair_doc(dict(LINEAR, quota="1")),
+     "firm 'f': quota is not an integer"),
+    ("spec-boolean-quota", lambda: pair_doc(dict(LINEAR, quota=True)),
+     "firm 'f': quota is not an integer"),
     ("spec-unknown-type", lambda: pair_doc({"type": "quadratic", "quota": 1}),
      "firm 'f': unknown choice function type 'quadratic'"),
     ("spec-missing-order", lambda: pair_doc({"type": "linear", "quota": 1}),

@@ -11,12 +11,14 @@ from fractions import Fraction
 import galloc.lattice
 import galloc.poset
 from galloc import (
+    Assignment,
     CostVector,
     GallocError,
     GaplessnessError,
     GeneratorConfig,
     InvariantViolation,
     LimitError,
+    applicable_rotations,
     build_full_route,
     build_poset,
     build_poset_gapless,
@@ -29,7 +31,10 @@ from galloc import (
     instance_from_dict,
     make_ring_instance,
     min_cost_stable,
+    route_pairs,
     to_closed_function,
+    xmax_by_capacity_reduction,
+    xmin_by_capacity_reduction,
 )
 from galloc.poset import (
     ClosedFunction,
@@ -347,6 +352,32 @@ def test_the_poset_of_a_disjoint_union_merges_the_parts(pair):
         assert poset.to_dict() == merged(*parts)
         assert poset.xmin.values == parts[0].xmin.values + parts[1].xmin.values
         assert poset.xmax.values == parts[0].xmax.values + parts[1].xmax.values
+
+
+def test_a_component_moves_alone_where_the_rest_is_at_its_maximum():
+    # A deferral route starts at the minimum on its component and the
+    # maximum elsewhere: the rest offers no rotation there, and the
+    # component walks its own share of a full route.
+    checked = 0
+    for inst in poset_corpus():
+        lo = xmin_by_capacity_reduction(inst).assignment
+        hi = xmax_by_capacity_reduction(inst).assignment
+        full = route_pairs(build_full_route(inst))
+        component = component_of(inst)
+        for c in sorted(set(component.values())):
+            start = Assignment(tuple(
+                a if component[e.id] == c else b
+                for a, b, e in zip(lo.values, hi.values, inst.edges)
+            ))
+            assert check_stability(inst, start).stable
+            assert all(component[r.key[0]] == c for r in applicable_rotations(inst, start))
+            route = build_full_route(inst, start)
+            assert route.end.values == hi.values
+            assert route_pairs(route) == Counter(
+                {p: n for p, n in full.items() if component[p[0][0]] == c}
+            )
+            checked += 1
+    assert checked == 18
 
 
 @pytest.mark.parametrize(

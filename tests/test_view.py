@@ -10,10 +10,12 @@ parent must fail as the full check fails.
 import tracemalloc
 from collections import Counter
 
+import networkx as nx
 import numpy as np
 import pytest
 
 import galloc.lattice
+import galloc.rotation
 from galloc import (
     GallocError,
     LimitError,
@@ -151,6 +153,35 @@ def test_a_child_of_a_parent_never_searched_is_searched_as_if_it_had_none():
         assert applicable_rotations(inst, y, child) == applicable_rotations(inst, y)
         assert child.parent is None
         assert child.changed == [w for w, t in child.moves.items() if t is not None]
+
+
+def test_a_carried_search_asks_only_the_stale_workers(monkeypatch):
+    # Along the route of four disjoint rings, each step moves one ring: the
+    # next search asks again only the workers of that ring, each once.
+    inst = load(rings(4, 4))
+    market = nx.Graph((e.worker, e.firm) for e in inst.edges)
+    ring = {v: min(part) for part in nx.connected_components(market) for v in part}
+    move = galloc.rotation.admissible_move
+    search = galloc.lattice.applicable_rotations
+    asked = []
+
+    def asking(view, w):
+        asked[-1].append(w)
+        return move(view, w)
+
+    def searching(inst, x, view=None):
+        asked.append([])
+        return search(inst, x, view)
+
+    monkeypatch.setattr(galloc.rotation, "admissible_move", asking)
+    monkeypatch.setattr(galloc.lattice, "applicable_rotations", searching)
+    route = build_full_route(inst)
+    assert len(asked) == len(route.steps) + 1
+    assert sorted(asked[0]) == sorted(inst.workers)
+    for step, workers in zip(route.steps, asked[1:]):
+        moved = ring[inst.edge(step.rotation.key[0]).worker]
+        assert len(workers) == len(set(workers)) <= 3
+        assert {ring[w] for w in workers} <= {moved}
 
 
 def test_unstable_children_of_a_stable_point_fail_as_the_full_check_does(ring4):
