@@ -24,12 +24,13 @@ the evaluators of an instance, counts those misses plus the closed-form
 evaluations below that were not memoized yet; it is what the
 weight-search budget meters.  The solver asks an evaluator four
 questions: acceptance, interest in one more unit, the response to it,
-and a weight-mu swap.  Tableau evaluators answer them by probing the
-rule.  Linear evaluators answer in closed form and do not call it: a
-greedy rule down a strict order
+and a weight-mu swap.  Both kinds of evaluator answer them in closed
+form and do not call the rule.  A greedy rule down a strict order
 (Baïou & Balinski 2002, Math. OR 27(4)) is settled by the total of the
-vector and the rank of its last supported position.  The brute-force
-oracle and the axiom checks call the rule itself.
+vector and the rank of its last supported position; a tableau rule,
+which keeps the quota-many smallest entries, by the total and the
+largest entry held.  The brute-force oracle, the axiom checks and the
+gapless check call the rule itself.
 """
 
 from __future__ import annotations
@@ -142,6 +143,7 @@ class ChoiceEvaluator:
         self.call_count = 0
         self.fresh_total = [0]
         self._memo: dict[Vec, Vec] = {}
+        self._shapes: dict[Vec, tuple] = {}
 
     def __call__(self, z: Sequence[int]) -> Vec:
         zt = tuple(z)
@@ -174,6 +176,19 @@ class ChoiceEvaluator:
     def _evaluate(self, z: Vec) -> Vec:
         raise NotImplementedError
 
+    def _shape(self, z: Vec) -> tuple | None:
+        """What the closed-form probes read of ``z``, memoized; None
+        outside the box.  Computing it counts in ``fresh_total`` but is
+        not a call of the rule."""
+        got = self._shapes.get(z)
+        if got is None and self._in_box(z):
+            self.fresh_total[0] += 1
+            got = self._shapes[z] = self._measure(z)
+        return got
+
+    def _measure(self, z: Vec) -> tuple:
+        raise NotImplementedError
+
     def _in_box(self, z: Vec) -> bool:
         return (
             len(z) == len(self.caps)
@@ -181,7 +196,7 @@ class ChoiceEvaluator:
             and not any(map(operator.gt, z, self.caps))
         )
 
-    # The probes below ask the rule; LinearChoice answers them in closed form.
+    # The probes below ask the rule; the subclasses answer them in closed form.
 
     def accepts(self, z: Sequence[int]) -> bool:
         return self(z) == tuple(z)
@@ -224,23 +239,16 @@ class LinearChoice(ChoiceEvaluator):
         for r, pos in enumerate(order):
             rank[pos] = r
         self._rank: Vec = tuple(rank)
-        self._shapes: dict[Vec, tuple[int, int]] = {}
 
     def _evaluate(self, z: Vec) -> Vec:
         return eval_worker_cf(z, self.order, self.quota)
 
-    def _shape(self, z: Vec) -> tuple[int, int] | None:
-        """The total and the cut of ``z``, memoized; None outside the box."""
-        got = self._shapes.get(z)
-        if got is None and self._in_box(z):
-            self.fresh_total[0] += 1
-            total = sum(z)
-            if total != self.quota:
-                cut = len(self.order)
-            else:
-                cut = max(itertools.compress(self._rank, z), default=0)
-            got = self._shapes[z] = (total, cut)
-        return got
+    def _measure(self, z: Vec) -> tuple[int, int]:
+        """The total and the cut of ``z``."""
+        total = sum(z)
+        if total != self.quota:
+            return total, len(self.order)
+        return total, max(itertools.compress(self._rank, z), default=0)
 
     def accepts(self, z: Sequence[int]) -> bool:
         zt = tuple(z)
@@ -284,6 +292,22 @@ class LinearChoice(ChoiceEvaluator):
 
 
 class TableauChoice(ChoiceEvaluator):
+    """The tableau rule, with its probes in closed form.
+
+    The rule keeps the quota-many smallest available entries.  So at an
+    accepted ``z`` that fills the quota, one more unit whose entry is
+    below the largest entry held displaces a unit of that entry's
+    column, and any other unit is rejected; below the quota every unit
+    is absorbed.  Off the quota every unit with room is interesting.  A
+    weight-mu swap holds at the quota when the mu entries it drops from
+    ``minus`` lie above every entry kept.  Vectors outside the box,
+    unaccepted bumps, null or self swaps and bumps over capacity go to
+    the generic probe, which raises or answers as the rule does.  The
+    total and the largest entry held, with its column (None when
+    nothing is held, as entries may be negative), are memoized per
+    vector the same way.
+    """
+
     def __init__(
         self, owner: str, caps: Vec, filling: tuple[Vec, ...], quota: int
     ) -> None:
@@ -292,6 +316,56 @@ class TableauChoice(ChoiceEvaluator):
 
     def _evaluate(self, z: Vec) -> Vec:
         return eval_tableau_cf(z, self.filling, self.quota)
+
+    def _measure(self, z: Vec) -> tuple[int, tuple[int, int] | None]:
+        """The total of ``z`` and its largest entry held with its column."""
+        held = [(col[zj], j) for j, (col, zj) in enumerate(zip(self.filling, z)) if zj]
+        return sum(z), max(held, default=None)
+
+    def accepts(self, z: Sequence[int]) -> bool:
+        zt = tuple(z)
+        shape = self._shape(zt)
+        if shape is None:
+            return super().accepts(zt)
+        return shape[0] <= self.quota
+
+    def interest(self, z: Sequence[int]) -> Callable[[int], bool]:
+        zt = tuple(z)
+        shape = self._shape(zt)
+        if shape is None:
+            return super().interest(zt)
+        total, top = shape
+        caps, filling = self.caps, self.filling
+        if total != self.quota:
+            return lambda pos: zt[pos] < caps[pos]
+        if top is None:
+            return lambda pos: False
+        return lambda pos: zt[pos] < caps[pos] and filling[pos][zt[pos] + 1] < top[0]
+
+    def unit_response(self, z: Sequence[int], pos: int) -> tuple[str, int | None]:
+        zt = tuple(z)
+        shape = self._shape(zt)
+        if shape is None or zt[pos] >= self.caps[pos] or shape[0] > self.quota:
+            return super().unit_response(zt, pos)
+        total, top = shape
+        if total < self.quota:
+            return "absorb", None
+        if top is not None and self.filling[pos][zt[pos] + 1] < top[0]:
+            return "swap", top[1]
+        return "same", None
+
+    def swaps(self, z: Sequence[int], plus: int, minus: int, mu: int) -> bool:
+        zt = tuple(z)
+        shape = self._shape(zt)
+        if shape is None or mu < 1 or plus == minus or zt[plus] + mu > self.caps[plus]:
+            return super().swaps(zt, plus, minus, mu)
+        if shape[0] != self.quota or zt[minus] < mu:
+            return False
+        filling = self.filling
+        low = filling[minus][zt[minus] - mu + 1]
+        return filling[plus][zt[plus] + mu] < low and all(
+            filling[j][zj] < low for j, zj in enumerate(zt) if zj and j != minus
+        )
 
 
 # a3_filling builds columns of quota + 1 entries; at this quota
@@ -575,7 +649,7 @@ def check_gapless(cf: ChoiceEvaluator, triple_limit: int = 10**6) -> GaplessRepo
     partners at the ends force the same partner in the middle.  Reports
     every violation.
     """
-    accepted = [z for z in iter_box(cf.caps) if cf.accepts(z)]
+    accepted = [z for z in iter_box(cf.caps) if cf(z) == z]
     n = len(accepted)
     if n * n * n > triple_limit:
         raise LimitError(

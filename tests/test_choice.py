@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galloc import (
@@ -185,12 +185,15 @@ def test_axiom_checker_pair_limit():
 
 
 def tableau_specs():
-    caps = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+    """Tableaux on 1-3 columns of capacity 0-3, with distinct entries of
+    either sign and any quota from 0 to the total capacity."""
+    caps = st.lists(st.integers(0, 3), min_size=1, max_size=3)
 
     @st.composite
     def build(draw):
         cs = tuple(draw(caps))
-        cells = draw(st.permutations(range(1, sum(cs) + len(cs) + 1)))
+        n = sum(cs) + len(cs)
+        cells = draw(st.permutations(range(-n, n)))[:n]
         filling = []
         at = 0
         for c in cs:
@@ -294,54 +297,100 @@ def outside_points(caps):
             yield tuple(v if j == i else 0 for j in range(len(caps)))
 
 
-def test_linear_closed_form_matches_the_generic_probes():
-    # Every box point, including those over the quota and quota 0, and
-    # every position, with or without room; and points outside the box,
-    # where both sides ask the rule, which raises.
+def compare_with_the_generic_probes(cf):
+    """Check every closed-form probe of ``cf`` against the generic one.
+
+    Every box point, including those over the quota, and every position,
+    with or without room; every swap, self swaps, weight 0 and weights
+    one past the room included; and points outside the box, where both
+    sides ask the rule, which raises.  Returns how many (point, position)
+    pairs of the box were probed and how many probes outside it raised.
+    """
     generic = ChoiceEvaluator
+    table = cf.order if isinstance(cf, LinearChoice) else cf.filling
+    k = len(cf.caps)
+    probes = 0
+    refused = 0
+    for z in outside_points(cf.caps):
+        for pos in range(k):
+            mine = outcome(cf.interest(z), pos)
+            assert mine == outcome(generic.interest(cf, z), pos), (table, z, pos)
+            refused += mine is GallocError
+        for plus, minus in itertools.permutations(range(k), 2):
+            mine = outcome(cf.swaps, z, plus, minus, 1)
+            assert mine == outcome(generic.swaps, cf, z, plus, minus, 1), (z, plus)
+            refused += mine is GallocError
+    for z in iter_box(cf.caps):
+        assert cf.accepts(z) == generic.accepts(cf, z), (table, cf.quota, z)
+        mine, theirs = cf.interest(z), generic.interest(cf, z)
+        for pos in range(k):
+            where = (table, cf.quota, z, pos)
+            assert outcome(mine, pos) == outcome(theirs, pos), where
+            assert outcome(cf.unit_response, z, pos) == outcome(
+                generic.unit_response, cf, z, pos
+            ), where
+            probes += 1
+        for plus, minus in itertools.product(range(k), repeat=2):
+            for mu in range(cf.caps[plus] - z[plus] + 2):
+                assert outcome(cf.swaps, z, plus, minus, mu) == outcome(
+                    generic.swaps, cf, z, plus, minus, mu
+                ), (table, cf.quota, z, plus, minus, mu)
+    return probes, refused
+
+
+def test_linear_closed_form_matches_the_generic_probes():
     probes = 0
     refused = 0
     for cf in small_linear_vertices():
-        k = len(cf.caps)
-        for z in outside_points(cf.caps):
-            for pos in range(k):
-                mine = outcome(cf.interest(z), pos)
-                assert mine == outcome(generic.interest(cf, z), pos), (cf.order, z, pos)
-                refused += mine is GallocError
-            for plus, minus in itertools.permutations(range(k), 2):
-                mine = outcome(cf.swaps, z, plus, minus, 1)
-                assert mine == outcome(generic.swaps, cf, z, plus, minus, 1), (z, plus)
-                refused += mine is GallocError
-        for z in iter_box(cf.caps):
-            assert cf.accepts(z) == generic.accepts(cf, z)
-            mine, theirs = cf.interest(z), generic.interest(cf, z)
-            for pos in range(k):
-                where = (cf.order, cf.quota, z, pos)
-                assert outcome(mine, pos) == outcome(theirs, pos), where
-                assert outcome(cf.unit_response, z, pos) == outcome(
-                    generic.unit_response, cf, z, pos
-                ), where
-                probes += 1
-            for plus, minus in itertools.permutations(range(k), 2):
-                for mu in range(1, cf.caps[plus] - z[plus] + 1):
-                    assert cf.swaps(z, plus, minus, mu) == generic.swaps(
-                        cf, z, plus, minus, mu
-                    ), (cf.order, cf.quota, z, plus, minus, mu)
+        p, r = compare_with_the_generic_probes(cf)
+        probes += p
+        refused += r
     assert probes > 10_000
     assert refused > 1_000
 
 
-def test_linear_probes_do_not_call_the_rule():
-    cf = LinearChoice("w", "worker-linear", (2, 1, 2), (2, 0, 1), 3)
+def test_a3_closed_form_matches_the_generic_probes():
+    # The built-in ring tableau at every quota from 0 to one past its
+    # total capacity, so that accepted vectors below, at and over the
+    # quota all occur.
+    probes = 0
+    for q in range(2, 9, 2):
+        caps = (q, q // 2, q // 2)
+        for quota in range(sum(caps) + 2):
+            probes += compare_with_the_generic_probes(
+                TableauChoice("f", caps, a3_filling(q), quota)
+            )[0]
+    assert probes > 10_000
+
+
+@given(tableau_specs())
+@example(((0, 2), ((-3,), (-5, 1, 4)), 0))
+@example(((2, 0, 1), ((-6, -4, -1), (-3,), (-5, 2)), 2))
+@settings(max_examples=80, deadline=None)
+def test_tableau_closed_form_matches_the_generic_probes(spec):
+    cs, filling, quota = spec
+    compare_with_the_generic_probes(TableauChoice("f", cs, filling, quota))
+
+
+def ask_every_probe(cf):
+    """Ask every closed-form probe at every box point where it answers
+    without a fallback."""
+    k = len(cf.caps)
     for z in iter_box(cf.caps):
         cf.accepts(z)
         interested = cf.interest(z)
-        for pos in range(3):
+        for pos in range(k):
             interested(pos)
             if z[pos] < cf.caps[pos] and sum(z) <= cf.quota:
                 cf.unit_response(z, pos)
-        if z[0] < cf.caps[0]:
-            cf.swaps(z, 0, 1, 1)
+        for plus, minus in itertools.permutations(range(k), 2):
+            for mu in range(1, cf.caps[plus] - z[plus] + 1):
+                cf.swaps(z, plus, minus, mu)
+
+
+def test_linear_probes_do_not_call_the_rule():
+    cf = LinearChoice("w", "worker-linear", (2, 1, 2), (2, 0, 1), 3)
+    ask_every_probe(cf)
     assert cf.call_count == 0
     with pytest.raises(GallocError, match="outside its box"):
         cf.accepts((3, 0, 0))
@@ -349,16 +398,32 @@ def test_linear_probes_do_not_call_the_rule():
         cf.unit_response((2, 1, 0), 1)
 
 
+def test_tableau_probes_do_not_call_the_rule():
+    cf = TableauChoice("f", (4, 2, 2), a3_filling(4), 4)
+    ask_every_probe(cf)
+    assert cf.call_count == 0
+    assert cf.fresh_total[0] == len(cf._shapes) == 45
+    with pytest.raises(GallocError, match="outside its box"):
+        cf.accepts((5, 0, 0))
+    with pytest.raises(GallocError, match="outside its box"):
+        cf.unit_response((4, 1, 0), 0)
+    with pytest.raises(GallocError, match="outside its box"):
+        cf.swaps((3, 2, 2), 0, 1, 2)
+
+
 def test_the_oracle_builds_its_tables_from_the_rule(monkeypatch):
-    inst = latin(3)
-    want = enumerate_stable(inst).elements
-    assert len(want) > 1
+    # Latin 3 has only linear rules; the ring has tableau firms.
+    markets = [latin(3), make_ring_instance(4)]
+    wants = [enumerate_stable(inst).elements for inst in markets]
+    assert all(len(want) > 1 for want in wants)
 
     def refuse(*args):
         raise AssertionError("the oracle read a closed-form probe")
 
-    for name in ("accepts", "interest", "unit_response", "swaps"):
-        monkeypatch.setattr(LinearChoice, name, refuse)
-    fresh = instance_from_dict(inst.to_dict())
-    assert enumerate_stable(fresh).elements == want
-    assert total_choice_calls(fresh) > 0
+    for cls in (LinearChoice, TableauChoice):
+        for name in ("accepts", "interest", "unit_response", "swaps"):
+            monkeypatch.setattr(cls, name, refuse)
+    for inst, want in zip(markets, wants):
+        fresh = instance_from_dict(inst.to_dict())
+        assert enumerate_stable(fresh).elements == want
+        assert total_choice_calls(fresh) > 0

@@ -200,6 +200,13 @@ def test_weight_search_stays_within_budget(ring4):
     before = total_choice_calls(fresh)
     max_feasible_weight(fresh, fresh.assignment((1, 2, 1) * 3), rot)
     assert total_choice_calls(fresh) - before <= weight_budget(fresh, rot)
+    # The ring's tableau firms answer the swap probes in closed form: on
+    # cold evaluators the search calls no rule, and its fresh closed-form
+    # evaluations, one per firm of the rotation, stay within the budget.
+    cold = make_ring_instance(4)
+    assert max_feasible_weight(cold, cold.assignment((1, 2, 1) * 3), rot) == 1
+    assert total_choice_calls(cold) == 0
+    assert total_fresh_evaluations(cold) == 3 <= weight_budget(cold, rot)
 
 
 def test_weight_budget_meters_closed_form_probes(monkeypatch):
