@@ -22,12 +22,14 @@ at every cell of the box at once (the brute-force oracle's tables) and
 counts each miss the same way.  One meter, ``fresh_total``, shared by
 the evaluators of an instance, counts those misses plus the closed-form
 evaluations below that were not memoized yet; it is what the
-weight-search budget meters.  The solver asks an evaluator four
-questions: acceptance, interest in one more unit, the response to it,
-and a weight-mu swap.  Both kinds of evaluator answer them in closed
-form and do not call the rule.  A greedy rule down a strict order
-(Baïou & Balinski 2002, Math. OR 27(4)) is settled by the total of the
-vector and the rank of its last supported position; a tableau rule,
+weight-search budget meters.  The solver asks an evaluator five
+questions: acceptance, interest in one more unit, the list of positions
+where that unit is interesting (``interesting_positions``), the
+response to it, and a weight-mu swap.  Both kinds of evaluator answer
+them in closed form and do not call the rule.  A greedy rule down a
+strict order (Baïou & Balinski 2002, Math. OR 27(4)) is settled by the
+total of the vector and the rank of its last supported position, so
+its interesting positions are a prefix of its order; a tableau rule,
 which keeps the quota-many smallest entries, by the total and the
 largest entry held.  The brute-force oracle, the axiom checks and the
 gapless check call the rule itself.
@@ -205,6 +207,10 @@ class ChoiceEvaluator:
         """``interesting_at`` at ``z``, as a predicate on positions."""
         return functools.partial(interesting_at, self, tuple(z))
 
+    def interesting_positions(self, z: Sequence[int]) -> list[int]:
+        """The positions where one more unit is interesting at ``z``."""
+        return list(filter(self.interest(z), range(len(self.caps))))
+
     def unit_response(self, z: Sequence[int], pos: int) -> tuple[str, int | None]:
         return single_unit_response(self, z, pos)
 
@@ -224,12 +230,13 @@ class LinearChoice(ChoiceEvaluator):
     position ranked before the cut (the rank of the last supported
     position) displaces a unit there, and any other unit is rejected;
     below the quota every unit is absorbed.  Off the quota the cut is
-    ``len(order)``, so every unit with room is interesting.  Vectors
-    outside the box, unaccepted bumps and null or self swaps go to the
-    generic probe, which raises or answers as the rule does.  The total
-    and the cut are memoized per vector, as the rule's answers are;
-    computing them counts in ``fresh_total`` but is not a call of the
-    rule.
+    ``len(order)``, so every unit with room is interesting.  The
+    interesting positions are thus the positions of ``order`` before
+    the cut that have room, listed in O(cut).  Vectors outside the box,
+    unaccepted bumps and null or self swaps go to the generic probe,
+    which raises or answers as the rule does.  The total and the cut
+    are memoized per vector, as the rule's answers are; computing them
+    counts in ``fresh_total`` but is not a call of the rule.
     """
 
     def __init__(self, owner: str, kind: str, caps: Vec, order: Vec, quota: int) -> None:
@@ -264,6 +271,14 @@ class LinearChoice(ChoiceEvaluator):
             return super().interest(zt)
         caps, rank, cut = self.caps, self._rank, shape[1]
         return lambda pos: zt[pos] < caps[pos] and rank[pos] < cut
+
+    def interesting_positions(self, z: Sequence[int]) -> list[int]:
+        zt = tuple(z)
+        shape = self._shape(zt)
+        if shape is None:
+            return super().interesting_positions(zt)
+        caps = self.caps
+        return [pos for pos in self.order[: shape[1]] if zt[pos] < caps[pos]]
 
     def unit_response(self, z: Sequence[int], pos: int) -> tuple[str, int | None]:
         zt = tuple(z)

@@ -6,7 +6,9 @@ proposers choose from the current capacities, the receivers choose from
 the offers, and capacities are cut wherever a receiver refused units,
 until a fixpoint.  Under substitutability the outcome does not depend on
 the order of offers (Hatfield & Milgrom 2005), so the kernel runs from a
-worklist and re-evaluates only the vertices whose input changed.
+worklist and re-evaluates only the vertices whose input changed.  By
+consistence (C(x) <= y <= x gives C(y) = C(x)) a receiver offered
+exactly what it kept keeps all of it, so it is not asked again.
 
 Two independent pipelines find the worker-best stable assignment (the
 minimum of the firm-side lattice order):
@@ -75,11 +77,13 @@ def _capacity_reduction(inst: Instance, firms_propose: bool) -> CapacityReductio
     receivers whose offers changed in this one.  Any other proposer would
     repeat its offers, and any other receiver an answer that cut nothing
     (a cut lowers the offer on its edge), so the waves follow the rounds
-    of the synchronous loop that re-evaluates every vertex.  Every wave
-    but the last cuts a capacity unit, so the wave count is monitored
-    against the |E| * b_max bound, and the fixpoint must be stable.  The
-    firm side's certificate reads the same view of the fixpoint as the
-    stability check.
+    of the synchronous loop that re-evaluates every vertex.  Each
+    receiver's last kept vector is remembered, and a receiver offered
+    exactly that is not asked: by consistence it keeps the whole offer,
+    so it cuts nothing.  Every wave but the last cuts a capacity unit,
+    so the wave count is monitored against the |E| * b_max bound, and
+    the fixpoint must be stable.  The firm side's certificate reads the
+    same view of the fixpoint as the stability check.
     """
     edges = inst.edges
     if firms_propose:
@@ -92,6 +96,7 @@ def _capacity_reduction(inst: Instance, firms_propose: bool) -> CapacityReductio
         receiver_of = [e.firm for e in edges]
     caps = [e.capacity for e in edges]
     x = [0] * len(edges)
+    last_kept: dict[str, tuple[int, ...]] = {}
     bound = max(1, len(edges) * max(inst.b_max, 1))
     dirty = proposers
     waves = 0
@@ -114,7 +119,10 @@ def _capacity_reduction(inst: Instance, firms_propose: bool) -> CapacityReductio
             if r not in offered:
                 continue
             ids = inst.edge_indices(r)
-            kept = evaluator_for(inst, r)(tuple([x[i] for i in ids]))
+            offer = tuple([x[i] for i in ids])
+            if offer == last_kept.get(r):
+                continue  # consistence: offered what it kept, it keeps it all
+            kept = last_kept[r] = evaluator_for(inst, r)(offer)
             for i, v in zip(ids, kept):
                 if v < x[i]:
                     caps[i] = v

@@ -165,17 +165,6 @@ class Instance:
         edges = self.edges
         return tuple([edges[i].capacity for i in self._indices_of[v]])
 
-    @functools.cached_property
-    def edge_ends(self) -> tuple[tuple[str, int, str, int], ...]:
-        """Per edge: its worker and firm, each with the edge's local position.
-
-        Built on first use, so loading does not pay for it.
-        """
-        pos = self._local_pos
-        return tuple(
-            (e.worker, pos[e.worker][e.id], e.firm, pos[e.firm][e.id]) for e in self.edges
-        )
-
     def edge(self, eid: str) -> Edge:
         return self.edges[self.edge_index[eid]]
 

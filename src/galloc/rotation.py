@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 from .choice import evaluator_for, total_fresh_evaluations
 from .errors import GallocError, InvariantViolation
 from .model import Assignment, Instance, shift, shift_room
-from .stability import PointView
+from .stability import PointView, _stale_workers
 
 
 class Tandem(NamedTuple):
@@ -151,13 +151,7 @@ def build_auxiliary(view: PointView) -> dict[str, Tandem | None]:
         old: dict[str, Tandem | None] = {}
         stale = inst.workers
         if parent is not None and parent.rotations is not None:
-            old, dirty = parent.moves, set()
-            for v in view.dirty:
-                if inst.is_worker(v):
-                    dirty.add(v)
-                else:
-                    dirty.update(inst.edges[i].worker for i in inst.edge_indices(v))
-            stale = sorted(dirty, key=inst.worker_index.__getitem__)
+            old, stale = parent.moves, _stale_workers(inst, view.dirty)
         else:
             view.parent = None  # never searched: it has no rotations to carry
         moves = dict(old)

@@ -17,13 +17,16 @@ Every check and probe at a point reads one view of it (``PointView``):
 every vertex's local vector and interest predicate, built once.  The
 probes of :mod:`galloc.rotation` and :mod:`galloc.lattice` take the view
 alone, since it holds the instance and the point.  A stability check
-probes every edge at most twice, the worker side first and the firm side
-only when the worker is interested.  A view built from the view of
-another stable point recomputes only the dirty vertices, the endpoints
-of the edges whose values differ between the two points.  Every other
-vertex keeps its vector, so it stays accepted and its edges to other
-clean vertices stay non-blocking: checking acceptance at the dirty
-vertices and blocking on their edges gives exactly the full report.
+asks each worker where one more unit is interesting, which for a
+worker at its quota is the prefix of its order before its last
+supported edge (Baïou & Balinski's greedy rule), and asks the far firm
+on those edges only.  A view built from the view of another stable
+point recomputes only the dirty vertices, the endpoints of the edges
+whose values differ between the two points.  Every other vertex keeps
+its vector, so it stays accepted and its edges to other clean vertices
+stay non-blocking: checking acceptance at the dirty vertices, and
+blocking on the edges of the dirty workers and of the workers of dirty
+firms, gives exactly the full report.
 Rotation searches carry one view from each point they search to the
 next, and store in it each filled worker's admissible move and the
 rotations found, which the next search keeps where nothing moved (see
@@ -74,8 +77,8 @@ class PointView:
 
     The stability ``report`` is computed on first use.  When the parent's
     report was stable it checks acceptance at the dirty vertices and
-    blocking on their incident edges only, which gives the full report;
-    otherwise it checks everything.
+    blocking at the workers they touch only, which gives the full
+    report; otherwise it checks everything.
 
     A rotation search stores its results in the view: ``moves``, each
     filled worker's admissible move; ``changed``, the searched workers
@@ -141,18 +144,35 @@ class PointView:
         return tuple(v for v in vertices if not evaluator_for(inst, v).accepts(local[v]))
 
     def _blocking(self) -> tuple[str, ...]:
-        """Blocking edges (with an endpoint in scope), canonical order."""
-        inst, wants, ends, scope = self.inst, self.wants, self.inst.edge_ends, self._scope
-        if scope is None:
-            ids = range(len(ends))
+        """Blocking edges (with an endpoint in scope), canonical order.
+
+        Each stale worker lists the positions where it wants one more
+        unit, and only the far firms of those edges are asked.  The stale
+        workers are every worker, or in scope the dirty workers and the
+        workers of dirty firms: that covers every edge with an endpoint
+        in scope, and their other edges join two clean vertices.
+        """
+        inst, local, wants, scope = self.inst, self.local, self.wants, self._scope
+        edges = inst.edges
+        found = []
+        for w in inst.workers if scope is None else _stale_workers(inst, scope):
+            ids = inst.edge_indices(w)
+            for pos in evaluator_for(inst, w).interesting_positions(local[w]):
+                e = edges[ids[pos]]
+                if wants[e.firm](inst.local_pos(e.firm, e.id)):
+                    found.append(ids[pos])
+        return tuple([edges[i].id for i in sorted(found)])
+
+
+def _stale_workers(inst: Instance, dirty: set[str]) -> list[str]:
+    """The workers in ``dirty`` and the workers of its firms, canonical order."""
+    stale: set[str] = set()
+    for v in dirty:
+        if inst.is_worker(v):
+            stale.add(v)
         else:
-            ids = sorted({i for v in scope for i in inst.edge_indices(v)})
-        out = []
-        for i in ids:
-            w, wpos, f, fpos = ends[i]
-            if wants[w](wpos) and wants[f](fpos):
-                out.append(inst.edges[i].id)
-        return tuple(out)
+            stale.update(inst.edges[i].worker for i in inst.edge_indices(v))
+    return sorted(stale, key=inst.worker_index.__getitem__)
 
 
 def check_stability(inst: Instance, x: Assignment) -> StabilityReport:

@@ -303,8 +303,10 @@ def compare_with_the_generic_probes(cf):
     Every box point, including those over the quota, and every position,
     with or without room; every swap, self swaps, weight 0 and weights
     one past the room included; and points outside the box, where both
-    sides ask the rule, which raises.  Returns how many (point, position)
-    pairs of the box were probed and how many probes outside it raised.
+    sides ask the rule, which raises.  The list of interesting positions
+    is checked against the rule itself at every accepted box point.
+    Returns how many (point, position) pairs of the box were probed and
+    how many probes outside it raised.
     """
     generic = ChoiceEvaluator
     table = cf.order if isinstance(cf, LinearChoice) else cf.filling
@@ -322,6 +324,9 @@ def compare_with_the_generic_probes(cf):
             refused += mine is GallocError
     for z in iter_box(cf.caps):
         assert cf.accepts(z) == generic.accepts(cf, z), (table, cf.quota, z)
+        if cf(z) == z:
+            wanted = [pos for pos in range(k) if interesting_at(cf, z, pos)]
+            assert sorted(cf.interesting_positions(z)) == wanted, (table, cf.quota, z)
         mine, theirs = cf.interest(z), generic.interest(cf, z)
         for pos in range(k):
             where = (table, cf.quota, z, pos)
@@ -378,6 +383,7 @@ def ask_every_probe(cf):
     k = len(cf.caps)
     for z in iter_box(cf.caps):
         cf.accepts(z)
+        cf.interesting_positions(z)
         interested = cf.interest(z)
         for pos in range(k):
             interested(pos)

@@ -24,7 +24,7 @@ from galloc import (
     xmax_by_capacity_reduction,
     xmin_by_capacity_reduction,
 )
-from galloc.choice import evaluator_for
+from galloc.choice import evaluator_for, total_choice_calls
 from galloc.genrand import GeneratorConfig, generate
 from galloc.lattice import build_reversal_sets, essential_f_pairs
 from galloc.stability import PointView
@@ -366,3 +366,93 @@ def test_capacity_reduction_reevaluates_only_cut_proposers(side, solve, monkeypa
     assert (run.assignment, run.iterations, cuts) == (x, rounds, sync_cuts)
     assert rounds > 2
     assert evaluations <= len(proposers) + cuts
+
+
+def offer_changed_reduction(inst, proposers):
+    """Deferred acceptance that asks every receiver whose offer changed.
+
+    Every proposer chooses from its capacities every round.  Returns the
+    fixpoint, the round count, and how many receivers were asked at the
+    vector they kept when last asked.
+    """
+    receivers = inst.firms if proposers == inst.workers else inst.workers
+    caps = [e.capacity for e in inst.edges]
+    x = [0] * len(inst.edges)
+    kept = {}
+    rounds = repeats = 0
+    while True:
+        rounds += 1
+        before = list(x)
+        for p in proposers:
+            ids = inst.edge_indices(p)
+            for i, v in zip(ids, evaluator_for(inst, p)(tuple(caps[i] for i in ids))):
+                x[i] = v
+        cut = False
+        for r in receivers:
+            ids = inst.edge_indices(r)
+            offer = tuple(x[i] for i in ids)
+            if offer == tuple(before[i] for i in ids):
+                continue
+            repeats += offer == kept.get(r)
+            kept[r] = evaluator_for(inst, r)(offer)
+            for i, v in zip(ids, kept[r]):
+                if v < x[i]:
+                    caps[i] = v
+                    cut = True
+        if not cut:
+            return inst.assignment(x), rounds, repeats
+
+
+def reduction_markets():
+    """Generated markets of every family with capacities up to 3, as documents."""
+    return [
+        generate(
+            GeneratorConfig(
+                seed=50_000 + s,
+                workers=2 + s % 4,
+                firms=2 + (s // 4) % 3,
+                density=0.8,
+                capacity_bound=1 + s % 3,
+                quota_bound=4,
+                family=("linear", "tableau", "mixed")[s % 3],
+            )
+        ).to_dict()
+        for s in range(36)
+    ]
+
+
+@pytest.mark.parametrize(
+    "side, solve", [("workers", xmin_by_capacity_reduction), ("firms", xmax_by_capacity_reduction)]
+)
+def test_capacity_reduction_does_not_ask_a_receiver_offered_what_it_kept(
+    side, solve, monkeypatch
+):
+    # Consistence: a receiver offered exactly what it kept keeps all of it.
+    last = {}
+
+    def watched(inst, v):
+        ev = evaluator_for(inst, v)
+        if v in getattr(inst, side):
+            return ev
+
+        def answer(z):
+            assert tuple(z) != last.get(v), f"{v} asked at the vector it kept"
+            last[v] = ev(z)
+            return last[v]
+
+        return answer
+
+    monkeypatch.setattr("galloc.lattice.evaluator_for", watched)
+    dense = random_complete(24, draw=1).doc
+    for doc in reduction_markets() + [dense]:
+        reference = instance_from_dict(doc)
+        x, rounds, repeats = offer_changed_reduction(reference, getattr(reference, side))
+        inst = instance_from_dict(doc)
+        last.clear()
+        run = solve(inst)
+        assert (run.assignment, run.iterations) == (x, rounds)
+        calls, reference_calls = total_choice_calls(inst), total_choice_calls(reference)
+        assert calls <= reference_calls
+        if doc is dense:
+            assert repeats > 0
+            assert calls < reference_calls

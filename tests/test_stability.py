@@ -13,11 +13,12 @@ from galloc import (
     compare_W,
     generate,
     instance_from_dict,
+    make_ring_instance,
 )
 from galloc.choice import evaluator_for, interesting_at
 from galloc.stability import PointView
 
-from builders import one_on_one, two_swaps
+from builders import latin, one_on_one, two_swaps
 
 
 def ring_point(inst, a, c, d):
@@ -130,10 +131,15 @@ def test_unacceptable_vertices_lists_both_sides():
 
 
 def corpus_points():
-    """Instances of every family, each with zero, minimum, route and box points."""
+    """Instances of every family, each with zero, minimum, route and box points.
+
+    Generated markets, then Latin markets at capacity 2 and quota 4 and
+    rings, whose route points hold workers at quota with room on edges
+    they rank before their last supported one.
+    """
     rng = random.Random(7)
-    for s in range(30):
-        inst = generate(
+    markets = [
+        generate(
             GeneratorConfig(
                 seed=40_000 + s,
                 workers=2 + s % 3,
@@ -144,6 +150,10 @@ def corpus_points():
                 family=("linear", "tableau", "mixed")[s % 3],
             )
         )
+        for s in range(30)
+    ]
+    markets += [latin(n, 2, 4) for n in (3, 4)] + [make_ring_instance(q) for q in (2, 4)]
+    for inst in markets:
         route = build_full_route(inst)
         points = [inst.zero(), route.start]
         for step in route.steps:
@@ -162,9 +172,14 @@ def rule_interest(inst, x, v, eid):
 def test_one_pass_check_matches_the_definition():
     # Acceptance and interest are asked of the rules themselves, so the
     # closed-form probes of linear evaluators are checked against them.
-    unacceptable_seen = blocking_seen = 0
+    unacceptable_seen = blocking_seen = prefix_seen = 0
     for inst, points in corpus_points():
         for x in points:
+            prefix_seen += any(
+                inst.size_at(x, w) == inst.quota(w) > 0
+                and any(rule_interest(inst, x, w, eid) for eid in inst.edges_of(w))
+                for w in inst.workers
+            )
             bad = tuple(
                 v
                 for v in inst.workers + inst.firms
@@ -182,7 +197,7 @@ def test_one_pass_check_matches_the_definition():
             assert report.stable == (not bad and not want)
             unacceptable_seen += bool(bad)
             blocking_seen += bool(want) and not bad
-    assert unacceptable_seen and blocking_seen
+    assert unacceptable_seen and blocking_seen and prefix_seen
 
 
 def test_check_builds_each_local_vector_once(monkeypatch):
