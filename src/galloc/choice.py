@@ -22,17 +22,19 @@ at every cell of the box at once (the brute-force oracle's tables) and
 counts each miss the same way.  One meter, ``fresh_total``, shared by
 the evaluators of an instance, counts those misses plus the closed-form
 evaluations below that were not memoized yet; it is what the
-weight-search budget meters.  The solver asks an evaluator five
+weight-search budget meters.  The solver asks an evaluator seven
 questions: acceptance, interest in one more unit, the list of positions
-where that unit is interesting (``interesting_positions``), the
-response to it, and a weight-mu swap.  Both kinds of evaluator answer
-them in closed form and do not call the rule.  A greedy rule down a
-strict order (Baïou & Balinski 2002, Math. OR 27(4)) is settled by the
-total of the vector and the rank of its last supported position, so
-its interesting positions are a prefix of its order; a tableau rule,
-which keeps the quota-many smallest entries, by the total and the
-largest entry held.  The brute-force oracle, the axiom checks and the
-gapless check call the rule itself.
+where that unit is interesting (``interesting_positions``), those
+newly interesting since another vector (``newly_interesting``),
+whether it weakly prefers one vector to another (``prefers``), the
+response to one more unit, and a weight-mu swap.  Both kinds of
+evaluator answer them in closed form and do not call the rule.  A
+greedy rule down a strict order (Baïou & Balinski 2002, Math. OR
+27(4)) is settled by the total of the vector and the rank of its last
+supported position, so its interesting positions are a prefix of its
+order; a tableau rule, which keeps the quota-many smallest entries,
+by the total and the largest entry held.  The brute-force oracle, the
+axiom checks and the gapless check call the rule itself.
 """
 
 from __future__ import annotations
@@ -211,6 +213,20 @@ class ChoiceEvaluator:
         """The positions where one more unit is interesting at ``z``."""
         return list(filter(self.interest(z), range(len(self.caps))))
 
+    def newly_interesting(self, old: Sequence[int], z: Sequence[int]) -> list[int]:
+        """The positions where ``old`` and ``z`` agree and one more unit
+        is interesting at ``z`` but not at ``old``."""
+        was, now = self.interest(old), self.interest(z)
+        return [
+            pos
+            for pos, (a, b) in enumerate(zip(old, z))
+            if a == b and now(pos) and not was(pos)
+        ]
+
+    def prefers(self, x: Sequence[int], y: Sequence[int]) -> bool:
+        """Whether ``y`` is weakly preferred to ``x``: C(x ∨ y) = y."""
+        return self(join(x, y)) == tuple(y)
+
     def unit_response(self, z: Sequence[int], pos: int) -> tuple[str, int | None]:
         return single_unit_response(self, z, pos)
 
@@ -232,11 +248,15 @@ class LinearChoice(ChoiceEvaluator):
     below the quota every unit is absorbed.  Off the quota the cut is
     ``len(order)``, so every unit with room is interesting.  The
     interesting positions are thus the positions of ``order`` before
-    the cut that have room, listed in O(cut).  Vectors outside the box,
-    unaccepted bumps and null or self swaps go to the generic probe,
-    which raises or answers as the rule does.  The total and the cut
-    are memoized per vector, as the rule's answers are; computing them
-    counts in ``fresh_total`` but is not a call of the rule.
+    the cut that have room, listed in O(cut), and those newly
+    interesting since an old vector lie between the old cut and the new
+    one.  The rule keeps whole entries down ``order``, so from x ∨ y it
+    keeps an accepted y exactly when x ≤ y before y's cut.  Vectors
+    outside the box, unaccepted bumps, unaccepted preferred vectors and
+    null or self swaps go to the generic probe, which raises or answers
+    as the rule does.  The total and the cut are memoized per vector, as
+    the rule's answers are; computing them counts in ``fresh_total`` but
+    is not a call of the rule.
     """
 
     def __init__(self, owner: str, kind: str, caps: Vec, order: Vec, quota: int) -> None:
@@ -280,6 +300,35 @@ class LinearChoice(ChoiceEvaluator):
         caps = self.caps
         return [pos for pos in self.order[: shape[1]] if zt[pos] < caps[pos]]
 
+    def newly_interesting(self, old: Sequence[int], z: Sequence[int]) -> list[int]:
+        ot, zt = tuple(old), tuple(z)
+        was, now = self._shape(ot), self._shape(zt)
+        if was is None or now is None:
+            return super().newly_interesting(ot, zt)
+        caps = self.caps
+        return [
+            pos
+            for pos in self.order[was[1] : now[1]]
+            if zt[pos] < caps[pos] and ot[pos] == zt[pos]
+        ]
+
+    def prefers(self, x: Sequence[int], y: Sequence[int]) -> bool:
+        xt, yt = tuple(x), tuple(y)
+        shape = self._shape(yt)
+        if shape is None or shape[0] > self.quota or self._shape(xt) is None:
+            return super().prefers(xt, yt)
+        before = self.order[: shape[1]]
+        return all(map(operator.le, map(xt.__getitem__, before), map(yt.__getitem__, before)))
+
+    def last_rank(self, z: Sequence[int]) -> int:
+        """The rank in ``order`` of the last position ``z`` holds, 0 when
+        it holds nothing; at the quota it is the cut."""
+        zt = tuple(z)
+        shape = self._shape(zt)
+        if shape is not None and shape[0] == self.quota:
+            return shape[1]
+        return max(itertools.compress(self._rank, zt), default=0)
+
     def unit_response(self, z: Sequence[int], pos: int) -> tuple[str, int | None]:
         zt = tuple(z)
         shape = self._shape(zt)
@@ -315,12 +364,14 @@ class TableauChoice(ChoiceEvaluator):
     column, and any other unit is rejected; below the quota every unit
     is absorbed.  Off the quota every unit with room is interesting.  A
     weight-mu swap holds at the quota when the mu entries it drops from
-    ``minus`` lie above every entry kept.  Vectors outside the box,
-    unaccepted bumps, null or self swaps and bumps over capacity go to
-    the generic probe, which raises or answers as the rule does.  The
-    total and the largest entry held, with its column (None when
-    nothing is held, as entries may be negative), are memoized per
-    vector the same way.
+    ``minus`` lie above every entry kept.  From x ∨ y the rule keeps an
+    accepted y exactly when x ≤ y, or y fills the quota and every entry
+    x adds lies above the largest entry y holds.  Vectors outside the
+    box, unaccepted bumps, unaccepted preferred vectors, null or self
+    swaps and bumps over capacity go to the generic probe, which raises
+    or answers as the rule does.  The total and the largest entry held,
+    with its column (None when nothing is held, as entries may be
+    negative), are memoized per vector the same way.
     """
 
     def __init__(
@@ -356,6 +407,18 @@ class TableauChoice(ChoiceEvaluator):
         if top is None:
             return lambda pos: False
         return lambda pos: zt[pos] < caps[pos] and filling[pos][zt[pos] + 1] < top[0]
+
+    def prefers(self, x: Sequence[int], y: Sequence[int]) -> bool:
+        xt, yt = tuple(x), tuple(y)
+        shape = self._shape(yt)
+        if shape is None or shape[0] > self.quota or self._shape(xt) is None:
+            return super().prefers(xt, yt)
+        total, top = shape
+        filling = self.filling
+        extra = [filling[j][b + 1] for j, (a, b) in enumerate(zip(xt, yt)) if a > b]
+        if not extra:
+            return True
+        return total == self.quota and (top is None or min(extra) > top[0])
 
     def unit_response(self, z: Sequence[int], pos: int) -> tuple[str, int | None]:
         zt = tuple(z)

@@ -59,8 +59,56 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_STR = json.encoder.encode_basestring_ascii
+
+
+class _Unsupported(Exception):
+    """A value ``_dumps`` leaves to ``json.dumps``."""
+
+
+def _text(doc, nl: str) -> str:
+    """The text of ``doc`` at the indent that ``nl`` carries."""
+    kind = type(doc)
+    if kind is str:
+        return _STR(doc)
+    if kind is int:
+        return int.__repr__(doc)
+    if doc is None or kind is bool:
+        return "null" if doc is None else "true" if doc else "false"
+    inner = nl + "  "
+    if kind is list:
+        if not doc:
+            return "[]"
+        items = [_STR(v) if type(v) is str else _text(v, inner) for v in doc]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if kind is dict:
+        if not doc:
+            return "{}"
+        # _STR raises TypeError on a key that is not a string.
+        items = [
+            _STR(k) + ": " + (int.__repr__(v) if type(v) is int else _text(v, inner))
+            for k, v in doc.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise _Unsupported
+
+
+def _dumps(doc) -> str:
+    """The text of ``json.dumps(doc, indent=2)``.
+
+    CPython encodes through its pure-Python encoder whenever ``indent``
+    is set; dicts with string keys, lists, strings, ints, booleans and
+    None are written here instead, and any other value goes to
+    ``json.dumps``.
+    """
+    try:
+        return _text(doc, "\n")
+    except (_Unsupported, TypeError, RecursionError):
+        return json.dumps(doc, indent=2)
+
+
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(_dumps(doc) + "\n")
 
 
 def _digest(inst) -> str:
@@ -258,7 +306,7 @@ def _cmd_gen(args) -> int:
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc, indent=2) + "\n")
+                fh.write(_dumps(doc) + "\n")
         except OSError as exc:
             raise GallocError(f"cannot write {args.output}: {exc}") from exc
     else:

@@ -186,12 +186,11 @@ def _growth_invariants_broken(inst: Instance, x: Assignment) -> str | None:
         if not evaluator_for(inst, f).accepts(view.local[f]):
             return f"firm {f} rejects its restriction"
     for w in inst.workers:
-        last = inst.last_supported(x, w)
-        if last is None:
-            continue  # holds nothing: nothing strictly above its first edge
-        for eid in inst.worker_orders[w][:last]:
-            f = inst.edge(eid).firm
-            if view.wants[f](inst.local_pos(f, eid)):
+        ev, ends = evaluator_for(inst, w), inst.far_ends(w)
+        for pos in ev.order[: ev.last_rank(view.local[w])]:
+            i, f, fpos = ends[pos]
+            if view.wants[f](fpos):
+                eid = inst.edges[i].id
                 return f"edge {eid} above {w}'s last supported edge is interesting"
     return None
 
@@ -214,17 +213,17 @@ def _admissible_path(
     w = w0
     cycle_from: int | None = None
     while True:
-        move = admissible_move(view, w)
-        if move is None:
+        t = admissible_move(view, w)
+        if t is None:
             break  # ends at a worker
-        a, t = move
+        a = t.plus
         if a in pos:
             cycle_from = pos[a]
             break
         pos[a] = len(seq)
         seq.append(a)
         plus.add(a)
-        if t is None:
+        if t.minus is None:
             break  # ends at a firm
         c = t.minus
         pairs.append(t)
@@ -313,32 +312,36 @@ class ReversalSets:
         u_minus: last supported edge of each worker at quota.
         u_plus: per worker at quota, its unsaturated edges strictly
             above the last supported one.
+        wanted: per firm, the edges whose worker wants one more unit,
+            with their positions at the firm.
     """
 
     u_minus: tuple[str, ...]
     u_plus: dict[str, tuple[str, ...]]
+    wanted: dict[str, list[tuple[str, int]]]
 
 
 def build_reversal_sets(inst: Instance, x: Assignment) -> ReversalSets:
-    idx = inst.edge_index
+    """Each worker's wanted positions, read off its order and its cut.
+
+    A worker at quota wants one more unit exactly on the unsaturated
+    edges above its last supported one (``LinearChoice``).
+    """
     u_minus: list[str] = []
     u_plus: dict[str, tuple[str, ...]] = {}
+    wanted: dict[str, list[tuple[str, int]]] = {}
     for w in inst.workers:
-        if inst.size_at(x, w) != inst.quota(w):
-            continue
-        order = inst.worker_orders[w]
-        last = inst.last_supported(x, w)
-        if last is None:
-            continue  # at quota zero: no supported edge to give up
-        u_minus.append(order[last])
-        ups = tuple(
-            eid
-            for eid in order[:last]
-            if x.values[idx[eid]] < inst.edge(eid).capacity
-        )
+        z = inst.local_values(x, w)
+        ev, ids, ends = evaluator_for(inst, w), inst.edges_of(w), inst.far_ends(w)
+        ups = ev.interesting_positions(z)
+        for pos in ups:
+            wanted.setdefault(ends[pos][1], []).append((ids[pos], ends[pos][2]))
+        if not inst.quota(w) or sum(z) != inst.quota(w):
+            continue  # below quota, or at quota zero: no supported edge to give up
+        u_minus.append(ids[ev.order[ev.last_rank(z)]])
         if ups:
-            u_plus[w] = ups
-    return ReversalSets(tuple(u_minus), u_plus)
+            u_plus[w] = tuple([ids[pos] for pos in ups])
+    return ReversalSets(tuple(u_minus), u_plus, wanted)
 
 
 def essential_f_pairs(
@@ -354,15 +357,11 @@ def essential_f_pairs(
     firm's taste can free room for an edge of an under-quota worker, and
     such an edge blocks the shifted point just the same.
     """
-    inst, x, wants = view.inst, view.x, view.wants
+    inst, x = view.inst, view.x
     cf = evaluator_for(inst, f)
     cands = [c for ups in rs.u_plus.values() for c in ups if inst.edge(c).firm == f]
     drops = [a for a in rs.u_minus if inst.edge(a).firm == f]
-    wanted = []
-    for d in inst.edges_of(f):
-        w = inst.edge(d).worker
-        if wants[w](inst.local_pos(w, d)):
-            wanted.append(d)
+    wanted = rs.wanted.get(f, ())
     out: list[tuple[str, str]] = []
     for a in drops:
         for c in cands:
@@ -370,7 +369,7 @@ def essential_f_pairs(
             if trial is None:
                 continue
             interested = cf.interest(trial)
-            if not any(interested(inst.local_pos(f, d)) for d in wanted if d != c):
+            if not any(interested(fpos) for d, fpos in wanted if d != c):
                 out.append((c, a))
     return tuple(out)
 

@@ -17,13 +17,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .errors import GallocError, ValidationError
 
@@ -117,21 +118,28 @@ class Instance:
 
         # Derived tables; built defensively so validation can run after.
         # Per vertex: incident edge indices, their ids, and each id's
-        # local position (its last, should an id repeat).
+        # local position (its last, should an id repeat); per edge, its
+        # position at its firm, which the workers' far ends read.
         self.edge_index: dict[str, int] = {}
         incident: dict[str, tuple[list[int], list[str], dict[str, int]]] = {
             v: ([], [], {}) for v in self.workers + self.firms
         }
+        firm_pos: list[int | None] = [None] * len(self.edges)
         for i, e in enumerate(self.edges):
             eid = e.id
             self.edge_index.setdefault(eid, i)
-            for v in (e.worker, e.firm):
-                tables = incident.get(v)
-                if tables is not None:
-                    indices, ids, pos = tables
-                    pos[eid] = len(ids)
-                    indices.append(i)
-                    ids.append(eid)
+            tables = incident.get(e.firm)
+            if tables is not None:
+                indices, ids, pos = tables
+                firm_pos[i] = pos[eid] = len(ids)
+                indices.append(i)
+                ids.append(eid)
+            tables = incident.get(e.worker)
+            if tables is not None:
+                indices, ids, pos = tables
+                pos[eid] = len(ids)
+                indices.append(i)
+                ids.append(eid)
         self.worker_index: dict[str, int] = {w: i for i, w in enumerate(self.workers)}
         self._indices_of: dict[str, tuple[int, ...]] = {
             v: tuple(t[0]) for v, t in incident.items()
@@ -140,6 +148,9 @@ class Instance:
             v: tuple(t[1]) for v, t in incident.items()
         }
         self._local_pos: dict[str, dict[str, int]] = {v: t[2] for v, t in incident.items()}
+        self._firm_pos = firm_pos
+        self._far_ends: dict[str, list[tuple[int, str, int]]] = {}  # by far_ends
+        self._getters: dict[str, Callable[[tuple[int, ...]], tuple[int, ...]]] = {}
         self._worker_set = frozenset(self.workers)
         self._evaluators: dict[str, Any] = {}  # filled lazily by galloc.choice
         self._fresh_total = [0]  # their fresh evaluations, kept by galloc.choice
@@ -171,6 +182,16 @@ class Instance:
     def local_pos(self, v: str, eid: str) -> int:
         return self._local_pos[v][eid]
 
+    def far_ends(self, w: str) -> list[tuple[int, str, int]]:
+        """Per local position of a worker: the edge index, its firm, and
+        its position at that firm.  Built on first use."""
+        row = self._far_ends.get(w)
+        if row is None:
+            edges, firm_pos = self.edges, self._firm_pos
+            row = [(i, edges[i].firm, firm_pos[i]) for i in self._indices_of[w]]
+            self._far_ends[w] = row
+        return row
+
     def quota(self, w: str) -> int:
         return self.worker_quotas[w]
 
@@ -188,22 +209,19 @@ class Instance:
         return Assignment(vals)
 
     def local_values(self, x: Assignment, v: str) -> tuple[int, ...]:
-        vals = x.values
-        return tuple([vals[i] for i in self._indices_of[v]])
+        get = self._getters.get(v)
+        if get is None:
+            indices = self._indices_of[v]
+            if len(indices) == 1:  # itemgetter would return the bare value
+                i = indices[0]
+                get = lambda vals: (vals[i],)  # noqa: E731
+            else:
+                get = operator.itemgetter(*indices) if indices else lambda vals: ()
+            self._getters[v] = get
+        return get(x.values)
 
     def size_at(self, x: Assignment, v: str) -> int:
         return sum(self.local_values(x, v))
-
-    def last_supported(self, x: Assignment, w: str) -> int | None:
-        """Position of w's least preferred edge with positive value.
-
-        None when the worker holds nothing.
-        """
-        order = self.worker_orders[w]
-        for r in range(len(order) - 1, -1, -1):
-            if x.values[self.edge_index[order[r]]] > 0:
-                return r
-        return None
 
     def to_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {

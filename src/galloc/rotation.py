@@ -17,8 +17,9 @@ alone, read the moves from it and store them in it; only
 ``applicable_rotations`` builds a view when none is given.  Routes
 carry one view from each point they search to the next, and a shift
 changes only the vertices of the edges it moves: only the workers at
-those vertices, and the workers of those firms, search for their move
-again; every other worker keeps the move it had, as Gusfield & Irving's
+those vertices, and the workers whose move starts at one of those
+firms, search for their move again (see ``_searched_again``); every
+other worker keeps the move it had, as Gusfield & Irving's
 all-rotations search keeps the pointers it has already advanced.  The
 cycles are carried the same way: a cycle of the last point none of whose
 workers changed its move is still a cycle, and the new ones are read
@@ -44,11 +45,14 @@ from .stability import PointView, _stale_workers
 
 
 class Tandem(NamedTuple):
-    """At ``firm``, one extra unit on ``plus`` displaces one unit of ``minus``."""
+    """At ``firm``, one extra unit on ``plus`` displaces one unit of ``minus``.
+
+    ``minus`` is None when the firm absorbs the unit outright.
+    """
 
     firm: str
     plus: str
-    minus: str
+    minus: str | None
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,18 @@ class Event:
     partner: str | None = None
 
 
+def _admissible_end(view: PointView, w: str) -> tuple[int, str, int] | None:
+    """The far end of the worker's admissible edge (see ``Instance.far_ends``)."""
+    wants = view.wants
+    ev = evaluator_for(view.inst, w)
+    ends = view.inst.far_ends(w)
+    for pos in ev.order[ev.last_rank(view.local[w]) :]:
+        end = ends[pos]
+        if wants[end[1]](end[2]):
+            return end
+    return None
+
+
 def admissible_edge(view: PointView, w: str) -> str | None:
     """The worker's admissible edge at the view's point, if any.
 
@@ -94,66 +110,59 @@ def admissible_edge(view: PointView, w: str) -> str | None:
     down (its whole order when it holds nothing), returning the first
     edge the far firm finds interesting.
     """
-    inst, wants = view.inst, view.wants
-    start = inst.last_supported(view.x, w)
-    for eid in inst.worker_orders[w][start or 0:]:
-        f = inst.edge(eid).firm
-        if wants[f](inst.local_pos(f, eid)):
-            return eid
-    return None
+    end = _admissible_end(view, w)
+    return None if end is None else view.inst.edges[end[0]].id
 
 
-def admissible_move(view: PointView, w: str) -> tuple[str, Tandem | None] | None:
-    """The worker's admissible edge and the displacement pair it starts.
+def admissible_move(view: PointView, w: str) -> Tandem | None:
+    """The displacement pair the worker's admissible edge starts.
 
-    The pair is None when the far firm absorbs the extra unit outright;
-    the whole result is None when the worker has no admissible edge.
+    Its ``minus`` is None when the far firm absorbs the extra unit
+    outright; the result is None when the worker has no admissible edge.
     """
-    a = admissible_edge(view, w)
-    if a is None:
+    end = _admissible_end(view, w)
+    if end is None:
         return None
     inst = view.inst
-    f = inst.edge(a).firm
-    verdict, c_pos = evaluator_for(inst, f).unit_response(
-        view.local[f], inst.local_pos(f, a)
-    )
+    i, f, fpos = end
+    a = inst.edges[i].id
+    verdict, c_pos = evaluator_for(inst, f).unit_response(view.local[f], fpos)
     if verdict == "same":
         raise InvariantViolation(f"admissible edge {a} is not interesting for {f}")
-    if verdict == "absorb":
-        return a, None
-    return a, Tandem(f, a, inst.edges_of(f)[c_pos])
+    return Tandem(f, a, None if verdict == "absorb" else inst.edges_of(f)[c_pos])
 
 
-def build_auxiliary(view: PointView) -> dict[str, Tandem | None]:
+def build_auxiliary(view: PointView) -> dict[str, Tandem]:
     """Each worker's admissible move at a stable point.
 
     Maps every worker at a positive quota that it fills and that has an
-    admissible edge to the displacement pair the edge starts, or to None
-    when the far firm absorbs the unit outright.  Not in canonical
-    worker order: a carried search adds the moves that appear last.
+    admissible edge to the displacement pair the edge starts, whose
+    ``minus`` is None when the far firm absorbs the unit outright.  Not
+    in canonical worker order: a carried search adds the moves that
+    appear last.
 
     The stability check and the moves are read from the view, which may
     be built from the view of another stable point, and the moves are
     stored in it; the result is ``view.moves`` itself.  The moves start
     as a copy of a stable parent's whose rotations were searched, and
-    only the dirty workers and the workers of dirty firms are searched
-    again: any other worker keeps its move, and so does every firm its
-    scan and its displacement read.  Any other parent is dropped and
+    only the workers ``_searched_again`` names are searched again.  Any
+    other parent, or one from which every vertex moved, is dropped and
     every worker is searched, from no moves.  The searched workers whose
-    move differs from the parent's, absorbed or none counting as one,
-    are stored as ``view.changed``, in canonical order.
+    move differs from the parent's, gained or lost included, are stored
+    as ``view.changed``, in canonical order.
     """
     report = view.report
     if not report.stable:
         raise GallocError(f"auxiliary structure needs a stable assignment; {report}")
     if view.moves is None:
         inst, parent = view.inst, view.parent
-        old: dict[str, Tandem | None] = {}
+        old: dict[str, Tandem] = {}
         stale = inst.workers
-        if parent is not None and parent.rotations is not None:
-            old, stale = parent.moves, _stale_workers(inst, view.dirty)
+        searched = parent is not None and parent.rotations is not None
+        if searched and view.dirty is not None:
+            old, stale = parent.moves, _searched_again(view)
         else:
-            view.parent = None  # never searched: it has no rotations to carry
+            view.parent = None  # nothing to carry: never searched, or all moved
         moves = dict(old)
         changed: list[str] = []
         for w in stale:
@@ -163,23 +172,49 @@ def build_auxiliary(view: PointView) -> dict[str, Tandem | None]:
             if move is None:
                 moves.pop(w, None)
             else:
-                moves[w] = move[1]
+                moves[w] = move
             if moves.get(w) != old.get(w):
                 changed.append(w)
         view.moves, view.changed = moves, changed
     return view.moves
 
 
+def _searched_again(view: PointView) -> list[str]:
+    """The workers whose move may differ from the stable parent's.
+
+    A worker keeps its move when it did not move and neither did the
+    firm of its added edge, provided every dirty firm weakly prefers the
+    point (``view.firms_gain``): the edges its scan skipped joined it to
+    firms that did not want them, and by the lemma of the delta rule
+    (see ``PointView._blocking``) they still do not, while the firm of
+    its added edge still wants it and answers as it did.  So the dirty
+    workers and the workers whose move starts at a dirty firm are
+    searched again; without the premise, the dirty workers and every
+    worker of a dirty firm.  Canonical order.
+    """
+    inst, dirty = view.inst, view.dirty
+    if not view.firms_gain:
+        return _stale_workers(inst, dirty)
+    stale = {v for v in dirty if inst.is_worker(v)}
+    stale.update(w for w, t in view.parent.moves.items() if t.firm in dirty)
+    return sorted(stale, key=inst.worker_index.__getitem__)
+
+
+def _successor(inst: Instance, t: Tandem | None) -> str | None:
+    """The worker of the edge a move displaces; None for an absorbed move."""
+    return None if t is None or t.minus is None else inst.edge(t.minus).worker
+
+
 def clean(inst: Instance, moves: dict[str, Tandem | None]) -> dict[str, Tandem]:
     """The moves of the workers on cycles of the successor map.
 
     A worker's successor is the worker of the edge its pair displaces;
-    an absorbed move has none.  Workers nothing points into are deleted
-    and the deletion cascades.  As every worker has at most one
-    successor, the survivors are exactly the cycle workers, each with
-    one predecessor.  In the order of the moves.
+    an absorbed move (no ``minus``, or None) has none.  Workers nothing
+    points into are deleted and the deletion cascades.  As every worker
+    has at most one successor, the survivors are exactly the cycle
+    workers, each with one predecessor.  In the order of the moves.
     """
-    succ = {w: None if t is None else inst.edge(t.minus).worker for w, t in moves.items()}
+    succ = {w: _successor(inst, t) for w, t in moves.items()}
     indeg = Counter(succ.values())
     queue = [w for w in succ if not indeg[w]]
     while queue:
@@ -261,15 +296,15 @@ def _carried_rotations(view: PointView) -> tuple[Rotation, ...]:
     inst, moves, changed, parent = view.inst, view.moves, view.changed, view.parent
     old, rotations = ({}, ()) if parent is None else (parent.moves, parent.rotations)
     drop: set[str] = set()  # the added edges of the broken cycles
-    walked: dict[str, Tandem | None] = moves
+    walked: dict[str, Tandem] = moves
     if old:
         ours, reached = set(changed), {}
         for w in changed:
             trail, v = [], w
-            while v not in reached and (t := old.get(v)) is not None:
+            while v not in reached and (u := _successor(inst, old.get(v))) is not None:
                 reached[v] = w
                 trail.append(v)
-                v = inst.edge(t.minus).worker
+                v = u
             if reached.get(v) == w:  # this walk closed a parent cycle at v
                 cycle = trail[trail.index(v):]
                 if not ours.isdisjoint(cycle):
@@ -278,7 +313,7 @@ def _carried_rotations(view: PointView) -> tuple[Rotation, ...]:
         for w in changed:
             while w not in walked and (t := moves.get(w)) is not None:
                 walked[w] = t
-                w = inst.edge(t.minus).worker
+                w = _successor(inst, t)
     new = extract_rotations(inst, clean(inst, walked)) if walked else ()
     if not drop and not new:
         return rotations

@@ -20,13 +20,21 @@ alone, since it holds the instance and the point.  A stability check
 asks each worker where one more unit is interesting, which for a
 worker at its quota is the prefix of its order before its last
 supported edge (Baïou & Balinski's greedy rule), and asks the far firm
-on those edges only.  A view built from the view of another stable
+on those edges only, through the worker's row of far ends
+(``Instance.far_ends``).  A view built from the view of another stable
 point recomputes only the dirty vertices, the endpoints of the edges
-whose values differ between the two points.  Every other vertex keeps
-its vector, so it stays accepted and its edges to other clean vertices
-stay non-blocking: checking acceptance at the dirty vertices, and
-blocking on the edges of the dirty workers and of the workers of dirty
-firms, gives exactly the full report.
+whose values differ between the two points, and checks acceptance at
+those only: every other vertex keeps its vector, so it stays accepted.
+Blocking follows a delta rule.  Stable points form a lattice along
+which firms weakly gain and workers weakly lose (Alkan & Gale 2003),
+and a firm that weakly prefers the new point does not newly want an
+edge whose value did not change (the lemma, proved at
+``PointView._blocking``).  So when every dirty firm weakly prefers the
+new point, which one closed-form probe per dirty firm confirms, only
+the moved edges and the positions each dirty worker newly wants are
+asked; for a linear worker those lie between its old cut and its new
+one.  When a dirty firm does not, the dirty workers and the workers of
+dirty firms are scanned, which still covers every edge that can block.
 Rotation searches carry one view from each point they search to the
 next, and store in it each filled worker's admissible move and the
 rotations found, which the next search keeps where nothing moved (see
@@ -36,6 +44,8 @@ rotations found, which the next search keeps where nothing moved (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 from typing import Callable
 
 from .choice import evaluator_for, join
@@ -70,15 +80,15 @@ class PointView:
     ``local`` and ``wants`` hold every vertex's local vector and interest
     predicate.  ``PointView(inst, x)`` builds them for every vertex;
     ``PointView(inst, x, parent)`` copies the parent's and rebuilds only
-    ``dirty``, the endpoints of the edges whose values differ between the
-    parent's point and ``x``, however far apart the two points are.  The
-    full build is the same code with every vertex dirty, and ``dirty`` is
-    then None.
+    ``dirty``, the endpoints of ``moved``, the edges whose values differ
+    between the parent's point and ``x``, however far apart the two
+    points are.  The full build is the same code with every vertex
+    dirty, and ``dirty`` is then None.
 
-    The stability ``report`` is computed on first use.  When the parent's
-    report was stable it checks acceptance at the dirty vertices and
-    blocking at the workers they touch only, which gives the full
-    report; otherwise it checks everything.
+    The stability ``report`` is computed on first use.  Under a parent
+    whose report was stable it checks acceptance at the dirty vertices
+    only, and blocking by the delta rule when its premise holds (see
+    ``_blocking``); otherwise it checks everything.
 
     A rotation search stores its results in the view: ``moves``, each
     filled worker's admissible move; ``changed``, the searched workers
@@ -86,11 +96,14 @@ class PointView:
     parent to carry from, which counts as one with no moves; and
     ``rotations``, the search's answer.  ``parent`` is the stable
     parent's view, kept only until the search has read its moves and
-    rotations, so that no chain of views stays alive.
+    rotations, so that no chain of views stays alive.  ``firms_gain``
+    records whether every dirty firm weakly prefers ``x`` to the
+    parent's point, the premise that lets both the check and the search
+    skip the vertices that did not move.
     """
 
     __slots__ = (
-        "inst", "x", "local", "wants", "dirty", "_scope", "_report",
+        "inst", "x", "local", "wants", "dirty", "moved", "firms_gain", "_report",
         "parent", "moves", "changed", "rotations",
     )
 
@@ -99,16 +112,17 @@ class PointView:
         self.x = x
         vertices = inst.workers + inst.firms
         dirty: set[str] | None = None
+        moved: list[int] = []
         if parent is not None:
             edges = inst.edges
+            moved = list(compress(count(), map(ne, parent.x.values, x.values)))
             dirty = set()
-            for e, a, b in zip(edges, parent.x.values, x.values):
-                if a != b:
-                    dirty.add(e.worker)
-                    dirty.add(e.firm)
+            for i in moved:
+                dirty.add(edges[i].worker)
+                dirty.add(edges[i].firm)
             if len(dirty) == len(vertices):
                 dirty = None  # the full build, without copying the parent first
-        self.dirty = dirty
+        self.dirty, self.moved = dirty, moved
         local: dict[str, tuple[int, ...]] = {} if dirty is None else dict(parent.local)
         wants: dict[str, Callable[[int], bool]] = {} if dirty is None else dict(parent.wants)
         for v in vertices if dirty is None else dirty:
@@ -117,9 +131,9 @@ class PointView:
             wants[v] = evaluator_for(inst, v).interest(z)
         self.local, self.wants = local, wants
         stable = parent is not None and parent._report is not None and parent._report.stable
-        self._scope = dirty if stable else None
+        self.parent = parent if stable else None
+        self.firms_gain = False
         self._report: StabilityReport | None = None
-        self.parent = parent if stable and dirty is not None else None
         self.moves: dict | None = None
         self.changed: list[str] | None = None
         self.rotations: tuple | None = None
@@ -135,32 +149,85 @@ class PointView:
                 self._report = StabilityReport(not blocking, (), blocking)
         return self._report
 
+    def _dirty(self, vertices) -> list[str]:
+        """The vertices of ``vertices`` a stable parent leaves to check."""
+        dirty = self.dirty
+        if self.parent is None or dirty is None:
+            return list(vertices)
+        return [v for v in vertices if v in dirty]
+
     def _unacceptable(self) -> tuple[str, ...]:
-        """Vertices (in scope) rejecting their local vector, canonical order."""
-        inst, local, scope = self.inst, self.local, self._scope
-        vertices = inst.workers + inst.firms
-        if scope is not None:
-            vertices = [v for v in vertices if v in scope]
+        """Vertices (dirty ones under a stable parent) rejecting their
+        local vector, canonical order."""
+        inst, local = self.inst, self.local
+        vertices = self._dirty(inst.workers + inst.firms)
         return tuple(v for v in vertices if not evaluator_for(inst, v).accepts(local[v]))
 
     def _blocking(self) -> tuple[str, ...]:
-        """Blocking edges (with an endpoint in scope), canonical order.
+        """Blocking edges at an acceptable point, canonical order.
 
-        Each stale worker lists the positions where it wants one more
-        unit, and only the far firms of those edges are asked.  The stale
-        workers are every worker, or in scope the dirty workers and the
-        workers of dirty firms: that covers every edge with an endpoint
-        in scope, and their other edges join two clean vertices.
+        Without a stable parent every worker lists the positions where it
+        wants one more unit, and only the far firms of those edges are
+        asked.  Under a stable parent, when every dirty firm weakly
+        prefers the point (``firms_gain``), only the moved edges and the
+        positions each dirty worker newly wants are asked.  The lemma:
+        take a vertex with accepted local vectors u and v and
+        C(u ∨ v) = v, and a position p with u[p] = v[p]; if one more unit
+        at p is not interesting at u, it is not at v.  Substitutability
+        with u + e_p ≤ (u ∨ v) + e_p gives C((u ∨ v) + e_p)[p] ≤ u[p], and
+        with u ∨ v it gives C((u ∨ v) + e_p) ≤ v off p; so
+        C((u ∨ v) + e_p) ≤ v + e_p ≤ (u ∨ v) + e_p, and consistence gives
+        C(v + e_p) = C((u ∨ v) + e_p), which keeps no extra unit at p.
+        So an unmoved edge that blocks here either has a firm that did
+        not move, or, by the lemma, a firm that already wanted it at the
+        parent; either way its worker did not want it there, the parent
+        being stable, and wants it now.  When the premise fails, the
+        dirty workers and the workers of dirty firms are scanned: that
+        covers every edge with a dirty endpoint, and any other edge joins
+        two clean vertices and does not block.
         """
-        inst, local, wants, scope = self.inst, self.local, self.wants, self._scope
+        inst, local, wants, parent = self.inst, self.local, self.wants, self.parent
+        edges = inst.edges
+        workers = inst.workers
+        if parent is not None:
+            gain = self.firms_gain = all(
+                evaluator_for(inst, f).prefers(parent.local[f], local[f])
+                for f in self._dirty(inst.firms)
+            )
+            if gain:
+                return self._delta_blocking()
+            if self.dirty is not None:
+                workers = _stale_workers(inst, self.dirty)
+        found = []
+        for w in workers:
+            wanted = evaluator_for(inst, w).interesting_positions(local[w])
+            if wanted:
+                ends = inst.far_ends(w)
+                for pos in wanted:
+                    i, f, fpos = ends[pos]
+                    if wants[f](fpos):
+                        found.append(i)
+        return tuple([edges[i].id for i in sorted(found)])
+
+    def _delta_blocking(self) -> tuple[str, ...]:
+        """The blocking edges among the moved edges and the positions
+        each dirty worker newly wants, canonical order."""
+        inst, local, wants, old = self.inst, self.local, self.wants, self.parent.local
         edges = inst.edges
         found = []
-        for w in inst.workers if scope is None else _stale_workers(inst, scope):
-            ids = inst.edge_indices(w)
-            for pos in evaluator_for(inst, w).interesting_positions(local[w]):
-                e = edges[ids[pos]]
-                if wants[e.firm](inst.local_pos(e.firm, e.id)):
-                    found.append(ids[pos])
+        for i in self.moved:
+            e = edges[i]
+            w, f = e.worker, e.firm
+            if wants[w](inst.local_pos(w, e.id)) and wants[f](inst.local_pos(f, e.id)):
+                found.append(i)
+        for w in self._dirty(inst.workers):
+            newly = evaluator_for(inst, w).newly_interesting(old[w], local[w])
+            if newly:
+                ends = inst.far_ends(w)
+                for pos in newly:
+                    i, f, fpos = ends[pos]
+                    if wants[f](fpos):
+                        found.append(i)
         return tuple([edges[i].id for i in sorted(found)])
 
 

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -377,6 +378,57 @@ def test_tableau_closed_form_matches_the_generic_probes(spec):
     compare_with_the_generic_probes(TableauChoice("f", cs, filling, quota))
 
 
+def compare_preferences(cf):
+    """Check ``prefers`` and ``newly_interesting`` against the rule on
+    every pair of accepted box vectors, and the delta rule's lemma: a
+    vertex that weakly prefers y to x newly wants no position where the
+    two agree.  Returns how many pairs the rule answered yes and no."""
+    k = len(cf.caps)
+    accepted = [z for z in iter_box(cf.caps) if cf(z) == z]
+    answers = Counter()
+    for x in accepted:
+        was = [interesting_at(cf, x, pos) for pos in range(k)]
+        for y in accepted:
+            want = cf(join(x, y)) == y
+            assert cf.prefers(x, y) == want, (cf.caps, cf.quota, x, y)
+            answers[want] += 1
+            newly = [
+                pos
+                for pos in range(k)
+                if x[pos] == y[pos] and not was[pos] and interesting_at(cf, y, pos)
+            ]
+            assert sorted(cf.newly_interesting(x, y)) == newly, (cf.caps, cf.quota, x, y)
+            assert not (want and newly), (cf.caps, cf.quota, x, y)
+    return answers
+
+
+def test_linear_preference_probe_matches_the_rule():
+    answers = Counter()
+    for cf in small_linear_vertices():
+        answers += compare_preferences(cf)
+        if cf.caps[0] == 1:  # a worker's rule is the same greedy one
+            answers += compare_preferences(
+                LinearChoice("w", "worker-linear", cf.caps, cf.order, cf.quota)
+            )
+    assert answers[True] > 10_000 and answers[False] > 10_000
+
+
+def test_a3_preference_probe_matches_the_rule():
+    answers = Counter()
+    for q in (2, 4):
+        caps = (q, q // 2, q // 2)
+        for quota in range(sum(caps) + 1):
+            answers += compare_preferences(TableauChoice("f", caps, a3_filling(q), quota))
+    assert answers[True] > 1_000 and answers[False] > 1_000
+
+
+@given(tableau_specs())
+@settings(max_examples=60, deadline=None)
+def test_tableau_preference_probe_matches_the_rule(spec):
+    cs, filling, quota = spec
+    compare_preferences(TableauChoice("f", cs, filling, quota))
+
+
 def ask_every_probe(cf):
     """Ask every closed-form probe at every box point where it answers
     without a fallback."""
@@ -392,6 +444,10 @@ def ask_every_probe(cf):
         for plus, minus in itertools.permutations(range(k), 2):
             for mu in range(1, cf.caps[plus] - z[plus] + 1):
                 cf.swaps(z, plus, minus, mu)
+        if sum(z) <= cf.quota:
+            for x in iter_box(cf.caps):
+                cf.prefers(x, z)
+                cf.newly_interesting(x, z)
 
 
 def test_linear_probes_do_not_call_the_rule():

@@ -899,3 +899,36 @@ def test_any_one_assignment_or_cost_field_replaced_exits_cleanly(data, tmp_path,
         ["rotations", inst_path, x_path],
         ["mincost", inst_path, costs],
     ])
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.text()
+    | st.sampled_from(["", "\"\\/\b\f\n\r\t\x00\x1f\x7f", "é☃\U0001f600", "\ud800"])
+)
+json_odd = st.floats(allow_nan=True) | st.tuples(st.integers())
+
+
+@given(
+    st.recursive(
+        json_scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4) | json_scalars, inner, max_size=4),
+        max_leaves=30,
+    )
+    | st.recursive(
+        json_scalars | json_odd,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=10,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_output_text_is_that_of_json_dumps_with_indent(doc):
+    # Escapes, non-ASCII text, lone surrogates and keys that are not
+    # strings included; floats and tuples go to json.dumps itself.
+    from galloc.cli import _dumps
+
+    assert _dumps(doc) == json.dumps(doc, indent=2)

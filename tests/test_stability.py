@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,7 @@ from galloc import (
     instance_from_dict,
     make_ring_instance,
 )
-from galloc.choice import evaluator_for, interesting_at
+from galloc.choice import evaluator_for, interesting_at, iter_box, join
 from galloc.stability import PointView
 
 from builders import latin, one_on_one, two_swaps
@@ -216,3 +217,44 @@ def test_check_builds_each_local_vector_once(monkeypatch):
         calls = 0
         check_stability(inst, x)
         assert 0 < calls <= len(inst.workers) + len(inst.firms)
+
+
+def firm_improving_children(inst, x, rng, limit=1500):
+    """Points where every firm keeps an accepted share it weakly prefers
+    to its share of ``x``, drawn firm by firm."""
+    options = []
+    for f in inst.firms:
+        cf = evaluator_for(inst, f)
+        xf = inst.local_values(x, f)
+        options.append([z for z in iter_box(cf.caps) if cf(z) == z and cf(join(xf, z)) == z])
+    for _ in range(limit):
+        vals = [0] * len(inst.edges)
+        for f, opts in zip(inst.firms, options):
+            for i, v in zip(inst.edge_indices(f), rng.choice(opts)):
+                vals[i] = v
+        yield inst.assignment(vals)
+
+
+def test_the_delta_rule_matches_the_full_check_below_a_stable_parent():
+    # Below a stable parent whose dirty firms all weakly gain, the check
+    # asks only the moved edges and the positions dirty workers newly
+    # want; both kinds of blocking edge must occur and be found.
+    rng = random.Random(11)
+    seen = Counter()
+    for inst in (latin(3, 2, 4), latin(4, 2, 4), make_ring_instance(4)):
+        route = build_full_route(inst)
+        for x in [route.start] + [step.end for step in route.steps]:
+            parent = PointView(inst, x)
+            assert parent.report.stable
+            for y in firm_improving_children(inst, x, rng):
+                child = PointView(inst, y, parent)
+                report = child.report
+                assert report == check_stability(inst, y)
+                if report.unacceptable_vertices:
+                    continue
+                assert child.firms_gain
+                moved = {inst.edges[i].id for i in child.moved}
+                seen["stable"] += report.stable
+                seen["moved"] += any(e in moved for e in report.blocking)
+                seen["unmoved"] += any(e not in moved for e in report.blocking)
+    assert seen["stable"] and seen["moved"] and seen["unmoved"], seen
