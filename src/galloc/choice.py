@@ -35,6 +35,13 @@ supported position, so its interesting positions are a prefix of its
 order; a tableau rule, which keeps the quota-many smallest entries,
 by the total and the largest entry held.  The brute-force oracle, the
 axiom checks and the gapless check call the rule itself.
+
+An evaluator is built on a vertex's first use from what loading the
+instance read once: the capacities, the worker's order already mapped
+to local positions, the firm's rule.  Each closed-form probe tests a
+vector against the box the first time it sees it, unless the caller
+has tested the whole point, as a stability check's view does through
+``interest_in_box``.
 """
 
 from __future__ import annotations
@@ -180,12 +187,13 @@ class ChoiceEvaluator:
     def _evaluate(self, z: Vec) -> Vec:
         raise NotImplementedError
 
-    def _shape(self, z: Vec) -> tuple | None:
+    def _shape(self, z: Vec, boxed: bool = False) -> tuple | None:
         """What the closed-form probes read of ``z``, memoized; None
-        outside the box.  Computing it counts in ``fresh_total`` but is
-        not a call of the rule."""
+        outside the box, which is not tested when ``boxed`` says the
+        caller has.  Computing it counts in ``fresh_total`` but is not a
+        call of the rule."""
         got = self._shapes.get(z)
-        if got is None and self._in_box(z):
+        if got is None and (boxed or self._in_box(z)):
             self.fresh_total[0] += 1
             got = self._shapes[z] = self._measure(z)
         return got
@@ -208,6 +216,12 @@ class ChoiceEvaluator:
     def interest(self, z: Sequence[int]) -> Callable[[int], bool]:
         """``interesting_at`` at ``z``, as a predicate on positions."""
         return functools.partial(interesting_at, self, tuple(z))
+
+    def interest_in_box(self, z: Vec) -> Callable[[int], bool]:
+        """``interest`` at a tuple the caller has tested against the box,
+        for the closed forms, which then skip that test."""
+        self._shape(z, True)
+        return self.interest(z)
 
     def interesting_positions(self, z: Sequence[int]) -> list[int]:
         """The positions where one more unit is interesting at ``z``."""
@@ -502,19 +516,15 @@ def read_firm_spec(inst: Instance, f: str) -> tuple[str, int, tuple]:
         raise ValidationError(f"firm {f!r}: missing {key!r}")
     if not isinstance(cols, (list, tuple)):
         raise ValidationError(f"firm {f!r}: {key!r} must be a list of edge ids")
-    pos = inst._local_pos[f]
-    try:
-        local = tuple([pos[eid] for eid in cols])
-    except (KeyError, TypeError):  # a foreign or unhashable entry
-        local = ()
-    if len(local) != len(inst.edges_of(f)) or len(set(local)) != len(local):
+    local = inst._positions(f, cols, inst._firm_pos)
+    if local is None:
         raise ValidationError(
             f"firm {f!r}: {key!r} is not a permutation of its incident edges"
         )
     if kind == "linear":
         return "firm-linear", q, local
 
-    caps = tuple(inst.edge(eid).capacity for eid in cols)
+    caps = tuple(map(inst.caps_of(f).__getitem__, local))
     if kind == "tableau-a3":
         if len(cols) != 3:
             raise ValidationError(f"firm {f!r}: tableau-a3 needs exactly 3 edges")
@@ -556,8 +566,7 @@ def evaluator_for(inst: Instance, v: str) -> ChoiceEvaluator:
         return ev
     caps = inst.caps_of(v)
     if inst.is_worker(v):
-        order = tuple(inst.local_pos(v, eid) for eid in inst.worker_orders[v])
-        ev = LinearChoice(v, "worker-linear", caps, order, inst.quota(v))
+        ev = LinearChoice(v, "worker-linear", caps, inst._local_orders[v], inst.quota(v))
     else:
         kind, quota, table = inst._firm_rules[v]
         if kind == "tableau":

@@ -10,6 +10,19 @@ The canonical edge order is the order of the ``edges`` list in the
 instance file.  Assignments are stored as value tuples in that order,
 and every per-vertex "local" vector lists the vertex's incident edges in
 that same order.
+
+A command reads its instance once, and what grows with the number of
+edges is done in one pass.  The edge records are read through one
+``itemgetter`` and built as tuples without a Python call per edge.
+Construction fills each vertex's incident list and records, in the same
+loop, each edge's position at its worker and at its firm.  Validation
+tests the edges as a whole (every end listed, every capacity a
+nonnegative int) and walks them one by one only when that fails, to
+list every problem.  It maps each worker order, and each firm's
+order or columns, to local positions through those recorded positions,
+which also proves it a permutation of the incident edges; the
+evaluators, built on first use, read that mapping.  An assignment file
+is checked and placed column by column the same way.
 """
 
 from __future__ import annotations
@@ -22,6 +35,7 @@ import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, repeat
 from math import lcm
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -32,6 +46,7 @@ _INSTANCE_KEYS = frozenset(
     {"workers", "firms", "edges", "worker_quotas", "worker_orders", "firm_cfs", "meta"}
 )
 _EDGE_KEYS = frozenset({"id", "worker", "firm", "capacity"})
+_EDGE_FIELDS = operator.itemgetter("id", "worker", "firm", "capacity")
 # Costs, their common denominator and their scaled integers stay below
 # this many digits; a decimal exponent is checked before expansion.
 _COST_DIGITS = 1000
@@ -92,8 +107,10 @@ class Instance:
     ``meta`` it is given; ``instance_from_dict`` copies them out of a
     caller's document first.  Instances are immutable by convention,
     except for the memoizing evaluators :mod:`galloc.choice` keeps in
-    them; lookup tables, ``b_max`` and each firm's rule, read from its
-    spec, are built here.
+    them and the lookup tables built on first use (incident ids, far
+    ends, local-vector getters).  The incident lists, each edge's
+    positions at its two ends, ``b_max``, each worker's order as local
+    positions and each firm's rule, read from its spec, are built here.
     """
 
     def __init__(
@@ -116,39 +133,34 @@ class Instance:
         self.firm_cfs: dict[str, dict[str, Any]] = dict(firm_cfs)
         self.meta: dict[str, Any] = dict(meta or {})
 
-        # Derived tables; built defensively so validation can run after.
-        # Per vertex: incident edge indices, their ids, and each id's
-        # local position (its last, should an id repeat); per edge, its
-        # position at its firm, which the workers' far ends read.
-        self.edge_index: dict[str, int] = {}
-        incident: dict[str, tuple[list[int], list[str], dict[str, int]]] = {
-            v: ([], [], {}) for v in self.workers + self.firms
-        }
-        firm_pos: list[int | None] = [None] * len(self.edges)
-        for i, e in enumerate(self.edges):
-            eid = e.id
-            self.edge_index.setdefault(eid, i)
-            tables = incident.get(e.firm)
-            if tables is not None:
-                indices, ids, pos = tables
-                firm_pos[i] = pos[eid] = len(ids)
+        # Derived tables, built defensively so validation can run after.
+        # Per vertex: incident edge indices.  Per edge: its capacity and
+        # its position in the incident list of each end (None where that
+        # end is not listed).
+        edges, n = self.edges, len(self.edges)
+        self._caps: tuple[int, ...] = tuple(map(operator.itemgetter(3), edges))
+        ids = map(operator.itemgetter(0), edges)
+        self.edge_index: dict[str, int] = dict(zip(ids, count()))
+        incident: dict[str, list[int]] = {v: [] for v in self.workers + self.firms}
+        listed = incident.get
+        worker_pos: list[int | None] = [None] * n
+        firm_pos: list[int | None] = [None] * n
+        for i, (_, w, f, _) in enumerate(edges):
+            indices = listed(f)
+            if indices is not None:
+                firm_pos[i] = len(indices)
                 indices.append(i)
-                ids.append(eid)
-            tables = incident.get(e.worker)
-            if tables is not None:
-                indices, ids, pos = tables
-                pos[eid] = len(ids)
+            indices = listed(w)
+            if indices is not None:
+                worker_pos[i] = len(indices)
                 indices.append(i)
-                ids.append(eid)
+        self._worker_pos, self._firm_pos = worker_pos, firm_pos
         self.worker_index: dict[str, int] = {w: i for i, w in enumerate(self.workers)}
         self._indices_of: dict[str, tuple[int, ...]] = {
-            v: tuple(t[0]) for v, t in incident.items()
+            v: tuple(indices) for v, indices in incident.items()
         }
-        self._edges_of: dict[str, tuple[str, ...]] = {
-            v: tuple(t[1]) for v, t in incident.items()
-        }
-        self._local_pos: dict[str, dict[str, int]] = {v: t[2] for v, t in incident.items()}
-        self._firm_pos = firm_pos
+        self._edges_of: dict[str, tuple[str, ...]] = {}  # by edges_of
+        self._local_orders: dict[str, tuple[int, ...]] = {}  # by validate_instance
         self._far_ends: dict[str, list[tuple[int, str, int]]] = {}  # by far_ends
         self._getters: dict[str, Callable[[tuple[int, ...]], tuple[int, ...]]] = {}
         self._worker_set = frozenset(self.workers)
@@ -157,7 +169,7 @@ class Instance:
         self._firm_rules: dict[str, tuple[str, int, tuple]] = {}  # by validate_instance
 
         validate_instance(self)
-        self.b_max: int = max((e.capacity for e in self.edges), default=0)
+        self.b_max: int = max(self._caps, default=0)
 
     # -- lookups ---------------------------------------------------------
 
@@ -166,21 +178,31 @@ class Instance:
 
     def edges_of(self, v: str) -> tuple[str, ...]:
         """Incident edge ids of a vertex, in canonical order."""
-        return self._edges_of[v]
+        got = self._edges_of.get(v)
+        if got is None:
+            edges = self.edges
+            got = self._edges_of[v] = tuple([edges[i].id for i in self._indices_of[v]])
+        return got
 
     def edge_indices(self, v: str) -> tuple[int, ...]:
         """Positions in ``edges`` of a vertex's incident edges, canonical order."""
         return self._indices_of[v]
 
     def caps_of(self, v: str) -> tuple[int, ...]:
-        edges = self.edges
-        return tuple([edges[i].capacity for i in self._indices_of[v]])
+        return tuple(map(self._caps.__getitem__, self._indices_of[v]))
 
     def edge(self, eid: str) -> Edge:
         return self.edges[self.edge_index[eid]]
 
     def local_pos(self, v: str, eid: str) -> int:
-        return self._local_pos[v][eid]
+        """The position of an incident edge among v's; KeyError otherwise."""
+        i = self.edge_index[eid]
+        e = self.edges[i]
+        if v == e.worker:
+            return self._worker_pos[i]
+        if v == e.firm:
+            return self._firm_pos[i]
+        raise KeyError(eid)
 
     def far_ends(self, w: str) -> list[tuple[int, str, int]]:
         """Per local position of a worker: the edge index, its firm, and
@@ -191,6 +213,30 @@ class Instance:
             row = [(i, edges[i].firm, firm_pos[i]) for i in self._indices_of[w]]
             self._far_ends[w] = row
         return row
+
+    def _positions(
+        self, v: str, eids: Iterable[str], ends_pos: list[int | None]
+    ) -> tuple[int, ...] | None:
+        """The local positions at ``v`` of ``eids``, read from ``ends_pos``,
+        the edge-end positions of v's side, when ``eids`` lists each of
+        v's incident edges once; None otherwise.
+
+        An edge is incident when the position it reads holds it at ``v``.
+        """
+        indices, index = self._indices_of[v], self.edge_index
+        local = []
+        try:
+            for eid in eids:
+                i = index[eid]
+                pos = ends_pos[i]
+                if indices[pos] != i:
+                    return None
+                local.append(pos)
+        except (KeyError, IndexError, TypeError):  # foreign, unhashable or off-side
+            return None
+        if len(set(local)) == len(local) == len(indices):
+            return tuple(local)
+        return None
 
     def quota(self, w: str) -> int:
         return self.worker_quotas[w]
@@ -219,6 +265,15 @@ class Instance:
                 get = operator.itemgetter(*indices) if indices else lambda vals: ()
             self._getters[v] = get
         return get(x.values)
+
+    def in_box(self, x: Assignment) -> bool:
+        """Whether each value of ``x`` lies between 0 and its capacity."""
+        vals, caps = x.values, self._caps
+        return (
+            len(vals) == len(caps)
+            and min(vals, default=0) >= 0
+            and all(map(operator.le, vals, caps))
+        )
 
     def size_at(self, x: Assignment, v: str) -> int:
         return sum(self.local_values(x, v))
@@ -325,15 +380,24 @@ def validate_instance(inst: Instance) -> None:
         for d in sorted(dup(e.id for e in inst.edges)):
             errors.append(f"duplicate edge id {d!r}")
 
-    for e in inst.edges:
-        if e.worker not in workers:
-            errors.append(f"edge {e.id!r} references unknown worker {e.worker!r}")
-        if e.firm not in firms:
-            errors.append(f"edge {e.id!r} references unknown firm {e.firm!r}")
-        if not_int(e.capacity):
-            errors.append(f"edge {e.id!r} capacity is not an integer")
-        elif e.capacity < 0:
-            errors.append(f"edge {e.id!r} has negative capacity {e.capacity}")
+    # The edges are walked one by one, for their messages, only when a
+    # test over all of them fails.
+    edges, caps = inst.edges, inst._caps
+    if not (
+        workers.issuperset(map(operator.itemgetter(1), edges))
+        and firms.issuperset(map(operator.itemgetter(2), edges))
+        and set(map(type, caps)) <= {int}
+        and min(caps, default=0) >= 0
+    ):
+        for e in edges:
+            if e.worker not in workers:
+                errors.append(f"edge {e.id!r} references unknown worker {e.worker!r}")
+            if e.firm not in firms:
+                errors.append(f"edge {e.id!r} references unknown firm {e.firm!r}")
+            if not_int(e.capacity):
+                errors.append(f"edge {e.id!r} capacity is not an integer")
+            elif e.capacity < 0:
+                errors.append(f"edge {e.id!r} has negative capacity {e.capacity}")
 
     for w in inst.workers:
         if w not in inst.worker_quotas:
@@ -349,9 +413,21 @@ def validate_instance(inst: Instance) -> None:
     for w in inst.workers:
         if w not in inst.worker_orders:
             errors.append(f"missing order for worker {w!r}")
+    # An order mapped to local positions is what the worker's evaluator
+    # reads; the mapping fails unless the order is a permutation of the
+    # worker's incident edges, and only then are its problems listed.
     for w, order in inst.worker_orders.items():
         if w not in workers:
             errors.append(f"order for unknown worker {w!r}")
+            continue
+        try:
+            "".join(order)  # raises TypeError at an entry that is not a str
+        except TypeError:
+            local = None
+        else:
+            local = inst._positions(w, order, inst._worker_pos)
+        if local is not None:
+            inst._local_orders[w] = local
             continue
         incident = set(inst.edges_of(w))
         if not all(isinstance(eid, str) for eid in order):
@@ -424,17 +500,7 @@ def _build_instance(doc: Any, *, copy: bool) -> Instance:
             raise ValidationError(f"missing instance key {key!r}")
         if not isinstance(doc[key], kind):
             raise ValidationError(f"{key} must be {what}")
-    edges = []
-    for i, e in enumerate(doc["edges"]):
-        if type(e) is not dict and not isinstance(e, Mapping):
-            raise ValidationError(f"edge #{i} is not an object")
-        if e.keys() != _EDGE_KEYS:
-            bad = set(e) - _EDGE_KEYS
-            if bad:
-                raise ValidationError(f"edge #{i} has unknown keys {sorted(bad)}")
-            missing = _EDGE_KEYS - set(e)
-            raise ValidationError(f"edge #{i} missing keys {sorted(missing)}")
-        edges.append(Edge(str(e["id"]), str(e["worker"]), str(e["firm"]), e["capacity"]))
+    edges = _edge_records(doc["edges"])
     for w, order in doc["worker_orders"].items():
         if not isinstance(order, (list, tuple)):
             raise ValidationError(f"order for worker {w!r} must be a list of edge ids")
@@ -448,14 +514,52 @@ def _build_instance(doc: Any, *, copy: bool) -> Instance:
     if copy:
         firm_cfs, meta = _copied(dict(firm_cfs)), _copied(dict(meta or {}))
     return Instance(
-        [str(w) for w in doc["workers"]],
-        [str(f) for f in doc["firms"]],
+        map(str, doc["workers"]),
+        map(str, doc["firms"]),
         edges,
         doc["worker_quotas"],
         doc["worker_orders"],
         firm_cfs,
         meta,
     )
+
+
+def _edge_records(records: Any) -> list[Edge]:
+    """The edge records read from their objects, ids read through str.
+
+    Raises ValidationError at the first record that is not an object with
+    exactly the edge keys; the records are walked one by one only when a
+    test over all of them fails.  Each record is built by tuple.__new__,
+    as ``Edge._make`` does, from one itemgetter call, so no Python code
+    runs per edge and nothing per edge outlives its record.
+    """
+
+    def built() -> list[Edge]:
+        return list(map(tuple.__new__, repeat(Edge), map(_EDGE_FIELDS, records)))
+
+    edges = None
+    if set(map(type, records)) <= {dict} and set(map(len, records)) <= {len(_EDGE_KEYS)}:
+        try:
+            edges = built()
+        except KeyError:
+            pass
+    if edges is None:
+        for i, e in enumerate(records):
+            if type(e) is not dict and not isinstance(e, Mapping):
+                raise ValidationError(f"edge #{i} is not an object")
+            if e.keys() != _EDGE_KEYS:
+                bad = set(e) - _EDGE_KEYS
+                if bad:
+                    raise ValidationError(f"edge #{i} has unknown keys {sorted(bad)}")
+                missing = _EDGE_KEYS - set(e)
+                raise ValidationError(f"edge #{i} missing keys {sorted(missing)}")
+        edges = built()
+    try:
+        for k in range(3):  # str.join raises TypeError at a field not a str
+            "".join(map(operator.itemgetter(k), edges))
+    except TypeError:
+        edges = [Edge(str(e.id), str(e.worker), str(e.firm), e.capacity) for e in edges]
+    return edges
 
 
 def load_instance(path: str | Path) -> Instance:
@@ -472,18 +576,35 @@ def assignment_from_doc(inst: Instance, doc: Mapping[str, Any]) -> Assignment:
         if "assignment" not in inst.edge_index:
             raise ValidationError("assignment must be an object of edge values")
         mapping = doc  # a bare mapping with an edge named "assignment"
+    # The values are checked column by column; the items are walked one
+    # by one, for the message of the first bad one, only when that fails.
+    index, caps = inst.edge_index, inst._caps
+    values = list(mapping.values())
+    try:
+        at = list(map(index.__getitem__, mapping))
+    except (KeyError, TypeError):  # an unknown or unhashable edge id
+        at = None
+    if not (
+        at is not None
+        and set(map(type, values)) <= {int}
+        and min(values, default=0) >= 0
+        and all(map(operator.le, values, map(caps.__getitem__, at)))
+    ):
+        at = []
+        for eid, v in mapping.items():
+            if eid not in index:
+                raise ValidationError(f"assignment references unknown edge {eid!r}")
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValidationError(f"assignment value for edge {eid!r} is not an integer")
+            cap = inst.edge(eid).capacity
+            if v < 0 or v > cap:
+                raise ValidationError(
+                    f"assignment value {v} for edge {eid!r} is outside [0, {cap}]"
+                )
+            at.append(index[eid])
     vals = [0] * len(inst.edges)
-    for eid, v in mapping.items():
-        if eid not in inst.edge_index:
-            raise ValidationError(f"assignment references unknown edge {eid!r}")
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValidationError(f"assignment value for edge {eid!r} is not an integer")
-        cap = inst.edge(eid).capacity
-        if v < 0 or v > cap:
-            raise ValidationError(
-                f"assignment value {v} for edge {eid!r} is outside [0, {cap}]"
-            )
-        vals[inst.edge_index[eid]] = v
+    for i, v in zip(at, values):
+        vals[i] = v
     return Assignment(tuple(vals))
 
 

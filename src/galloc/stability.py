@@ -83,7 +83,12 @@ class PointView:
     ``dirty``, the endpoints of ``moved``, the edges whose values differ
     between the parent's point and ``x``, however far apart the two
     points are.  The full build is the same code with every vertex
-    dirty, and ``dirty`` is then None.
+    dirty, and ``dirty`` is then None.  ``boxed`` records that every
+    value lies between 0 and its capacity: the full build tests the whole
+    point, a carried view its parent's answer and its moved edges.  Only
+    then do the evaluators skip their own box test on the local vectors;
+    otherwise a vector outside its box raises, as the rule does, when the
+    report is read.
 
     The stability ``report`` is computed on first use.  Under a parent
     whose report was stable it checks acceptance at the dirty vertices
@@ -103,7 +108,7 @@ class PointView:
     """
 
     __slots__ = (
-        "inst", "x", "local", "wants", "dirty", "moved", "firms_gain", "_report",
+        "inst", "x", "local", "wants", "dirty", "moved", "boxed", "firms_gain", "_report",
         "parent", "moves", "changed", "rotations",
     )
 
@@ -122,13 +127,19 @@ class PointView:
                 dirty.add(edges[i].firm)
             if len(dirty) == len(vertices):
                 dirty = None  # the full build, without copying the parent first
-        self.dirty, self.moved = dirty, moved
+        if dirty is None:
+            boxed = inst.in_box(x)
+        else:
+            vals, edges = x.values, inst.edges
+            boxed = parent.boxed and all(0 <= vals[i] <= edges[i].capacity for i in moved)
+        self.dirty, self.moved, self.boxed = dirty, moved, boxed
         local: dict[str, tuple[int, ...]] = {} if dirty is None else dict(parent.local)
         wants: dict[str, Callable[[int], bool]] = {} if dirty is None else dict(parent.wants)
         for v in vertices if dirty is None else dirty:
             z = inst.local_values(x, v)
             local[v] = z
-            wants[v] = evaluator_for(inst, v).interest(z)
+            ev = evaluator_for(inst, v)
+            wants[v] = ev.interest_in_box(z) if boxed else ev.interest(z)
         self.local, self.wants = local, wants
         stable = parent is not None and parent._report is not None and parent._report.stable
         self.parent = parent if stable else None

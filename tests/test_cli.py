@@ -298,6 +298,11 @@ def added(doc, key, name, value):
     return doc
 
 
+def edited(doc, i, **fields):
+    doc["edges"][i].update(fields)
+    return doc
+
+
 def without(doc, key):
     del doc[key]
     return doc
@@ -361,6 +366,22 @@ INVALID = [
      "firm 'f': filling column 1 is not strictly increasing"),
     ("filling-repeat", lambda: tableau_doc(filling=[[0, 1], [1, 2]]),
      "firm 'f': filling entry 1 repeats"),
+    ("float-capacity", lambda: edited(pair_doc(), 0, capacity=1.0),
+     "edge 'e1' capacity is not an integer"),
+    ("boolean-capacity", lambda: edited(pair_doc(), 1, capacity=True),
+     "edge 'e2' capacity is not an integer"),
+    ("negative-capacity", lambda: edited(pair_doc(), 0, capacity=-1),
+     "edge 'e1' has negative capacity -1"),
+    ("unknown-firm", lambda: edited(pair_doc(), 1, firm="g"),
+     "edge 'e2' references unknown firm 'g'"),
+    ("int-id-collides",
+     lambda: edited(edited(pair_doc(), 0, id=2), 1, id="2") | {"worker_orders": {"w": ["2"]}},
+     "duplicate edge id '2'"),
+    ("non-string-order-entry", lambda: added(pair_doc(), "worker_orders", "w", ["e1", 2]),
+     "order for worker 'w' lists a non-string edge id"),
+    ("non-incident-order-entry",
+     lambda: added(pair_doc(), "worker_orders", "w", ["e1", "e2", "e9"]),
+     "order for worker 'w' lists non-incident edge 'e9'"),
     ("gen-capacity-bound", ["gen", "--seed", "1", "--capacity-bound", "0"],
      "capacity and quota bounds must be positive"),
     ("gen-quota-bound", ["gen", "--seed", "1", "--quota-bound", "0"],

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import pickle
 from fractions import Fraction
@@ -16,11 +17,12 @@ from galloc import (
     make_ring_instance,
     solution_doc,
 )
-from galloc.choice import evaluator_for, iter_box
+from galloc.choice import a3_filling, evaluator_for, iter_box
 from galloc.genrand import GeneratorConfig, generate
-from galloc.model import assignment_from_doc, shift
+from galloc.model import Edge, assignment_from_doc, shift
+from perfbench.corpus import random_complete, rings
 
-from builders import one_on_one, parallel_pair
+from builders import latin, one_on_one, parallel_pair, two_swaps
 
 
 def test_instance_roundtrip(tmp_path):
@@ -114,6 +116,24 @@ def test_order_must_cover_incident_edges():
         instance_from_dict(doc)
 
 
+def test_an_order_may_not_list_another_vertex_edge():
+    # Each order below lists as many distinct edges as the vertex has, one
+    # of them another worker's or firm's.
+    doc = two_swaps().to_dict()
+    doc["worker_orders"]["w1"] = ["a2", "b1"]
+    with pytest.raises(ValidationError) as err:
+        instance_from_dict(doc)
+    assert str(err.value) == (
+        "order for worker 'w1' lists non-incident edge 'b1'; "
+        "incomplete order for worker 'w1': missing ['a1']"
+    )
+    doc = two_swaps().to_dict()
+    doc["firm_cfs"]["f1"]["order"] = ["a1", "b2"]
+    with pytest.raises(ValidationError) as err:
+        instance_from_dict(doc)
+    assert str(err.value) == "firm 'f1': 'order' is not a permutation of its incident edges"
+
+
 def test_assignment_doc_forms():
     inst = one_on_one()
     assert assignment_from_doc(inst, {"e1": 1}).values == (1,)
@@ -187,3 +207,168 @@ def test_cost_of_is_a_dot_product():
     cv = CostVector.from_doc(inst, {"e1": "1/2", "e2": -1})
     assert cv.cost_of(inst.assignment((2, 1))) == Fraction(0)
     assert cv.cost_of(inst.assignment((1, 2))) == Fraction(-3, 2)
+
+
+def test_assignment_reads_check_every_value():
+    inst = parallel_pair(2)  # edges e1, e2 of capacity 2
+    assert assignment_from_doc(inst, {"e2": 2, "e1": 0}).values == (0, 2)
+    assert assignment_from_doc(inst, {"assignment": {"e2": 1}}).values == (0, 1)
+
+    class Count(int):
+        pass
+
+    assert assignment_from_doc(inst, {"e1": Count(1)}).values == (1, 0)
+    # The first bad item in the document's order names the problem.
+    for doc, message in (
+        ({"e1": True}, "assignment value for edge 'e1' is not an integer"),
+        ({"e1": 1, "e2": False}, "assignment value for edge 'e2' is not an integer"),
+        ({"e1": 1.0}, "assignment value for edge 'e1' is not an integer"),
+        ({"e1": "1"}, "assignment value for edge 'e1' is not an integer"),
+        ({"e2": -1}, "assignment value -1 for edge 'e2' is outside [0, 2]"),
+        ({"e1": 3}, "assignment value 3 for edge 'e1' is outside [0, 2]"),
+        ({"e1": 1, "e3": 1}, "assignment references unknown edge 'e3'"),
+        ({"e1": -1, "e3": 1}, "assignment value -1 for edge 'e1' is outside [0, 2]"),
+        ({"e3": -1, "e1": -1}, "assignment references unknown edge 'e3'"),
+        ({"e2": True, "e1": 5}, "assignment value for edge 'e2' is not an integer"),
+        ({"assignment": [1]}, "assignment must be an object of edge values"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            assignment_from_doc(inst, doc)
+        assert str(err.value) == message, doc
+    with pytest.raises(ValidationError, match="assignment document must be a JSON object"):
+        assignment_from_doc(inst, [1])
+
+
+def test_a_bare_assignment_may_name_an_edge_assignment():
+    doc = parallel_pair(3).to_dict()
+    doc["edges"][0]["id"] = doc["worker_orders"]["w1"][1] = "assignment"
+    doc["firm_cfs"]["f1"]["order"][0] = "assignment"
+    inst = instance_from_dict(doc)
+    assert inst.edges_of("w1") == ("assignment", "e2")
+    assert assignment_from_doc(inst, {"assignment": 3, "e2": 1}).values == (3, 1)
+    assert assignment_from_doc(inst, {"assignment": 0}).values == (0, 0)
+    assert assignment_from_doc(inst, {"assignment": {"assignment": 2}}).values == (2, 0)
+    with pytest.raises(ValidationError, match=r"value 4 for edge 'assignment' is outside \[0, 3\]"):
+        assignment_from_doc(inst, {"assignment": 4})
+    with pytest.raises(ValidationError, match="value for edge 'assignment' is not an integer"):
+        assignment_from_doc(inst, {"assignment": True})
+
+
+def numbered(doc):
+    """The document with every id renamed to a decimal number, given as a
+    JSON int in every other place where an int may stand: the worker and
+    firm lists and the edge records."""
+    names = {}
+    for v in doc["workers"] + doc["firms"] + [e["id"] for e in doc["edges"]]:
+        names.setdefault(v, str(100 + len(names)))
+    flip = itertools.cycle((False, True))
+
+    def name(v):
+        return int(names[v]) if next(flip) else names[v]
+
+    cfs = {}
+    for f, spec in doc["firm_cfs"].items():
+        spec = dict(spec)
+        for key in ("order", "columns"):
+            if key in spec:
+                spec[key] = [names[e] for e in spec[key]]
+        cfs[names[f]] = spec
+    return {
+        "workers": [name(w) for w in doc["workers"]],
+        "firms": [name(f) for f in doc["firms"]],
+        "edges": [
+            {"id": name(e["id"]), "worker": name(e["worker"]), "firm": name(e["firm"]),
+             "capacity": e["capacity"]}
+            for e in doc["edges"]
+        ],
+        "worker_quotas": {names[w]: q for w, q in doc["worker_quotas"].items()},
+        "worker_orders": {
+            names[w]: [names[e] for e in order] for w, order in doc["worker_orders"].items()
+        },
+        "firm_cfs": cfs,
+    }
+
+
+def table_markets():
+    docs = [
+        generate(GeneratorConfig(seed, workers=3 + seed % 2, firms=3, density=0.8,
+                                 capacity_bound=3, quota_bound=4, family=family)).to_dict()
+        for seed in range(6)
+        for family in ("linear", "tableau", "mixed")
+    ]
+    docs += [make_ring_instance(q).to_dict() for q in (2, 4)]
+    docs += [rings(2, 4, seed=1).doc, random_complete(6, seed=2).doc]
+    docs += [latin(4).to_dict(), latin(3, 2, 4).to_dict()]
+    return docs + [numbered(doc) for doc in docs]
+
+
+def reference_tables(doc):
+    """Every table the load builds, one edge at a time, from the document."""
+    edges = [Edge(str(e["id"]), str(e["worker"]), str(e["firm"]), e["capacity"])
+             for e in doc["edges"]]
+    vertices = [str(v) for v in doc["workers"] + doc["firms"]]
+    indices = {v: [i for i, e in enumerate(edges) if v in (e.worker, e.firm)] for v in vertices}
+    ids = {v: [edges[i].id for i in indices[v]] for v in vertices}
+    rules = {}
+    for w, order in doc["worker_orders"].items():
+        rules[w] = ([ids[w].index(eid) for eid in order], doc["worker_quotas"][w], None)
+    for f, spec in doc["firm_cfs"].items():
+        if spec["type"] == "linear":
+            rules[f] = ([ids[f].index(eid) for eid in spec["order"]], spec["quota"], None)
+            continue
+        cols = spec.get("columns", ids[f])
+        fill = spec["filling"] if spec["type"] == "tableau" else a3_filling(spec["quota"])
+        by_pos = [None] * len(cols)
+        for eid, col in zip(cols, fill):
+            by_pos[ids[f].index(eid)] = tuple(col)
+        rules[f] = (None, spec["quota"], tuple(by_pos))
+    return {
+        "edges": tuple(edges),
+        "edge_index": {e.id: i for i, e in enumerate(edges)},
+        "edge_indices": {v: tuple(indices[v]) for v in vertices},
+        "edges_of": {v: tuple(ids[v]) for v in vertices},
+        "local_pos": {(v, eid): ids[v].index(eid) for v in vertices for eid in ids[v]},
+        "far_ends": {
+            w: [(i, edges[i].firm, ids[edges[i].firm].index(edges[i].id)) for i in indices[w]]
+            for w in map(str, doc["workers"])
+        },
+        "rules": {
+            v: (order, tuple(edges[i].capacity for i in indices[v]), quota, filling)
+            for v, (order, quota, filling) in rules.items()
+        },
+    }
+
+
+def built_tables(inst):
+    vertices = inst.workers + inst.firms
+    rules = {}
+    for v in vertices:
+        ev = evaluator_for(inst, v)
+        order = list(ev.order) if hasattr(ev, "order") else None
+        rules[v] = (order, ev.caps, ev.quota, getattr(ev, "filling", None))
+    return {
+        "edges": inst.edges,
+        "edge_index": inst.edge_index,
+        "edge_indices": {v: inst.edge_indices(v) for v in vertices},
+        "edges_of": {v: inst.edges_of(v) for v in vertices},
+        "local_pos": {(v, eid): inst.local_pos(v, eid) for v in vertices for eid in inst.edges_of(v)},
+        "far_ends": {w: inst.far_ends(w) for w in inst.workers},
+        "rules": rules,
+    }
+
+
+def test_the_load_builds_the_tables_an_edge_by_edge_reading_gives(tmp_path):
+    path = tmp_path / "inst.json"
+    markets = table_markets()
+    assert any(type(e["id"]) is int for doc in markets for e in doc["edges"])
+    for doc in markets:
+        want = reference_tables(doc)
+        path.write_text(json.dumps(doc))
+        loaded, built = load_instance(path), instance_from_dict(doc)
+        assert loaded.to_dict() == built.to_dict()
+        for inst in (loaded, built):
+            got = built_tables(inst)
+            assert all(type(e) is Edge for e in inst.edges)
+            assert all(type(part) is str for e in inst.edges for part in e[:3])
+            for key, table in want.items():
+                assert got[key] == table, key

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from galloc import (
+    Assignment,
     GallocError,
     GeneratorConfig,
     Instance,
@@ -51,6 +52,24 @@ def test_ring_off_chain_points_are_not_stable(ring4):
     report = check_stability(ring4, ring4.zero())
     assert not report.stable
     assert len(report.blocking) == 9
+
+
+def test_a_point_outside_the_box_is_refused(ring4):
+    base = ring_point(ring4, 2, 1, 1)
+    parent = PointView(ring4, base)
+    assert parent.report.stable
+    for i, value, message in (
+        (1, 3, "choice function of w1 queried outside its box: (2, 3, 1)"),
+        (3, -1, "choice function of w2 queried outside its box: (-1, 1, 1)"),
+        (8, 5, "choice function of w3 queried outside its box: (2, 1, 5)"),
+    ):
+        values = list(base.values)
+        values[i] = value
+        y = Assignment(tuple(values))
+        for check in (lambda: check_stability(ring4, y), lambda: PointView(ring4, y, parent).report):
+            with pytest.raises(GallocError) as err:
+                check()
+            assert str(err.value) == message
 
 
 def test_interesting_needs_room(ring4):
