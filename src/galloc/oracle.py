@@ -1,29 +1,26 @@
 """Brute-force ground truth over enumerable instances.
 
-Enumerates every stable assignment by joining the workers' accepted
-local vectors one worker at a time.  Each vertex's table comes from one
-call of its rule per cell of its box, never from the solver's probes:
-acceptance compares a cell with its choice, and interest in one more
-unit at a position reads the choice of the cell one unit further on.
-A partial row is factorized: the index of each placed worker's
-accepted cell, and per firm the mixed-radix code of its local vector
-and a bitmask of the worker-side interest flags on its edges.  Each
-firm is tested by two lookups in its tables as soon as its last worker
-is placed, and the rows it rejects or that one of its edges blocks are
-dropped there; edge values are rebuilt only for the rows that survive.
-The enumerated lattice backs the differential tests: extreme points,
-lattice structure, and the correspondence between stable assignments
-and closed functions.
+A point is stable when every vertex accepts its local vector and no
+edge is interesting to both of its ends.  The stable set is therefore
+the natural join of one relation per vertex, its accepted cells and
+their interest flags, filtered by a test on each edge.  Each relation
+comes from one call of the vertex's rule per cell of its box, never
+from the solver's probes: acceptance compares a cell with its choice,
+and interest in one more unit at a position reads the choice of the
+cell one unit further on.  The join places one vertex at a time,
+always the one that shares the most edges with the placed ones, and
+an edge is tested as soon as both of its ends are placed; edge values
+are rebuilt only for the rows that survive.  The enumerated lattice
+backs the differential tests: extreme points, lattice structure, and
+the correspondence between stable assignments and closed functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import prod
-from typing import Iterable
-
-import numpy as np
+from operator import itemgetter
+from typing import Any, Callable, Iterator
 
 from .choice import box_size, evaluator_for, iter_box
 from .errors import InvariantViolation, LimitError
@@ -41,7 +38,8 @@ DEFAULT_LIMIT = 10**7
 # Larger stable sets are refused once swept: the order table below is
 # quadratic in their size and verify_lattice_properties is quartic.
 _STABLE_LIMIT = 128
-_CHUNK = 250_000
+# (row, cell) pairs one join batch tests, which bounds the rows it holds.
+_CHUNK = 100_000
 
 
 @dataclass(frozen=True)
@@ -75,146 +73,139 @@ class EnumeratedLattice:
         return greatest[0] if len(greatest) == 1 else None
 
 
-def _matrix(rows: Iterable[tuple[int, ...]], n: int, k: int) -> np.ndarray:
-    """``n`` vectors of length ``k`` as the rows of an int64 matrix."""
-    return np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=n * k).reshape(n, k)
+def _relation(inst: Instance, v: str) -> list[tuple[tuple[int, ...], int]]:
+    """One vertex's accepted cells, each with the edges it wants one more unit on.
 
-
-def _vertex_table(
-    inst: Instance, v: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One vertex's box in mixed-radix order: radix, cells, acceptance, interest.
-
-    The rule is called once per cell, and its choice is kept as a cell
-    code.  ``interest[code, p]`` says whether one more unit at position
-    p would change the cell's choice: z + e_p is the cell ``radix[p]``
-    further on, so it is one lookup.  Nothing comes from the solver's
-    probes.
+    The rule is called once per cell of the vertex's box, in ``iter_box``
+    order, and nothing comes from the solver's probes.  A cell is
+    accepted when it is its own choice.  One more unit at position p is
+    interesting at an accepted cell z when z + e_p is in the box and its
+    choice is not z; z + e_p is the cell ``step[p]`` further on.  The
+    interest is a bitmask with bit i for edge i.
     """
     cf = evaluator_for(inst, v)
     caps = cf.caps
-    radix = np.ones(len(caps), dtype=np.int64)
-    for p in range(len(caps) - 2, -1, -1):
-        radix[p] = radix[p + 1] * (caps[p + 1] + 1)
-    n = box_size(caps)
-    cells = _matrix(iter_box(caps), n, len(caps))
-    chosen = _matrix(cf.box_choices(), n, len(caps)) @ radix
-    code = np.arange(n)
-    room = cells < caps
-    interest = room & (chosen[code[:, None] + room * radix] != code[:, None])
-    return radix, cells, chosen == code, interest
+    choices = cf.box_choices()
+    step = [box_size(caps[p + 1:]) for p in range(len(caps))]
+    bits = [1 << i for i in inst.edge_indices(v)]
+    relation = []
+    for k, z in enumerate(iter_box(caps)):
+        if choices[k] == z:
+            mask = 0
+            for zp, cap, s, bit in zip(z, caps, step, bits):
+                if zp < cap and choices[k + s] != z:
+                    mask |= bit
+            relation.append((z, mask))
+    return relation
 
 
-def _kept(head: np.ndarray, tail: np.ndarray, tests: list[tuple]) -> np.ndarray:
-    """The rows head[i] + tail[j] that every firm test in ``tests`` keeps."""
-    # The first firm tests the whole grid, the others its survivors.
-    i, j = np.arange(len(head))[:, None], np.arange(len(tail))
-    for code_col, mask_col, accept, bits in tests:
-        code = head[i, code_col] + tail[j, code_col]
-        keep = accept[code] & (((head[i, mask_col] | tail[j, mask_col]) & bits[code]) == 0)
-        i, j = np.nonzero(keep) if keep.ndim == 2 else (i[keep], j[keep])
-    # The row count is explicit: with no columns, -1 would be ambiguous.
-    return (head[i] + tail[j]).reshape(np.broadcast(i, j).size, head.shape[1])
+def _key(positions: list[int]) -> Callable[[tuple[int, ...]], Any]:
+    """The values at ``positions``: a tuple, one value for one position."""
+    return itemgetter(*positions) if positions else lambda _: ()
 
 
-def _join(
-    rows: np.ndarray,
-    depth: int,
-    adds: list[tuple],
-    complete: list[list[tuple]],
-    n_edges: int,
-    found: list[tuple[int, ...]],
-) -> None:
-    """Place the workers from ``depth`` on, depth-first, into ``found``."""
-    if depth == len(adds):
-        values = np.zeros((len(rows), n_edges), dtype=np.int64)
-        for d, (cells, idx, _) in enumerate(adds):
-            values[:, idx] = cells[rows[:, d]]
-        found.extend(map(tuple, values.tolist()))
-        return
-    part = adds[depth][2]
-    step = max(1, _CHUNK // len(part))
-    for i in range(0, len(rows), step):
-        for j in range(0, len(part), _CHUNK):
-            survivors = _kept(rows[i:i + step], part[j:j + _CHUNK], complete[depth + 1])
-            if len(survivors):
-                _join(survivors, depth + 1, adds, complete, n_edges, found)
+def _plan(inst: Instance) -> tuple[list[tuple], list[int]]:
+    """The join steps, one per vertex, and each edge's slot in a row.
+
+    A row's values list the placed edges in the order they were placed.
+    The next vertex is the one that shares the most edges with the
+    placed ones; ties go to the smaller relation, then to the canonical
+    order.  A step indexes its vertex's cells by their values on the
+    shared edges, and keeps with each cell its values on the new edges,
+    its interest on the shared edges and its interest on the new ones.
+    """
+    relations = {v: _relation(inst, v) for v in (*inst.workers, *inst.firms)}
+    shared_with = dict.fromkeys(relations, 0)
+    slot: dict[int, int] = {}
+    steps = []
+    left = list(relations)
+    while left:
+        v = min(left, key=lambda u: (-shared_with[u], len(relations[u])))
+        left.remove(v)
+        idx = inst.edge_indices(v)
+        shared = [p for p, i in enumerate(idx) if i in slot]
+        new = [p for p, i in enumerate(idx) if i not in slot]
+        shared_bits = sum(1 << idx[p] for p in shared)
+        cell_key = _key(shared)
+        index: dict[Any, list] = {}
+        for z, mask in relations[v]:
+            index.setdefault(cell_key(z), []).append(
+                (tuple([z[p] for p in new]), mask & shared_bits, mask & ~shared_bits)
+            )
+        # The cells under one key come in parts of at most _CHUNK.
+        for key, cells in index.items():
+            index[key] = [cells[j:j + _CHUNK] for j in range(0, len(cells), _CHUNK)]
+        steps.append((_key([slot[idx[p]] for p in shared]), index))
+        for p in new:
+            slot[idx[p]] = len(slot)
+            _, w, f, _ = inst.edges[idx[p]]
+            shared_with[f if w == v else w] += 1
+    return steps, [slot[i] for i in range(len(inst.edges))]
+
+
+def _expand(rows: list[tuple], key: Callable, index: dict) -> Iterator[list[tuple]]:
+    """The rows joined with one vertex, in batches of at most ``_CHUNK``
+    tested (row, cell) pairs.  A cell that wants an edge the row's first
+    end wants is dropped: that edge blocks."""
+    batch: list[tuple] = []
+    tested = 0
+    for values, mask in rows:
+        for part in index.get(key(values), ()):
+            if tested + len(part) > _CHUNK:
+                yield batch
+                batch, tested = [], 0
+            tested += len(part)
+            batch += [(values + new, mask | bits) for new, need, bits in part if not mask & need]
+    yield batch
 
 
 def enumerate_stable(inst: Instance, limit: int = DEFAULT_LIMIT) -> EnumeratedLattice:
-    """Every stable assignment, elements sorted in mixed-radix order.
+    """Every stable assignment, elements sorted by their edge values.
 
     Refuses when the raw capacity box exceeds ``limit`` points, and
     after the sweep when it found over ``_STABLE_LIMIT`` points.  The
-    sweep adds the workers in canonical order.  A partial row holds the
-    index of each placed worker's accepted cell and, per firm, the
-    mixed-radix code of its local vector so far and a bitmask of the
-    worker-side interest flags on its edges (one bit per edge of
-    positive capacity; no unit fits on the others).  Each of these is a
-    sum over the placed workers, so placing a worker adds its accepted
-    cells' rows, computed once, to every partial row.  Once a firm's
-    last worker is placed (a firm with no edges: before the first),
-    rows where it rejects its share or where one of its edges is
-    interesting to both ends, ``mask & interest[code] != 0``, are
-    dropped.  Both tests read only placed vertices, so a dropped row
-    cannot become stable.  Expansions over ``_CHUNK`` candidate rows
-    are split and joined depth-first; only the candidates that the
-    firms complete at the new depth keep are built, and edge values
-    only for the rows that survive the last worker.
+    stable set is the natural join of the vertex relations (see
+    ``_plan``), filtered by the blocking test on each edge.  A partial
+    row holds the placed edges' values and one int mask: the edges
+    that the end placed first finds interesting.  Joining a vertex
+    looks its cells up by the row's values on the shared edges and
+    drops a cell that wants a shared edge the mask holds
+    (``mask & need``): the test is made once both ends of an edge are
+    placed, and reads only placed vertices, so a dropped row cannot
+    become stable.  The join goes depth-first, one batch per
+    ``_expand`` step, so memory stays bounded also when a vertex
+    shares no edge with the placed ones; edge values are rebuilt only
+    for the rows that survive the last vertex.
     """
     raw = prod(e.capacity + 1 for e in inst.edges)
     if raw > limit:
         raise LimitError(
             f"enumeration needs a box of {raw} points, over the limit {limit}"
         )
-    workers, firms = inst.workers, inst.firms
-    n, nf = len(workers), len(firms)
-    depth_of = {w: i + 1 for i, w in enumerate(workers)}
-    # Row columns: a cell index per worker, then per firm a code, then
-    # per firm a mask.  Each edge's unit adds its radix to its firm's
-    # code; its worker's interest flag sets its bit in its firm's mask.
-    # Both fit in int64: a code is below its firm's box size, and a firm
-    # with b mask bits has a box of at least 2**b cells to tabulate.
-    code_of = np.zeros((len(inst.edges), n + 2 * nf), dtype=np.int64)
-    bit_of = np.zeros_like(code_of)
-    # complete[d]: the tests of the firms whose workers are all among the first d.
-    complete: list[list[tuple]] = [[] for _ in range(n + 1)]
-    for j, f in enumerate(firms):
-        radix, _, accept, interest = _vertex_table(inst, f)
-        idx = list(inst.edge_indices(f))
-        live = 0
-        for p, i in enumerate(idx):
-            code_of[i, n + j] = radix[p]
-            if inst.edges[i].capacity:  # no unit fits on the other edges
-                bit_of[i, n + nf + j] = 1 << live
-                live += 1
-        d = max((depth_of[inst.edges[i].worker] for i in idx), default=0)
-        complete[d].append((n + j, n + nf + j, accept, interest @ bit_of[idx, n + nf + j]))
-    # Worker d's accepted cells, its edge indices and its rows to add.
-    adds = []
-    for d, w in enumerate(workers):
-        _, cells, accept, interest = _vertex_table(inst, w)
-        cells = cells[accept]
-        idx = list(inst.edge_indices(w))
-        part = cells @ code_of[idx] + interest[accept] @ bit_of[idx]
-        part[:, d] = np.arange(len(cells))
-        adds.append((cells, idx, part))
+    steps, where = _plan(inst)
+    rows: list[tuple] = []
+    # stack[d] gives the batches of rows that hold the first d vertices.
+    stack: list[Iterator[list[tuple]]] = [iter([[((), 0)]])]
+    while stack:
+        batch = next(stack[-1], None)
+        if batch is None:
+            stack.pop()
+        elif len(stack) > len(steps):
+            rows += batch
+        elif batch:
+            stack.append(_expand(batch, *steps[len(stack) - 1]))
 
-    found: list[tuple[int, ...]] = []
-    start = np.zeros((1, n + 2 * nf), dtype=np.int64)
-    _join(_kept(start, start, complete[0]), 0, adds, complete, len(inst.edges), found)
-
-    if len(found) > _STABLE_LIMIT:
+    if len(rows) > _STABLE_LIMIT:
         raise LimitError(
-            f"enumeration found {len(found)} stable assignments, "
+            f"enumeration found {len(rows)} stable assignments, "
             f"over the limit {_STABLE_LIMIT}"
         )
-    if not found:
+    if not rows:
         raise InvariantViolation(
             "no stable assignment exists; the choice functions likely "
             "break the required axioms"
         )
-    found.sort()
+    found = sorted(tuple([values[s] for s in where]) for values, _ in rows)
     elements = tuple(Assignment(v) for v in found)
     order = tuple(
         tuple(compare_F(inst, a, b) for b in elements) for a in elements

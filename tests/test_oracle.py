@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -18,7 +19,7 @@ from galloc import oracle
 from galloc.choice import box_size, evaluator_for, interesting_at, iter_box
 from galloc.oracle import EnumeratedLattice
 
-from builders import latin, one_on_one, parallel_pair, two_swaps
+from builders import disjoint_union, latin, one_on_one, parallel_pair, two_swaps
 
 RING_CHAIN = ((0, 2, 2), (1, 2, 1), (2, 1, 1), (3, 1, 0), (4, 0, 0))
 
@@ -187,6 +188,8 @@ HAND_BUILT = {
     "two swaps": two_swaps,
     "two swaps 2, 3": lambda: two_swaps(2, 3),
     "lonely vertices": with_lonely_vertices,
+    # The join reaches the second part by a vertex that shares no edge.
+    "union": lambda: disjoint_union(make_ring_instance(2), two_swaps()),
 }
 
 
@@ -194,16 +197,39 @@ def elements(inst):
     return [x.values for x in enumerate_stable(inst).elements]
 
 
+def reordered(inst, order):
+    """The same market with its workers, firms and edges listed by ``order``."""
+    doc = inst.to_dict()
+    for key in ("workers", "firms", "edges"):
+        doc[key] = order(doc[key])
+    return instance_from_dict(doc)
+
+
+def assert_every_order_and_split_matches_the_plain_box(inst, monkeypatch):
+    # The lists as given, reversed and shuffled change the join order
+    # (some start on a firm); five pairs per expansion split the rows
+    # and, where a key holds more than five cells, a vertex's cells.
+    shuffle = random.Random(0)
+    for variant in (
+        inst,
+        reordered(inst, lambda items: items[::-1]),
+        reordered(inst, lambda items: shuffle.sample(items, len(items))),
+    ):
+        want = reference_stable(variant)
+        assert elements(variant) == want
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_CHUNK", 5)
+            assert elements(variant) == want
+
+
 @pytest.mark.parametrize("i", range(60))
-def test_sweep_matches_the_plain_box_on_generated_instances(i):
-    inst = generated(i)
-    assert elements(inst) == reference_stable(inst)
+def test_sweep_matches_the_plain_box_on_generated_instances(i, monkeypatch):
+    assert_every_order_and_split_matches_the_plain_box(generated(i), monkeypatch)
 
 
 @pytest.mark.parametrize("name", HAND_BUILT)
-def test_sweep_matches_the_plain_box_on_hand_built_instances(name):
-    inst = HAND_BUILT[name]()
-    assert elements(inst) == reference_stable(inst)
+def test_sweep_matches_the_plain_box_on_hand_built_instances(name, monkeypatch):
+    assert_every_order_and_split_matches_the_plain_box(HAND_BUILT[name](), monkeypatch)
 
 
 def test_sweep_asks_the_rule_once_per_cell(ring4):
@@ -298,14 +324,13 @@ def test_split_expansions_give_the_same_lattice(name, monkeypatch):
 
 
 def test_sweep_memory_stays_within_the_row_bound():
-    # No firm of the ring is complete before its last worker, so its
-    # 1.95M accepted worker combinations are all tested.  One expansion
-    # tests at most _CHUNK (row, cell) pairs; a pair is a sum of two
-    # rows of 9 int64 columns (a cell index per worker, a code and a
-    # mask per firm), and only the pairs every firm keeps are built.
-    # The firm lookups hold a few arrays of _CHUNK codes (2 MB each),
-    # and 15,625 partial rows wait before the last worker (1.1 MB).
-    # Measured peak: 7.6 MB.
+    # One expansion tests at most _CHUNK (row, cell) pairs and holds
+    # only the rows that survive them, each a tuple of the placed edges'
+    # values (at most 9 here) and an int mask.  The depth-first join
+    # keeps one such batch per placed vertex, six here.  Placed by
+    # shared edges, the ring's six vertices test 21,807 pairs in all,
+    # 9,760 at the widest step, and keep at most 1,660 partial rows.
+    # Measured peak: 0.3 MB.
     inst = make_ring_instance(8)
     tracemalloc.start()
     try:
