@@ -20,6 +20,12 @@ from .model import Instance, instance_from_dict
 
 FAMILIES = ("linear", "tableau", "tableau-a3", "mixed")
 
+# `galloc gen` draws once per worker-firm pair and deals one cell per edge
+# and unit of capacity to tableau fillings; at either limit it takes 3 to
+# 9 seconds on a 2-core VM.
+PAIR_LIMIT = 100_000
+TABLEAU_CELL_LIMIT = 1_000_000
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -57,6 +63,15 @@ class GeneratorConfig:
             )
         if self.b_cap_for_gapless is not None and self.b_cap_for_gapless < 1:
             raise ValidationError("b_cap_for_gapless must be positive")
+        pairs = self.workers * self.firms
+        if pairs > PAIR_LIMIT:
+            raise ValidationError(f"{pairs:,} worker-firm pairs are over the limit {PAIR_LIMIT:,}")
+        cells = pairs * (min(self.capacity_bound, self.b_cap_for_gapless or 2**63) + 1)
+        if self.family in ("tableau", "mixed") and cells > TABLEAU_CELL_LIMIT:
+            raise ValidationError(
+                f"tableau fillings of up to {cells:,} cells are over the limit "
+                f"{TABLEAU_CELL_LIMIT:,}"
+            )
 
 
 def _connected_pairs(
@@ -130,16 +145,20 @@ def generate(config: GeneratorConfig) -> Instance:
             }
         )
 
+    incident: dict[str, list[dict]] = {v: [] for v in workers + firms}
+    for e in edges:
+        incident[e["worker"]].append(e)
+        incident[e["firm"]].append(e)
     quotas = {w: int(rng.integers(1, config.quota_bound + 1)) for w in workers}
     orders = {}
     for w in workers:
-        own = [e["id"] for e in edges if e["worker"] == w]
+        own = [e["id"] for e in incident[w]]
         orders[w] = [own[int(i)] for i in rng.permutation(len(own))]
 
     cfs = {}
     for f in firms:
-        own = [e["id"] for e in edges if e["firm"] == f]
-        caps = [e["capacity"] for e in edges if e["firm"] == f]
+        own = [e["id"] for e in incident[f]]
+        caps = [e["capacity"] for e in incident[f]]
         quota = int(rng.integers(1, config.quota_bound + 1))
         kind = config.family
         if kind == "mixed":

@@ -172,8 +172,9 @@ def _growth_invariants_broken(inst: Instance, x: Assignment) -> str | None:
 
     The assignment must sit in the box, respect worker quotas, be
     accepted by every firm, and no edge a worker prefers strictly to its
-    last supported edge (or to its whole order when it holds nothing)
-    may be interesting for the far firm.
+    last supported edge may be interesting for the far firm.  A worker
+    that holds nothing has no such edge, so nothing of it is checked: at
+    the zero point, where growth starts, every firm wants every edge.
     """
     for e, v in zip(inst.edges, x.values):
         if v < 0 or v > e.capacity:
@@ -186,12 +187,11 @@ def _growth_invariants_broken(inst: Instance, x: Assignment) -> str | None:
         if not evaluator_for(inst, f).accepts(view.local[f]):
             return f"firm {f} rejects its restriction"
     for w in inst.workers:
-        ev, ends = evaluator_for(inst, w), inst.far_ends(w)
-        for pos in ev.order[: ev.last_rank(view.local[w])]:
-            i, f, fpos = ends[pos]
-            if view.wants[f](fpos):
-                eid = inst.edges[i].id
-                return f"edge {eid} above {w}'s last supported edge is interesting"
+        ev = evaluator_for(inst, w)
+        end = view.wanted_end(w, ev.order[: ev.last_rank(view.local[w])])
+        if end is not None:
+            eid = inst.edges[end[0]].id
+            return f"edge {eid} above {w}'s last supported edge is interesting"
     return None
 
 

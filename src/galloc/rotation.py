@@ -15,21 +15,22 @@ stable-marriage rotations (Gusfield & Irving 1989, section 2.5).  The
 probes take the point's view (:class:`galloc.stability.PointView`)
 alone, read the moves from it and store them in it; only
 ``applicable_rotations`` builds a view when none is given.  Routes
-carry one view from each point they search to the next, and a shift
-changes only the vertices of the edges it moves: only the workers at
-those vertices, and the workers whose move starts at one of those
-firms, search for their move again (see ``_searched_again``); every
-other worker keeps the move it had, as Gusfield & Irving's
-all-rotations search keeps the pointers it has already advanced.  The
-cycles are carried the same way: a cycle of the last point none of whose
-workers changed its move is still a cycle, and the new ones are read
-only from the walks out of the workers that did (Gusfield & Irving keep
-the rotations already found, section 3.3).  There is one search: a point
-with no searched parent, or whose every vertex moved, is searched as the
-child of a point with no moves and no cycles, so every move is changed
-and every cycle is read.  The maximal shiftable weight is found per
-displacement pair by binary search; the number of fresh choice-function
-evaluations it spends is metered against a hard budget.
+carry one view from each point they search to the next.  Only the
+workers a shift moved, those whose move starts at a firm it moved, and
+those of the firms that do not weakly prefer their new share (the
+check's ``losing`` firms) search for their move again (see
+``_searched_again``); every other worker keeps the move it had, as
+Gusfield & Irving's all-rotations search keeps the pointers it has
+already advanced.  The cycles are carried the same way: a cycle of the
+last point none of whose workers changed its move is still a cycle, and
+the new ones are read only from the walks out of the workers that did
+(Gusfield & Irving keep the rotations already found, section 3.3).
+There is one search: a point with no searched parent, or whose every
+vertex moved, is searched as the child of a point with no moves and no
+cycles, so every move is changed and every cycle is read.  The maximal
+shiftable weight is found per displacement pair by binary search; the
+number of fresh choice-function evaluations it spends is metered against
+a hard budget.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Callable, NamedTuple
 from .choice import evaluator_for, total_fresh_evaluations
 from .errors import GallocError, InvariantViolation
 from .model import Assignment, Instance, shift, shift_room
-from .stability import PointView, _stale_workers
+from .stability import PointView, _workers_of
 
 
 class Tandem(NamedTuple):
@@ -93,14 +94,8 @@ class Event:
 
 def _admissible_end(view: PointView, w: str) -> tuple[int, str, int] | None:
     """The far end of the worker's admissible edge (see ``Instance.far_ends``)."""
-    wants = view.wants
     ev = evaluator_for(view.inst, w)
-    ends = view.inst.far_ends(w)
-    for pos in ev.order[ev.last_rank(view.local[w]) :]:
-        end = ends[pos]
-        if wants[end[1]](end[2]):
-            return end
-    return None
+    return view.wanted_end(w, ev.order[ev.last_rank(view.local[w]) :])
 
 
 def admissible_edge(view: PointView, w: str) -> str | None:
@@ -182,20 +177,18 @@ def build_auxiliary(view: PointView) -> dict[str, Tandem]:
 def _searched_again(view: PointView) -> list[str]:
     """The workers whose move may differ from the stable parent's.
 
-    A worker keeps its move when it did not move and neither did the
-    firm of its added edge, provided every dirty firm weakly prefers the
-    point (``view.firms_gain``): the edges its scan skipped joined it to
-    firms that did not want them, and by the lemma of the delta rule
-    (see ``PointView._blocking``) they still do not, while the firm of
-    its added edge still wants it and answers as it did.  So the dirty
-    workers and the workers whose move starts at a dirty firm are
-    searched again; without the premise, the dirty workers and every
-    worker of a dirty firm.  Canonical order.
+    A worker keeps its move when it did not move, nor did the firm of its
+    added edge, and none of its firms is losing (``view.losing``): the
+    edges its scan skipped joined it to firms that did not want them, and
+    by the lemma of the delta rule (see ``PointView._blocking``) a firm
+    that is not losing still does not, while the firm of its added edge
+    still wants it and answers as it did.  So three sets of workers are
+    searched again: the dirty workers, the workers whose move starts at a
+    dirty firm, and every worker of a losing firm.  Canonical order.
     """
     inst, dirty = view.inst, view.dirty
-    if not view.firms_gain:
-        return _stale_workers(inst, dirty)
     stale = {v for v in dirty if inst.is_worker(v)}
+    stale.update(_workers_of(inst, view.losing))
     stale.update(w for w, t in view.parent.moves.items() if t.firm in dirty)
     return sorted(stale, key=inst.worker_index.__getitem__)
 

@@ -25,16 +25,16 @@ on those edges only, through the worker's row of far ends
 point recomputes only the dirty vertices, the endpoints of the edges
 whose values differ between the two points, and checks acceptance at
 those only: every other vertex keeps its vector, so it stays accepted.
-Blocking follows a delta rule.  Stable points form a lattice along
-which firms weakly gain and workers weakly lose (Alkan & Gale 2003),
-and a firm that weakly prefers the new point does not newly want an
-edge whose value did not change (the lemma, proved at
-``PointView._blocking``).  So when every dirty firm weakly prefers the
-new point, which one closed-form probe per dirty firm confirms, only
-the moved edges and the positions each dirty worker newly wants are
-asked; for a linear worker those lie between its old cut and its new
-one.  When a dirty firm does not, the dirty workers and the workers of
-dirty firms are scanned, which still covers every edge that can block.
+Blocking follows a delta rule, applied firm by firm.  Stable points
+form a lattice along which firms weakly gain and workers weakly lose
+(Alkan & Gale 2003), and a firm that weakly prefers its new share does
+not newly want an edge whose value did not change (the lemma, proved at
+``PointView._blocking``).  One closed-form probe per dirty firm tells
+whether it does; those that do not are the view's ``losing`` firms.
+Every worker of a losing firm is scanned as above, and every other
+dirty worker is asked only about its moved edges and the positions it
+newly wants; for a linear worker those lie between its old cut and its
+new one.  Without a stable parent every worker is scanned.
 Rotation searches carry one view from each point they search to the
 next, and store in it each filled worker's admissible move and the
 rotations found, which the next search keeps where nothing moved (see
@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
-from typing import Callable
+from typing import Callable, Iterable
 
 from .choice import evaluator_for, join
 from .errors import GallocError
@@ -92,8 +92,8 @@ class PointView:
 
     The stability ``report`` is computed on first use.  Under a parent
     whose report was stable it checks acceptance at the dirty vertices
-    only, and blocking by the delta rule when its premise holds (see
-    ``_blocking``); otherwise it checks everything.
+    only, and blocking by the delta rule (see ``_blocking``); otherwise
+    it checks everything.
 
     A rotation search stores its results in the view: ``moves``, each
     filled worker's admissible move; ``changed``, the searched workers
@@ -101,14 +101,13 @@ class PointView:
     parent to carry from, which counts as one with no moves; and
     ``rotations``, the search's answer.  ``parent`` is the stable
     parent's view, kept only until the search has read its moves and
-    rotations, so that no chain of views stays alive.  ``firms_gain``
-    records whether every dirty firm weakly prefers ``x`` to the
-    parent's point, the premise that lets both the check and the search
-    skip the vertices that did not move.
+    rotations, so that no chain of views stays alive.  ``losing``, set by
+    a check under a stable parent, lists the dirty firms that do not
+    weakly prefer their share of ``x`` to the parent's.
     """
 
     __slots__ = (
-        "inst", "x", "local", "wants", "dirty", "moved", "boxed", "firms_gain", "_report",
+        "inst", "x", "local", "wants", "dirty", "moved", "boxed", "losing", "_report",
         "parent", "moves", "changed", "rotations",
     )
 
@@ -143,7 +142,7 @@ class PointView:
         self.local, self.wants = local, wants
         stable = parent is not None and parent._report is not None and parent._report.stable
         self.parent = parent if stable else None
-        self.firms_gain = False
+        self.losing: list[str] | None = None
         self._report: StabilityReport | None = None
         self.moves: dict | None = None
         self.changed: list[str] | None = None
@@ -179,78 +178,66 @@ class PointView:
 
         Without a stable parent every worker lists the positions where it
         wants one more unit, and only the far firms of those edges are
-        asked.  Under a stable parent, when every dirty firm weakly
-        prefers the point (``firms_gain``), only the moved edges and the
-        positions each dirty worker newly wants are asked.  The lemma:
-        take a vertex with accepted local vectors u and v and
+        asked.  Under a stable parent only the workers of the ``losing``
+        firms are scanned that way; every other dirty worker is asked only
+        about its moved edges and the positions it newly wants.  The
+        lemma: take a vertex with accepted local vectors u and v and
         C(u ∨ v) = v, and a position p with u[p] = v[p]; if one more unit
         at p is not interesting at u, it is not at v.  Substitutability
         with u + e_p ≤ (u ∨ v) + e_p gives C((u ∨ v) + e_p)[p] ≤ u[p], and
         with u ∨ v it gives C((u ∨ v) + e_p) ≤ v off p; so
         C((u ∨ v) + e_p) ≤ v + e_p ≤ (u ∨ v) + e_p, and consistence gives
         C(v + e_p) = C((u ∨ v) + e_p), which keeps no extra unit at p.
-        So an unmoved edge that blocks here either has a firm that did
-        not move, or, by the lemma, a firm that already wanted it at the
-        parent; either way its worker did not want it there, the parent
-        being stable, and wants it now.  When the premise fails, the
-        dirty workers and the workers of dirty firms are scanned: that
-        covers every edge with a dirty endpoint, and any other edge joins
-        two clean vertices and does not block.
+        So take an unmoved edge that blocks here and whose worker was not
+        scanned.  Its firm did not move, or moved and is not losing; either
+        way, by the lemma in the second case, the firm already wanted it
+        at the parent.  The parent being stable, its worker did not, so
+        the worker moved and newly wants the edge.
         """
-        inst, local, wants, parent = self.inst, self.local, self.wants, self.parent
+        inst, local, parent = self.inst, self.local, self.parent
         edges = inst.edges
-        workers = inst.workers
+        found: list[int] = []
+        scanned, asks = inst.workers, []  # asks: (worker, positions to ask)
         if parent is not None:
-            gain = self.firms_gain = all(
-                evaluator_for(inst, f).prefers(parent.local[f], local[f])
-                for f in self._dirty(inst.firms)
-            )
-            if gain:
-                return self._delta_blocking()
-            if self.dirty is not None:
-                workers = _stale_workers(inst, self.dirty)
-        found = []
-        for w in workers:
-            wanted = evaluator_for(inst, w).interesting_positions(local[w])
-            if wanted:
-                ends = inst.far_ends(w)
-                for pos in wanted:
-                    i, f, fpos = ends[pos]
-                    if wants[f](fpos):
-                        found.append(i)
+            old, wants, pos = parent.local, self.wants, inst.local_pos
+            self.losing = [
+                f for f in self._dirty(inst.firms)
+                if not evaluator_for(inst, f).prefers(old[f], local[f])
+            ]
+            scanned = _workers_of(inst, self.losing)
+            for i in self.moved:
+                eid, w, f, _ = edges[i]
+                if w not in scanned and wants[w](pos(w, eid)) and wants[f](pos(f, eid)):
+                    found.append(i)
+            for w in self._dirty(inst.workers):
+                if w not in scanned:
+                    newly = evaluator_for(inst, w).newly_interesting(old[w], local[w])
+                    if newly:
+                        asks.append((w, newly))
+        asks += [(w, evaluator_for(inst, w).interesting_positions(local[w])) for w in scanned]
+        for w, positions in asks:
+            rest = iter(positions)
+            while positions and (end := self.wanted_end(w, rest)) is not None:
+                found.append(end[0])
         return tuple([edges[i].id for i in sorted(found)])
 
-    def _delta_blocking(self) -> tuple[str, ...]:
-        """The blocking edges among the moved edges and the positions
-        each dirty worker newly wants, canonical order."""
-        inst, local, wants, old = self.inst, self.local, self.wants, self.parent.local
-        edges = inst.edges
-        found = []
-        for i in self.moved:
-            e = edges[i]
-            w, f = e.worker, e.firm
-            if wants[w](inst.local_pos(w, e.id)) and wants[f](inst.local_pos(f, e.id)):
-                found.append(i)
-        for w in self._dirty(inst.workers):
-            newly = evaluator_for(inst, w).newly_interesting(old[w], local[w])
-            if newly:
-                ends = inst.far_ends(w)
-                for pos in newly:
-                    i, f, fpos = ends[pos]
-                    if wants[f](fpos):
-                        found.append(i)
-        return tuple([edges[i].id for i in sorted(found)])
+    def wanted_end(self, w: str, positions: Iterable[int]) -> tuple[int, str, int] | None:
+        """The far end (see ``Instance.far_ends``) of the first of the
+        worker's ``positions`` whose firm wants one more unit there, or
+        None.  It reads ``positions`` only up to that end, so a caller
+        that passes an iterator can ask again for the next one."""
+        ends, wants = self.inst.far_ends(w), self.wants
+        for pos in positions:
+            end = ends[pos]
+            if wants[end[1]](end[2]):
+                return end
+        return None
 
 
-def _stale_workers(inst: Instance, dirty: set[str]) -> list[str]:
-    """The workers in ``dirty`` and the workers of its firms, canonical order."""
-    stale: set[str] = set()
-    for v in dirty:
-        if inst.is_worker(v):
-            stale.add(v)
-        else:
-            stale.update(inst.edges[i].worker for i in inst.edge_indices(v))
-    return sorted(stale, key=inst.worker_index.__getitem__)
+def _workers_of(inst: Instance, firms) -> set[str]:
+    """The workers with an edge at one of ``firms``."""
+    edges = inst.edges
+    return {edges[i].worker for f in firms for i in inst.edge_indices(f)}
 
 
 def check_stability(inst: Instance, x: Assignment) -> StabilityReport:

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 import galloc.poset
 from galloc import (
+    GeneratorConfig,
     InvariantViolation,
     make_ring_instance,
     xmax_by_capacity_reduction,
     xmin_by_capacity_reduction,
 )
 from galloc.choice import A3_QUOTA_LIMIT
+from galloc.genrand import PAIR_LIMIT, TABLEAU_CELL_LIMIT
 from galloc.cli import main
 
 from builders import latin, one_on_one, two_swaps
@@ -607,6 +609,40 @@ def test_oversized_a3_quotas_exit_one(tmp_path, capsys):
         assert (rc, out) == (1, "")
         assert err.startswith("galloc: error:") and f"over the limit {A3_QUOTA_LIMIT:,}" in err
         assert err.count("\n") == 1
+
+
+def refused_fast(capsys, argv, message):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (1, "")
+    assert err.startswith("galloc: error:") and message in err and err.count("\n") == 1
+
+
+def test_gen_refuses_more_worker_firm_pairs_than_its_limit(capsys):
+    # Drawing the pairs loops over all of them; a count over the limit is
+    # refused before the first draw.
+    refused_fast(
+        capsys,
+        ["gen", "--seed", "1", "--workers", "100000000"],
+        f"300,000,000 worker-firm pairs are over the limit {PAIR_LIMIT:,}",
+    )
+    GeneratorConfig(seed=1, workers=2, firms=PAIR_LIMIT // 2).check()
+
+
+def test_gen_refuses_tableau_fillings_over_their_cell_limit(capsys):
+    # Each tableau filling deals one cell per unit of capacity; a bound
+    # that could exceed the limit is refused before any filling is dealt.
+    for family in ("tableau", "mixed"):
+        refused_fast(
+            capsys,
+            ["gen", "--seed", "1", "--family", family, "--capacity-bound", str(10**12)],
+            f"over the limit {TABLEAU_CELL_LIMIT:,}",
+        )
+    bound = TABLEAU_CELL_LIMIT // 9 - 1  # 3 workers and 3 firms
+    GeneratorConfig(seed=1, family="tableau", capacity_bound=bound).check()
+    rc, _, _ = run(capsys, ["gen", "--seed", "1", "--capacity-bound", str(10**12)])
+    assert rc == 0  # linear firms deal no cells
 
 
 def test_bench_reports_timings(ring_file, capsys):

@@ -340,3 +340,26 @@ def test_sweep_memory_stays_within_the_row_bound():
         tracemalloc.stop()
     assert len(lat) == 9
     assert peak < 48 * 10**6
+
+
+def test_a_small_row_bound_splits_the_join_into_bounded_batches(monkeypatch):
+    # On the q=8 ring the widest join step tests 9,760 (row, cell) pairs.
+    # Under a bound of 1,000 some step must yield several batches, no
+    # batch may hold more rows than the bound, and no step may test more
+    # pairs than its batches, each within the bound, account for.
+    inst = make_ring_instance(8)
+    want = enumerate_stable(inst, limit=2 * 10**7)
+    expand, steps = oracle._expand, []
+
+    def recording(rows, key, index):
+        tested = sum(len(part) for values, _ in rows for part in index.get(key(values), ()))
+        batches = list(expand(rows, key, index))
+        steps.append((tested, [len(batch) for batch in batches]))
+        return iter(batches)
+
+    monkeypatch.setattr(oracle, "_CHUNK", 1000)
+    monkeypatch.setattr(oracle, "_expand", recording)
+    assert enumerate_stable(inst, limit=2 * 10**7) == want
+    assert all(size <= 1000 for _, sizes in steps for size in sizes)
+    assert all(tested <= 1000 * len(sizes) for tested, sizes in steps)
+    assert any(len(sizes) > 1 for _, sizes in steps)

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -8,6 +9,7 @@ from galloc import (
     GallocError,
     GeneratorConfig,
     Instance,
+    applicable_rotations,
     apply_rotation,
     build_full_route,
     check_stability,
@@ -238,42 +240,64 @@ def test_check_builds_each_local_vector_once(monkeypatch):
         assert 0 < calls <= len(inst.workers) + len(inst.firms)
 
 
-def firm_improving_children(inst, x, rng, limit=1500):
-    """Points where every firm keeps an accepted share it weakly prefers
-    to its share of ``x``, drawn firm by firm."""
-    options = []
+def firm_children(inst, x, rng, mixed, limit=1500):
+    """Points where every firm keeps an accepted share, drawn firm by
+    firm: one it weakly prefers to its share of ``x``, or, when ``mixed``
+    and a coin says so, any accepted share."""
+    gaining, accepted = [], []
     for f in inst.firms:
         cf = evaluator_for(inst, f)
         xf = inst.local_values(x, f)
-        options.append([z for z in iter_box(cf.caps) if cf(z) == z and cf(join(xf, z)) == z])
+        shares = [z for z in iter_box(cf.caps) if cf(z) == z]
+        accepted.append(shares)
+        gaining.append([z for z in shares if cf(join(xf, z)) == z])
     for _ in range(limit):
         vals = [0] * len(inst.edges)
-        for f, opts in zip(inst.firms, options):
+        for f, gain, shares in zip(inst.firms, gaining, accepted):
+            opts = shares if mixed and rng.random() < 0.5 else gain
             for i, v in zip(inst.edge_indices(f), rng.choice(opts)):
                 vals[i] = v
         yield inst.assignment(vals)
 
 
 def test_the_delta_rule_matches_the_full_check_below_a_stable_parent():
-    # Below a stable parent whose dirty firms all weakly gain, the check
-    # asks only the moved edges and the positions dirty workers newly
-    # want; both kinds of blocking edge must occur and be found.
+    # Below a stable parent the check scans the workers of the losing
+    # firms, those whose share is not weakly preferred, and asks of every
+    # other dirty worker only its moved edges and the positions it newly
+    # wants.  When every firm weakly gains, none is losing; both kinds of
+    # blocking edge must occur and be found.  Mixed children have losing
+    # and gaining firms side by side.  At every stable child, the route's
+    # other points among them, a carried search must find what a full
+    # search finds, also where some firm loses.
     rng = random.Random(11)
     seen = Counter()
     for inst in (latin(3, 2, 4), latin(4, 2, 4), make_ring_instance(4)):
         route = build_full_route(inst)
-        for x in [route.start] + [step.end for step in route.steps]:
+        points = [route.start] + [step.end for step in route.steps]
+        for x in points:
             parent = PointView(inst, x)
             assert parent.report.stable
-            for y in firm_improving_children(inst, x, rng):
-                child = PointView(inst, y, parent)
-                report = child.report
-                assert report == check_stability(inst, y)
-                if report.unacceptable_vertices:
-                    continue
-                assert child.firms_gain
-                moved = {inst.edges[i].id for i in child.moved}
-                seen["stable"] += report.stable
-                seen["moved"] += any(e in moved for e in report.blocking)
-                seen["unmoved"] += any(e not in moved for e in report.blocking)
-    assert seen["stable"] and seen["moved"] and seen["unmoved"], seen
+            applicable_rotations(inst, x, parent)
+            for mixed in (False, True):
+                children = firm_children(inst, x, rng, mixed)
+                for y in chain(children, points) if mixed else children:
+                    child = PointView(inst, y, parent)
+                    report = child.report
+                    assert report == check_stability(inst, y)
+                    if report.unacceptable_vertices:
+                        continue
+                    if report.stable:
+                        assert applicable_rotations(inst, y, child) == applicable_rotations(inst, y)
+                    if mixed:
+                        dirty = inst.firms if child.dirty is None else child.dirty
+                        gaining = [f for f in inst.firms if f in dirty and f not in child.losing]
+                        seen["losing and gaining"] += bool(child.losing and gaining)
+                        seen["stable and losing"] += report.stable and bool(child.losing)
+                        continue
+                    assert not child.losing
+                    moved = {inst.edges[i].id for i in child.moved}
+                    seen["stable"] += report.stable
+                    seen["moved"] += any(e in moved for e in report.blocking)
+                    seen["unmoved"] += any(e not in moved for e in report.blocking)
+    kinds = ("stable", "moved", "unmoved", "losing and gaining", "stable and losing")
+    assert all(seen[k] for k in kinds), seen
