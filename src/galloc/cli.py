@@ -73,6 +73,8 @@ def _text(doc, nl: str) -> str:
         return _STR(doc)
     if kind is int:
         return int.__repr__(doc)
+    if kind is float:
+        return json.dumps(doc)
     if doc is None or kind is bool:
         return "null" if doc is None else "true" if doc else "false"
     inner = nl + "  "
@@ -97,9 +99,9 @@ def _dumps(doc) -> str:
     """The text of ``json.dumps(doc, indent=2)``.
 
     CPython encodes through its pure-Python encoder whenever ``indent``
-    is set; dicts with string keys, lists, strings, ints, booleans and
-    None are written here instead, and any other value goes to
-    ``json.dumps``.
+    is set; dicts with string keys, lists, strings, ints, floats,
+    booleans and None are written here instead, and any other value goes
+    to ``json.dumps``.
     """
     try:
         return _text(doc, "\n")

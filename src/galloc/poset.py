@@ -12,7 +12,9 @@ and its deferral route starts where every other component is at its
 maximum, so only its own component moves: a build costs the base route
 plus, per component c, |R_c| routes of that component's length, on k
 equal submarkets k times fewer points than routes over the whole
-market.
+market.  The build's memos key on a component and its edge values, so
+each component state is searched once and each rotation weighed once
+per state, however many routes pass it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 
 import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
@@ -215,23 +218,67 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     walks the base route plus, per component c, |R_c| routes of that
     component's length L_c, not |R| routes of the full length.
 
-    These routes pass the same stable points many times, so a build pays
-    only for what it has not seen.  Its memos are ``functools.cache``
-    entries, keyed on points that hash their values once: a point's
-    rotations, searched once; and each step, (point, rotation) to
-    (weight, next point), weighed and shifted once.  A step interns the
-    point it reaches, and so does each deferral route its start, so a
-    replayed step neither copies nor hashes the point's values.  The
-    memos keep rotations, not the views the searches carry.
+    These routes pass the same stable points many times, and a deferral
+    route passes its component's states again with every other component
+    at its maximum, so a build pays only for the component states it has
+    not seen.  Its memos key on a component and its edge values: a
+    state's rotations, found by the one search that first meets it (a
+    search also stores the states it finds no rotation in), and a
+    state's weight for each rotation.  A point's rotations, kept per
+    point, are its components' own, in key order, and the carried search
+    runs only at a point with a state not seen yet.  On a one-component
+    market a state is the point itself, so no values are projected.
+    Shifting stays per (point, rotation): a step interns the point it
+    reaches, and so does each deferral route its start, so a replayed
+    step neither copies nor hashes the point's values.  The memos keep
+    rotations, not the views the searches carry.
     """
     xmin = xmin_by_capacity_reduction(inst).assignment
     points = {xmin: xmin}
-    rotations_at = functools.cache(carried_search(inst))
     component = _edge_components(inst)  # a key's is its first edge's
+    search = carried_search(inst)
+    # The state of component c at x is (c, x's values on c's edges), and
+    # (c, x) on a one-component market: a point hashes its values once,
+    # where copying all of them read 4% slower on poset-gapless
+    # (BENCH_30.json, batch single-path).
+    positions: dict[int, list[int]] = {}
+    for i, e in enumerate(inst.edges):
+        positions.setdefault(component[e.id], []).append(i)
+
+    def on_edges(idx: list[int]):
+        get = itemgetter(*idx)
+        return lambda x: get(x.values)
+
+    project = {
+        c: on_edges(idx) if len(positions) > 1 else lambda x: x
+        for c, idx in positions.items()
+    }
+    found: dict[tuple, tuple[Rotation, ...]] = {}
+    weights: dict[tuple, int] = {}
+
+    @functools.cache
+    def rotations_at(x: Assignment) -> tuple[Rotation, ...]:
+        states = [(c, on(x)) for c, on in project.items()]
+        if all(s in found for s in states):
+            return tuple(sorted(
+                (r for s in states for r in found[s]), key=attrgetter("key")
+            ))
+        rotations = search(x)
+        for s in states:
+            if s not in found:
+                found[s] = tuple(r for r in rotations if component[r.key[0]] == s[0])
+        return rotations
+
+    def weigh(x: Assignment, rot: Rotation) -> int:
+        c = component[rot.key[0]]
+        k = (c, project[c](x), rot.key)
+        if k not in weights:
+            weights[k] = max_feasible_weight(inst, x, rot)
+        return weights[k]
 
     @functools.cache
     def step_at(x: Assignment, rot: Rotation) -> tuple[int, Assignment]:
-        tau = max_feasible_weight(inst, x, rot)
+        tau = weigh(x, rot)
         y = apply_rotation(inst, x, rot, tau)
         return tau, points.setdefault(y, y)
 

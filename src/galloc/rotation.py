@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 from .choice import evaluator_for, total_fresh_evaluations
 from .errors import GallocError, InvariantViolation
 from .model import Assignment, Instance, shift, shift_room
-from .stability import PointView, _workers_of
+from .stability import PointView
 
 
 class Tandem(NamedTuple):
@@ -184,11 +184,12 @@ def _searched_again(view: PointView) -> list[str]:
     that is not losing still does not, while the firm of its added edge
     still wants it and answers as it did.  So three sets of workers are
     searched again: the dirty workers, the workers whose move starts at a
-    dirty firm, and every worker of a losing firm.  Canonical order.
+    dirty firm, and every worker of a losing firm (``view.losing_workers``,
+    which the check built).  Canonical order.
     """
     inst, dirty = view.inst, view.dirty
     stale = {v for v in dirty if inst.is_worker(v)}
-    stale.update(_workers_of(inst, view.losing))
+    stale.update(view.losing_workers)
     stale.update(w for w, t in view.parent.moves.items() if t.firm in dirty)
     return sorted(stale, key=inst.worker_index.__getitem__)
 

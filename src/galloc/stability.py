@@ -103,12 +103,13 @@ class PointView:
     parent's view, kept only until the search has read its moves and
     rotations, so that no chain of views stays alive.  ``losing``, set by
     a check under a stable parent, lists the dirty firms that do not
-    weakly prefer their share of ``x`` to the parent's.
+    weakly prefer their share of ``x`` to the parent's, and
+    ``losing_workers`` holds the workers with an edge at one of them.
     """
 
     __slots__ = (
-        "inst", "x", "local", "wants", "dirty", "moved", "boxed", "losing", "_report",
-        "parent", "moves", "changed", "rotations",
+        "inst", "x", "local", "wants", "dirty", "moved", "boxed", "losing",
+        "losing_workers", "_report", "parent", "moves", "changed", "rotations",
     )
 
     def __init__(self, inst: Instance, x: Assignment, parent: PointView | None = None) -> None:
@@ -143,6 +144,7 @@ class PointView:
         stable = parent is not None and parent._report is not None and parent._report.stable
         self.parent = parent if stable else None
         self.losing: list[str] | None = None
+        self.losing_workers: set[str] | None = None
         self._report: StabilityReport | None = None
         self.moves: dict | None = None
         self.changed: list[str] | None = None
@@ -204,7 +206,7 @@ class PointView:
                 f for f in self._dirty(inst.firms)
                 if not evaluator_for(inst, f).prefers(old[f], local[f])
             ]
-            scanned = _workers_of(inst, self.losing)
+            scanned = self.losing_workers = _workers_of(inst, self.losing)
             for i in self.moved:
                 eid, w, f, _ = edges[i]
                 if w not in scanned and wants[w](pos(w, eid)) and wants[f](pos(f, eid)):
@@ -235,9 +237,17 @@ class PointView:
 
 
 def _workers_of(inst: Instance, firms) -> set[str]:
-    """The workers with an edge at one of ``firms``."""
-    edges = inst.edges
-    return {edges[i].worker for f in firms for i in inst.edge_indices(f)}
+    """The workers with an edge at one of ``firms``.
+
+    The firms left once the set holds every worker are not read.
+    """
+    edges, everyone = inst.edges, len(inst.workers)
+    out: set[str] = set()
+    for f in firms:
+        out.update([edges[i].worker for i in inst.edge_indices(f)])
+        if len(out) == everyone:
+            break
+    return out
 
 
 def check_stability(inst: Instance, x: Assignment) -> StabilityReport:

@@ -3,7 +3,7 @@ import json
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import galloc.poset
@@ -15,7 +15,7 @@ from galloc import (
     xmin_by_capacity_reduction,
 )
 from galloc.choice import A3_QUOTA_LIMIT
-from galloc.genrand import PAIR_LIMIT, TABLEAU_CELL_LIMIT
+from galloc.genrand import FAMILIES, PAIR_LIMIT, TABLEAU_CELL_LIMIT, generate
 from galloc.cli import main
 
 from builders import latin, one_on_one, two_swaps
@@ -982,10 +982,24 @@ json_odd = st.floats(allow_nan=True) | st.tuples(st.integers())
         max_leaves=10,
     )
 )
+@example({
+    "a": [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, 2.5e-8],
+    "b": {"c": [[float("-inf")], {"d": float("nan")}]},
+})
 @settings(max_examples=300, deadline=None)
 def test_output_text_is_that_of_json_dumps_with_indent(doc):
-    # Escapes, non-ASCII text, lone surrogates and keys that are not
-    # strings included; floats and tuples go to json.dumps itself.
+    # Escapes, non-ASCII text, lone surrogates, floats and keys that are
+    # not strings included; tuples go to json.dumps itself.
     from galloc.cli import _dumps
 
     assert _dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_gen_documents_are_written_as_json_dumps_writes_them():
+    # A random family's document holds a float, its density.
+    from galloc.cli import _dumps
+
+    for family in FAMILIES:
+        doc = generate(GeneratorConfig(seed=3, density=0.55, family=family)).to_dict()
+        assert _dumps(doc) == json.dumps(doc, indent=2)
+

@@ -159,23 +159,33 @@ def test_builds_search_each_stable_point_exactly_once(monkeypatch, ring4):
     "make, general, searches",
     [
         (lambda: latin(16, 2, 4), False, None),
-        # k disjoint rings of quota q: each deferral route stays in its ring.
-        (lambda: instance_from_dict(rings(12, 8).doc), True, 1 + 2 * 12 * 8),
+        # k disjoint rings of quota q: each deferral route walks its ring
+        # through the states the base route searched.
+        (lambda: instance_from_dict(rings(12, 8).doc), True, 1 + 12 * 8),
+        # Two parts, one of them with states that offer several rotations.
+        (lambda: disjoint_union(latin(4, 2, 4), make_ring_instance(4)), True, None),
     ],
-    ids=["latin16cap2", "rings12q8"],
+    ids=["latin16cap2", "rings12q8", "latin4cap2+ring4"],
 )
 def test_builds_shift_and_weigh_each_distinct_step_once(
     monkeypatch, make, general, searches
 ):
     # Every deferred route replays the steps the routes before it took;
     # a replayed step is a memo hit, so each distinct (point, key) step
-    # is weighed and shifted once.
+    # is shifted once, and each (component state, key) weighed once.
+    inst = make()
+    component = component_of(inst)
     steps, shifted, weighed = Counter(), Counter(), Counter()
     searched = set()
     walk = galloc.poset.walk_route
     apply = galloc.poset.apply_rotation
     weigh = galloc.poset.max_feasible_weight
     search = galloc.lattice.applicable_rotations
+
+    def state(x, key):
+        c = component[key[0]]
+        values = tuple(v for v, e in zip(x, inst.edges) if component[e.id] == c)
+        return c, values, key
 
     def counted_search(inst, x, view=None):
         searched.add(x.values)
@@ -191,16 +201,17 @@ def test_builds_shift_and_weigh_each_distinct_step_once(
         return apply(inst, x, rot, weight)
 
     def counted_weigh(inst, x, rot):
-        weighed[(x.values, rot.key)] += 1
+        weighed[state(x.values, rot.key)] += 1
         return weigh(inst, x, rot)
 
     monkeypatch.setattr(galloc.poset, "walk_route", counting_walk)
     monkeypatch.setattr(galloc.poset, "apply_rotation", counted_apply)
     monkeypatch.setattr(galloc.poset, "max_feasible_weight", counted_weigh)
     monkeypatch.setattr(galloc.lattice, "applicable_rotations", counted_search)
-    build_poset(make(), general=general)
+    build_poset(inst, general=general)
     assert set(shifted.values()) == {1}
-    assert weighed == shifted
+    assert set(weighed.values()) == {1}
+    assert set(weighed) == {state(x, key) for x, key in shifted}
     assert len(shifted) < steps["taken"]
     if searches is not None:
         assert len(searched) <= searches
@@ -320,6 +331,8 @@ def merged(a, b):
 
 UNION_PAIRS = {
     "ring2+ring4": (lambda: make_ring_instance(2), lambda: make_ring_instance(4)),
+    # Equal parts reach equal values: memo keys must tell them apart.
+    "ring4+ring4": (lambda: make_ring_instance(4), lambda: make_ring_instance(4)),
     "ring6+latin4": (lambda: make_ring_instance(6), lambda: latin(4)),
     "latin5+ring8": (lambda: latin(5), lambda: make_ring_instance(8)),
     "tableau+ring2": (tableau_market, lambda: make_ring_instance(2)),
@@ -568,10 +581,14 @@ def cheapest_on_latin4(inst):
     "make, use",
     [
         (lambda: make_ring_instance(4), lambda inst: build_poset(inst, general=True)),
+        (
+            lambda: disjoint_union(make_ring_instance(2), make_ring_instance(4)),
+            lambda inst: build_poset(inst, general=True),
+        ),
         (lambda: latin(4), cheapest_on_latin4),
         (lambda: build_poset(two_swaps(1, 3)), enumerate_closed_functions),
     ],
-    ids=["general-build", "min-cost", "closed-functions"],
+    ids=["general-build", "general-build-union", "min-cost", "closed-functions"],
 )
 def test_no_reference_cycle_outlives_the_call(make, use):
     # With the collector off, an object left in a reference cycle stays
