@@ -486,7 +486,8 @@ _SPEC_KEYS = {
 def read_firm_spec(inst: Instance, f: str) -> tuple[str, int, tuple]:
     """Validate and read one firm's spec; raise ValidationError.
 
-    The only reader of ``inst.firm_cfs``.  Returns the evaluator kind, the
+    The only reader of the specs in ``inst.firm_cfs``; a poset build
+    hands them to its parts unread.  Returns the evaluator kind, the
     quota and the rule's table: for "firm-linear" the order as local
     positions, for "tableau" the filling columns in canonical order.
     """

@@ -7,14 +7,9 @@ a positive occurrence).  On gapless instances each rotation occurs once
 and minimum-cost selection reduces to a minimum cut over the poset.
 
 The poset is built from one full route and one deferral route per
-rotation.  A rotation lies in one connected component of the market,
-and its deferral route starts where every other component is at its
-maximum, so only its own component moves: a build costs the base route
-plus, per component c, |R_c| routes of that component's length, on k
-equal submarkets k times fewer points than routes over the whole
-market.  The build's memos key on a component and its edge values, so
-each component state is searched once and each rotation weighed once
-per state, however many routes pass it.
+rotation, on each connected part of the market that moves.  Stability
+is local to each vertex's edges, so the stable set of a market is the
+product of its parts' own and its poset is theirs side by side.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
@@ -175,11 +170,12 @@ def build_poset_general(inst: Instance) -> RotationPoset:
     return _build_poset(inst, "general")
 
 
-def _edge_components(inst: Instance) -> dict[str, int]:
-    """Each edge's connected component of the market, over all edges.
+def _components(inst: Instance) -> dict[str, int]:
+    """Each vertex's connected component of the market, over all edges.
 
-    Components are numbered in order of their first edge.  Edges of
-    zero capacity join components too, which only makes them coarser.
+    Components are numbered in order of their first edge; a vertex with
+    no edge has none.  Edges of zero capacity join components too, which
+    only makes them coarser.
     """
     parent = {v: v for v in inst.workers + inst.firms}
 
@@ -191,11 +187,66 @@ def _edge_components(inst: Instance) -> dict[str, int]:
     for e in inst.edges:
         parent[root(e.worker)] = root(e.firm)
     number: dict[str, int] = {}
-    return {e.id: number.setdefault(root(e.worker), len(number)) for e in inst.edges}
+    for e in inst.edges:
+        number.setdefault(root(e.worker), len(number))
+    return {v: number[r] for v in parent if (r := root(v)) in number}
 
 
 def _build_poset(inst: Instance, mode: str) -> RotationPoset:
-    """The rotation poset, from routes that defer one rotation each.
+    """The rotation poset, built on each connected part of the market.
+
+    Stability is local to each vertex's edges, so the stable set of a
+    market is the product of its connected parts' own and its poset is
+    theirs side by side.  A connected market is built on itself.
+    Otherwise one search at the market's minimum finds the parts that
+    offer a rotation; the others are at their maximum already.  Each
+    part that moves is built on its own instance, its vertices with
+    their quotas, orders and firm specs and its edges in the market's
+    order, from the minimum's values on its edges.  Parts are built one
+    at a time, in order of their first edge, and their elements merged
+    in (key, occurrence) order.
+    """
+    xmin = xmin_by_capacity_reduction(inst).assignment
+    part_of = _components(inst)
+    if len(set(part_of.values())) <= 1:
+        return _build_connected(inst, xmin, mode)
+    moving = {
+        part_of[inst.edge(r.key[0]).worker] for r in carried_search(inst)(xmin)
+    }
+    members: dict[int, tuple[list[str], list[str]]] = {
+        c: ([], []) for c in sorted(moving)
+    }
+    for side, vertices in enumerate((inst.workers, inst.firms)):
+        for v in vertices:
+            if part_of.get(v) in moving:
+                members[part_of[v]][side].append(v)
+    xmax = list(xmin.values)
+    elements: list[PosetElement] = []
+    arcs: list[tuple[PosetElement, PosetElement]] = []
+    for workers, firms in members.values():
+        at = sorted(i for w in workers for i in inst.edge_indices(w))
+        part = Instance(
+            workers,
+            firms,
+            [inst.edges[i] for i in at],
+            {w: inst.worker_quotas[w] for w in workers},
+            {w: inst.worker_orders[w] for w in workers},
+            {f: inst.firm_cfs[f] for f in firms},
+        )
+        start = Assignment(tuple(xmin.values[i] for i in at))
+        poset = _build_connected(part, start, mode)
+        for i, v in zip(at, poset.xmax.values):
+            xmax[i] = v
+        elements += poset.elements
+        arcs += [(poset.elements[a], poset.elements[b]) for a, b in poset.hasse]
+    elements.sort(key=attrgetter("key", "occurrence"))
+    index = {el: i for i, el in enumerate(elements)}
+    hasse = tuple(sorted((index[a], index[b]) for a, b in arcs))
+    return RotationPoset(tuple(elements), hasse, mode, xmin, Assignment(tuple(xmax)))
+
+
+def _build_connected(inst: Instance, xmin: Assignment, mode: str) -> RotationPoset:
+    """The rotation poset of a connected market, from its minimum ``xmin``.
 
     One full route fixes the occurrence counts and the (key, weight)
     multiset.  For each rotation a route deferring it maximally locates
@@ -203,118 +254,40 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     the successor occurrences, read off one running count of the keys
     the route has shifted so far.
 
-    A rotation is a cycle of edges, so it lies in one connected
-    component of the market, and stability is local to each vertex's
-    edges: the stable set is the product of the components' own, and a
-    component's rotations and weights at a point depend on its edges
-    alone.  A deferral route therefore starts at the minimum on its
-    key's component and at the base route's end, the maximum, on every
-    other edge.  The other components offer no rotation there, so the
-    route walks only its key's component, and where it shifts the
-    deferred key, that key is the only rotation offered anywhere; the
-    component's steps are the same with or without the others
-    interleaved.  Its end is checked against the base route's and its
-    multiset against the base route's share of the component.  A build
-    walks the base route plus, per component c, |R_c| routes of that
-    component's length L_c, not |R| routes of the full length.
-
-    These routes pass the same stable points many times, and a deferral
-    route passes its component's states again with every other component
-    at its maximum, so a build pays only for the component states it has
-    not seen.  Its memos key on a component and its edge values: a
-    state's rotations, found by the one search that first meets it (a
-    search also stores the states it finds no rotation in), and a
-    state's weight for each rotation.  A point's rotations, kept per
-    point, are its components' own, in key order, and the carried search
-    runs only at a point with a state not seen yet.  On a one-component
-    market a state is the point itself, so no values are projected.
-    Shifting stays per (point, rotation): a step interns the point it
-    reaches, and so does each deferral route its start, so a replayed
-    step neither copies nor hashes the point's values.  The memos keep
-    rotations, not the views the searches carry.
+    These routes pass the same stable points many times, so each point
+    is searched once, from the view of the point searched before it, and
+    each step out of a point is weighed and shifted once.  A step interns
+    the point it reaches, so a replayed step neither copies nor hashes
+    the point's values.  The memos keep rotations, not the views the
+    searches carry.
     """
-    xmin = xmin_by_capacity_reduction(inst).assignment
     points = {xmin: xmin}
-    component = _edge_components(inst)  # a key's is its first edge's
-    search = carried_search(inst)
-    # The state of component c at x is (c, x's values on c's edges), and
-    # (c, x) on a one-component market: a point hashes its values once,
-    # where copying all of them read 4% slower on poset-gapless
-    # (BENCH_30.json, batch single-path).
-    positions: dict[int, list[int]] = {}
-    for i, e in enumerate(inst.edges):
-        positions.setdefault(component[e.id], []).append(i)
-
-    def on_edges(idx: list[int]):
-        get = itemgetter(*idx)
-        return lambda x: get(x.values)
-
-    project = {
-        c: on_edges(idx) if len(positions) > 1 else lambda x: x
-        for c, idx in positions.items()
-    }
-    found: dict[tuple, tuple[Rotation, ...]] = {}
-    weights: dict[tuple, int] = {}
-
-    @functools.cache
-    def rotations_at(x: Assignment) -> tuple[Rotation, ...]:
-        states = [(c, on(x)) for c, on in project.items()]
-        if all(s in found for s in states):
-            return tuple(sorted(
-                (r for s in states for r in found[s]), key=attrgetter("key")
-            ))
-        rotations = search(x)
-        for s in states:
-            if s not in found:
-                found[s] = tuple(r for r in rotations if component[r.key[0]] == s[0])
-        return rotations
-
-    def weigh(x: Assignment, rot: Rotation) -> int:
-        c = component[rot.key[0]]
-        k = (c, project[c](x), rot.key)
-        if k not in weights:
-            weights[k] = max_feasible_weight(inst, x, rot)
-        return weights[k]
+    rotations_at = functools.cache(carried_search(inst))
 
     @functools.cache
     def step_at(x: Assignment, rot: Rotation) -> tuple[int, Assignment]:
-        tau = weigh(x, rot)
+        tau = max_feasible_weight(inst, x, rot)
         y = apply_rotation(inst, x, rot, tau)
         return tau, points.setdefault(y, y)
 
-    def walk(start: Assignment, **how) -> Route:
-        return walk_route(inst, start, rotations_at=rotations_at, step_at=step_at, **how)
+    def walk(**how) -> Route:
+        return walk_route(inst, xmin, rotations_at=rotations_at, step_at=step_at, **how)
 
-    base = walk(xmin, assume_gapless=mode == "gapless")
+    base = walk(assume_gapless=mode == "gapless")
     pair_multiset = route_pairs(base)
     counts = Counter(step.rotation.key for step in base.steps)
-
-    # Per component: the minimum on its edges and the base end elsewhere,
-    # and its share of the multiset.
-    restricted: dict[int, tuple[Assignment, Counter]] = {}
-    for c in sorted({component[key[0]] for key in counts}):
-        start = Assignment(tuple(
-            a if component[e.id] == c else b
-            for a, b, e in zip(xmin.values, base.end.values, inst.edges)
-        ))
-        pairs = Counter(
-            {p: n for p, n in pair_multiset.items() if component[p[0][0]] == c}
-        )
-        restricted[c] = (points.setdefault(start, start), pairs)
 
     elements: list[PosetElement] = []
     arcs: set[tuple[tuple, tuple]] = set()  # between (key, occurrence) pairs
     for key in sorted(counts):
-        start, pairs = restricted[component[key[0]]]
         route = walk(
-            start,
             pick=lambda rots, key=key: next((r for r in rots if r.key != key), rots[0]),
         )
         if route.end.values != base.end.values:
             raise InvariantViolation(
                 "a deferred route ended away from its component's maximum"
             )
-        if route_pairs(route) != pairs:
+        if route_pairs(route) != pair_multiset:
             raise InvariantViolation(
                 "route weight multisets differ between full routes "
                 "of a component"
@@ -325,10 +298,9 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
                 f"rotation {key} occurred {occurred} times deferred "
                 f"but {counts[key]} times on the base route"
             )
-        # The route shifts each key of the component counts[key] times
-        # (its multiset is the base route's there), so a successor's
-        # occurrence index, counts minus its later shifts, is the number
-        # of its shifts so far.
+        # The route shifts each key counts[key] times (its multiset is the
+        # base route's), so a successor's occurrence index, counts minus
+        # its later shifts, is the number of its shifts so far.
         shifted: Counter[tuple[str, ...]] = Counter()
         for s in route.steps:
             shifted[s.rotation.key] += 1

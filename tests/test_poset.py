@@ -33,6 +33,7 @@ from galloc import (
     min_cost_stable,
     route_pairs,
     to_closed_function,
+    total_choice_calls,
     xmax_by_capacity_reduction,
     xmin_by_capacity_reduction,
 )
@@ -138,12 +139,14 @@ def test_general_mode_agrees_on_a_gapless_instance():
 
 def test_builds_search_each_stable_point_exactly_once(monkeypatch, ring4):
     # The base route, every deferred route and the successor lookups
-    # share one search per point, however many routes pass it.
+    # share one search per point, however many routes pass it.  A point
+    # is keyed on the instance searched, the market or one of its parts,
+    # as the two parts of two_swaps() reach equal values.
     searched = Counter()
     search = galloc.lattice.applicable_rotations
 
     def counted(inst, x, view=None):
-        searched[x.values] += 1
+        searched[(inst, inst.edges, x.values)] += 1
         return search(inst, x, view)
 
     # The carried search of galloc.lattice runs every rotation search.
@@ -159,9 +162,11 @@ def test_builds_search_each_stable_point_exactly_once(monkeypatch, ring4):
     "make, general, searches",
     [
         (lambda: latin(16, 2, 4), False, None),
-        # k disjoint rings of quota q: each deferral route walks its ring
-        # through the states the base route searched.
-        (lambda: instance_from_dict(rings(12, 8).doc), True, 1 + 12 * 8),
+        # k disjoint rings of quota q: one search of the market at its
+        # minimum finds the rings that move, and each ring is built on its
+        # own, searching its minimum and the q points its base route
+        # reaches; every deferral route walks the ring through those.
+        (lambda: instance_from_dict(rings(12, 8).doc), True, 1 + 12 * (1 + 8)),
         # Two parts, one of them with states that offer several rotations.
         (lambda: disjoint_union(latin(4, 2, 4), make_ring_instance(4)), True, None),
     ],
@@ -172,9 +177,9 @@ def test_builds_shift_and_weigh_each_distinct_step_once(
 ):
     # Every deferred route replays the steps the routes before it took;
     # a replayed step is a memo hit, so each distinct (point, key) step
-    # is shifted once, and each (component state, key) weighed once.
+    # is shifted once and weighed once.  Points are keyed on the instance
+    # they belong to, the market or one of its parts.
     inst = make()
-    component = component_of(inst)
     steps, shifted, weighed = Counter(), Counter(), Counter()
     searched = set()
     walk = galloc.poset.walk_route
@@ -182,13 +187,8 @@ def test_builds_shift_and_weigh_each_distinct_step_once(
     weigh = galloc.poset.max_feasible_weight
     search = galloc.lattice.applicable_rotations
 
-    def state(x, key):
-        c = component[key[0]]
-        values = tuple(v for v, e in zip(x, inst.edges) if component[e.id] == c)
-        return c, values, key
-
     def counted_search(inst, x, view=None):
-        searched.add(x.values)
+        searched.add((inst, inst.edges, x.values))
         return search(inst, x, view)
 
     def counting_walk(*args, **kwargs):
@@ -197,11 +197,11 @@ def test_builds_shift_and_weigh_each_distinct_step_once(
         return route
 
     def counted_apply(inst, x, rot, weight):
-        shifted[(x.values, rot.key)] += 1
+        shifted[(inst, inst.edges, x.values, rot.key)] += 1
         return apply(inst, x, rot, weight)
 
     def counted_weigh(inst, x, rot):
-        weighed[state(x.values, rot.key)] += 1
+        weighed[(inst, inst.edges, x.values, rot.key)] += 1
         return weigh(inst, x, rot)
 
     monkeypatch.setattr(galloc.poset, "walk_route", counting_walk)
@@ -211,10 +211,10 @@ def test_builds_shift_and_weigh_each_distinct_step_once(
     build_poset(inst, general=general)
     assert set(shifted.values()) == {1}
     assert set(weighed.values()) == {1}
-    assert set(weighed) == {state(x, key) for x, key in shifted}
+    assert set(weighed) == set(shifted)
     assert len(shifted) < steps["taken"]
     if searches is not None:
-        assert len(searched) <= searches
+        assert len(searched) == searches
 
 
 def memo_free_corpus():
@@ -234,18 +234,10 @@ def test_memoized_builds_equal_builds_with_memo_free_walks(monkeypatch):
     memoized = [build_outcome(inst, general) for inst in insts for general in modes]
     walk = galloc.poset.walk_route
 
-    def plain(inst, start, *, rotations_at, step_at=None, pick=None, **how):
-        # walk_route's own search and step.  A deferral route keeps the
-        # build's restriction to one component, which it reads off the
-        # rotations the build offers at the start: that component's own.
-        search = galloc.lattice.carried_search(inst)
-        if pick is not None:
-            component = component_of(inst)
-            kept = component[rotations_at(start)[0].key[0]]
-            search = lambda x, full=search: tuple(
-                r for r in full(x) if component[r.key[0]] == kept
-            )
-        return walk(inst, start, rotations_at=search, pick=pick, **how)
+    def plain(inst, start, *, rotations_at, step_at=None, **how):
+        # walk_route's own search and step, on the market or the part the
+        # build walks.
+        return walk(inst, start, **how)
 
     monkeypatch.setattr(galloc.poset, "walk_route", plain)
     insts = memo_free_corpus()  # fresh instances, fresh evaluator memos
@@ -329,6 +321,41 @@ def merged(a, b):
     }
 
 
+def parts_of(inst):
+    """Each connected component of the market as an instance of its own.
+
+    Parts come in order of their first edge; each keeps the market's order
+    of its vertices and edges.
+    """
+    doc = inst.to_dict()
+    component = component_of(inst)
+    parts = []
+    for c in dict.fromkeys(component[e.id] for e in inst.edges):
+        edges = [e for e in doc["edges"] if component[e["id"]] == c]
+        ends = {e["worker"] for e in edges} | {e["firm"] for e in edges}
+        parts.append(instance_from_dict({
+            "workers": [w for w in doc["workers"] if w in ends],
+            "firms": [f for f in doc["firms"] if f in ends],
+            "edges": edges,
+            **{
+                key: {v: doc[key][v] for v in doc[key] if v in ends}
+                for key in ("worker_quotas", "worker_orders", "firm_cfs")
+            },
+        }))
+    return parts
+
+
+def first_refusal(inst):
+    """The gapless refusal of the market's first part whose base route
+    repeats a rotation, taking parts in order of their first edge."""
+    for part in parts_of(inst):
+        try:
+            build_full_route(part, assume_gapless=True)
+        except GaplessnessError as exc:
+            return str(exc)
+    return None
+
+
 UNION_PAIRS = {
     "ring2+ring4": (lambda: make_ring_instance(2), lambda: make_ring_instance(4)),
     # Equal parts reach equal values: memo keys must tell them apart.
@@ -356,10 +383,7 @@ def test_the_poset_of_a_disjoint_union_merges_the_parts(pair):
         except GaplessnessError:
             with pytest.raises(GaplessnessError) as refused:
                 build_poset(union, general=general)
-            # The refusal is the base route's own.
-            with pytest.raises(GaplessnessError) as walked:
-                build_full_route(union, assume_gapless=True)
-            assert str(refused.value) == str(walked.value)
+            assert str(refused.value) == first_refusal(union)
             continue
         poset = build_poset(union, general=general)
         assert poset.to_dict() == merged(*parts)
@@ -367,10 +391,99 @@ def test_the_poset_of_a_disjoint_union_merges_the_parts(pair):
         assert poset.xmax.values == parts[0].xmax.values + parts[1].xmax.values
 
 
+@pytest.mark.parametrize("k, seed", [(4, 3), (12, 0)])
+def test_plain_builds_refuse_at_the_first_part_that_repeats(k, seed):
+    # Relabelled rings put the parts' first edges in another order than
+    # their keys, so a route over the whole market repeats another ring's
+    # rotation first.
+    inst = instance_from_dict(rings(k, 8, seed=seed).doc)
+    message = first_refusal(inst)
+    with pytest.raises(GaplessnessError) as walked:
+        build_full_route(inst, assume_gapless=True)
+    assert message is not None and str(walked.value) != message
+    for refused in (
+        lambda: build_poset(inst),
+        lambda: min_cost_stable(inst, CostVector.from_doc(inst, {})),
+    ):
+        with pytest.raises(GaplessnessError) as got:
+            refused()
+        assert str(got.value) == message
+
+
+def test_part_builds_make_no_rule_call_on_the_market():
+    # Each part is built on its own instance, with evaluators of its own;
+    # the market's evaluators serve its minimum and the one search there.
+    calls = []
+    for inst in poset_corpus():
+        if len(set(component_of(inst).values())) == 1:
+            continue
+        xmin_by_capacity_reduction(inst)
+        before = total_choice_calls(inst)
+        for general in (False, True):
+            build_outcome(inst, general)
+        assert total_choice_calls(inst) == before
+        calls.append(before)
+    assert calls == [12, 12, 14, 18, 14]
+
+
+def single_edges(n):
+    """n disjoint single edges, each a worker and a firm of quota 1."""
+    return instance_from_dict({
+        "workers": [f"w{i}" for i in range(n)],
+        "firms": [f"f{i}" for i in range(n)],
+        "edges": [
+            {"id": f"e{i}", "worker": f"w{i}", "firm": f"f{i}", "capacity": 1}
+            for i in range(n)
+        ],
+        "worker_quotas": {f"w{i}": 1 for i in range(n)},
+        "worker_orders": {f"w{i}": [f"e{i}"] for i in range(n)},
+        "firm_cfs": {
+            f"f{i}": {"type": "linear", "order": [f"e{i}"], "quota": 1} for i in range(n)
+        },
+    })
+
+
+def test_a_resting_part_gets_no_instance_of_its_own(monkeypatch):
+    # A single edge has one stable value, so only the ring moves.
+    made = []
+    construct = galloc.poset.Instance
+
+    def counted(*args, **kwargs):
+        made.append(construct(*args, **kwargs))
+        return made[-1]
+
+    ring, singles = make_ring_instance(4), single_edges(300)
+    parts = [
+        build_poset_general(relabelled(m, t)) for m, t in ((ring, ":A"), (singles, ":B"))
+    ]
+    union = disjoint_union(ring, singles)
+    monkeypatch.setattr(galloc.poset, "Instance", counted)
+    poset = build_poset_general(union)
+    assert poset.to_dict() == merged(*parts)
+    assert [len(part.edges) for part in made] == [9]
+
+
+def test_min_cost_sums_over_the_parts():
+    # The union's capacity box has 2**41 points, beyond the oracle's
+    # default limit; its minimum cost is the parts' own, added.
+    a, b = relabelled(latin(4), ":A"), relabelled(latin(5), ":B")
+    union = disjoint_union(latin(4), latin(5))
+    rng = random.Random(3)
+    costs = {e.id: rng.randint(-9, 9) for e in union.edges}
+    parts = [
+        min_cost_stable(p, CostVector.from_doc(p, {e.id: costs[e.id] for e in p.edges}))
+        for p in (a, b)
+    ]
+    res = min_cost_stable(union, CostVector.from_doc(union, costs))
+    assert res.cost == parts[0].cost + parts[1].cost
+    assert res.assignment.values == parts[0].assignment.values + parts[1].assignment.values
+
+
 def test_a_component_moves_alone_where_the_rest_is_at_its_maximum():
-    # A deferral route starts at the minimum on its component and the
-    # maximum elsewhere: the rest offers no rotation there, and the
-    # component walks its own share of a full route.
+    # The product property a part-wise build rests on: with one component
+    # at its minimum and the rest at their maximum, the point is stable,
+    # the rest offers no rotation, and the component walks its own share
+    # of a full route.
     checked = 0
     for inst in poset_corpus():
         lo = xmin_by_capacity_reduction(inst).assignment
