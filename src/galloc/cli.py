@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import os
 import sys
 import time
-
-import numpy as np
 
 from .choice import choice_call_counts
 from .errors import GallocError, InvariantViolation, ValidationError
@@ -165,6 +164,8 @@ def _cmd_route(args) -> int:
     if args.seed is not None:
         if args.seed < 0:
             raise ValidationError("--seed must be non-negative")
+        import numpy as np  # only a seeded route draws
+
         rng = np.random.Generator(np.random.PCG64(args.seed))
     route = build_full_route(inst, rng=rng)
     if args.verify:
@@ -431,7 +432,16 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command with the cyclic collector held off.
+
+    No command leaves a reference cycle except ``mincost``'s networkx
+    flow graph, so reference counting frees everything else at once and
+    collections would only rescan live objects.  The collector's state
+    is restored on the way out.
+    """
     args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except GallocError as exc:
@@ -440,6 +450,9 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"galloc: invariant violation: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
 from .model import Instance, instance_from_dict
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FAMILIES = ("linear", "tableau", "tableau-a3", "mixed")
 
@@ -62,7 +64,7 @@ class GeneratorConfig:
                 f"family must be one of {', '.join(FAMILIES)}"
             )
         if self.b_cap_for_gapless is not None and self.b_cap_for_gapless < 1:
-            raise ValidationError("b_cap_for_gapless must be positive")
+            raise ValidationError("the gapless capacity cap must be positive")
         pairs = self.workers * self.firms
         if pairs > PAIR_LIMIT:
             raise ValidationError(f"{pairs:,} worker-firm pairs are over the limit {PAIR_LIMIT:,}")
@@ -126,6 +128,8 @@ def generate(config: GeneratorConfig) -> Instance:
         if config.workers != 3 or config.firms != 3:
             raise ValidationError("the tableau-a3 family needs 3 workers and 3 firms")
         return make_ring_instance(config.quota_bound)
+    import numpy as np  # only a random draw needs it
+
     rng = np.random.Generator(np.random.PCG64(config.seed))
     cap_bound = config.capacity_bound
     if config.b_cap_for_gapless is not None:

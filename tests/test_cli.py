@@ -1,7 +1,13 @@
+import argparse
 import dataclasses
+import gc
 import json
+import os
+import subprocess
+import sys
 import time
 
+import networkx as nx
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -388,6 +394,8 @@ INVALID = [
      "capacity and quota bounds must be positive"),
     ("gen-quota-bound", ["gen", "--seed", "1", "--quota-bound", "0"],
      "capacity and quota bounds must be positive"),
+    ("gen-gapless-cap", ["gen", "--seed", "1", "--gapless-cap", "0"],
+     "the gapless capacity cap must be positive"),
 ]
 
 
@@ -860,6 +868,120 @@ def test_solve_max_exits_two_when_a_rotation_applies_at_the_top(ring_file, capsy
     assert err == "galloc: invariant violation: a rotation applies at the firm-side fixpoint\n"
     rc, out, _ = run(capsys, ["solve", ring_file])
     assert rc == 0 and json.loads(out)["assignment"] == X0
+
+
+# -- the cyclic collector --------------------------------------------------
+
+
+def ring4_at_x0(*argv):
+    """A command on the q=4 ring with its minimum as the assignment."""
+
+    def command(tmp_path):
+        x0 = write_json(tmp_path / "x0.json", {"assignment": X0})
+        return ring4_file(argv[0], x0, *argv[1:])(tmp_path)
+
+    return command
+
+
+def latin4_file(*argv):
+    def command(tmp_path):
+        return [argv[0], write_json(tmp_path / "latin4.json", latin(4).to_dict()), *argv[1:]]
+
+    return command
+
+
+COLLECTOR_CASES = {
+    "solve": (ring4_file("solve", "--verify"), 0),
+    "solve-max": (ring4_file("solve", "--mode", "max", "--verify"), 0),
+    "route": (ring4_file("route", "--verify"), 0),
+    "route-seed": (ring4_file("route", "--seed", "3", "--verify"), 0),
+    "rotations": (ring4_at_x0("rotations"), 0),
+    "rotations-dot": (ring4_at_x0("rotations", "--dot"), 0),
+    "poset": (latin4_file("poset", "--verify"), 0),
+    "poset-general": (ring4_file("poset", "--general", "--verify"), 0),
+    "poset-dot": (ring4_file("poset", "--general", "--dot"), 0),
+    "mincost": (mincost_latin4, 0),
+    "check": (ring4_at_x0("check"), 0),
+    "brute": (ring4_file("brute"), 0),
+    "gen": (lambda tmp_path: ["gen", "--seed", "3", "--family", "mixed"], 0),
+    "gen-appendix": (lambda tmp_path: ["gen", "--appendix", "4"], 0),
+    "bench": (ring4_file("bench"), 0),
+    "refusal": (ring4_file("poset"), 1),
+    "invariant": (ring4_file("solve", "--verify"), 2),  # with the solver broken
+    "usage": (lambda tmp_path: ["solve"], 1),
+}
+# What the cyclic garbage of a command may hang from: mincost's flow
+# graph, and the help formatters argparse builds to print a usage error.
+GARBAGE_ROOTS = {"mincost": nx.Graph, "usage": argparse.HelpFormatter}
+
+
+def reached_from(roots, among):
+    """The ids of the objects of ``among`` that ``roots`` reach within it."""
+    inside = {id(o) for o in among}
+    seen, stack = set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            stack += [r for r in gc.get_referents(obj) if id(r) in inside]
+    return seen
+
+
+@pytest.mark.parametrize("case", COLLECTOR_CASES)
+def test_a_command_restores_the_collector_and_leaves_no_galloc_cycle(
+    case, tmp_path, capsys, monkeypatch
+):
+    command, code = COLLECTOR_CASES[case]
+    if case == "invariant":
+        replaced("xmin_by_capacity_reduction", xmax_by_capacity_reduction)(monkeypatch)
+    argv = command(tmp_path)
+
+    def outcome():
+        try:
+            return main(argv)
+        except SystemExit as exc:  # usage errors
+            return exc.code
+
+    # A first run imports numpy for a seeded route, and networkx compiles
+    # its decorators on their first call; both leave cyclic garbage once.
+    assert outcome() == code
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    try:
+        for start in (True, False):
+            (gc.enable if start else gc.disable)()
+            gc.collect()
+            # Keep everything unreachable, also what a collection inside
+            # the command would have freed.
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            assert outcome() == code
+            assert gc.isenabled() is start
+            gc.collect()
+            garbage = list(gc.garbage)
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            assert not [o for o in garbage if type(o).__module__.startswith("galloc")]
+            roots = [o for o in garbage if isinstance(o, GARBAGE_ROOTS.get(case, ()))]
+            assert bool(roots) is (case in GARBAGE_ROOTS)
+            assert reached_from(roots, garbage) == {id(o) for o in garbage}
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        (gc.enable if enabled else gc.disable)()
+        capsys.readouterr()
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # Only gen and route --seed draw, and they import numpy themselves.
+    src = os.path.dirname(os.path.dirname(galloc.poset.__file__))
+    code = "import sys, galloc.cli; print(sorted({'galloc', 'numpy'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert done.stdout == "['galloc']\n"
 
 
 # -- fuzzing the instance boundary ----------------------------------------
