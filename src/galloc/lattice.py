@@ -547,6 +547,7 @@ def walk_route(
     assume_gapless: bool = False,
     rotations_at: Callable[[Assignment], tuple[Rotation, ...]] | None = None,
     step_at: Callable[[Assignment, Rotation], tuple[int, Assignment]] | None = None,
+    taken: tuple[RouteStep, ...] = (),
 ) -> Route:
     """Route from ``start`` until no rotation is offered.
 
@@ -560,7 +561,10 @@ def walk_route(
     rotation, and caps its weight, so as to stay below its target.
     Route length is monitored against (|W|+|F|)·|E|² under the gapless
     assumption, where a repeated rotation key raises GaplessnessError
-    before its weight search, and against b_max·|E|² otherwise.
+    before its weight search, and against b_max·|E|² otherwise.  The
+    steps ``taken`` from ``start`` already lead the route: the walk goes
+    on from their end, and they count toward the monitor and the keys
+    seen.
     """
     mult = len(inst.workers) + len(inst.firms) if assume_gapless else max(1, inst.b_max)
     bound = mult * max(1, len(inst.edges)) ** 2
@@ -573,17 +577,18 @@ def walk_route(
 
     search = rotations_at or carried_search(inst)
     step = step_at or maximal
-    steps: list[RouteStep] = []
-    seen_keys: set[tuple[str, ...]] = set()
-    x = start
+    steps = list(taken)
+    seen_keys = {s.rotation.key for s in taken}
+    x = steps[-1].end if steps else start
     while True:
         rotations = search(x)
-        if not rotations:
-            return Route(start, tuple(steps), x)
-        if len(steps) >= bound:
+        # The steps taken, and the one about to be, count.
+        if len(steps) + bool(rotations) > bound:
             raise InvariantViolation(
                 f"route exceeded its length monitor of {bound} steps"
             )
+        if not rotations:
+            return Route(start, tuple(steps), x)
         rot = rotations[0] if pick is None else pick(rotations)
         if assume_gapless and rot.key in seen_keys:
             raise GaplessnessError(

@@ -644,46 +644,53 @@ def _as_fraction(v: Any, where: str) -> Fraction:
 
 @dataclass(frozen=True)
 class CostVector:
-    """Per-edge costs as exact rationals, in canonical edge order."""
+    """Per-edge costs as exact rationals, in canonical edge order.
 
-    values: tuple[Fraction, ...]
+    Edge i costs ``ints[i] / scale``, where ``scale`` is the least common
+    denominator of the costs (1 when every cost is an integer).
+    """
+
+    ints: tuple[int, ...]
+    scale: int
 
     @classmethod
     def from_doc(cls, inst: Instance, doc: Mapping[str, Any]) -> "CostVector":
         if not isinstance(doc, Mapping):
             raise ValidationError("cost document must be a JSON object")
-        vals = [Fraction(0)] * len(inst.edges)
+        index = inst.edge_index
+        read: list[tuple[int, int | Fraction]] = []
         scale = 1
         for eid, v in doc.items():
-            if eid not in inst.edge_index:
+            if eid not in index:
                 raise ValidationError(f"cost references unknown edge {eid!r}")
-            c = vals[inst.edge_index[eid]] = _as_fraction(v, f"edge {eid!r}")
-            scale = lcm(scale, c.denominator)
-            if scale >= _COST_BOUND:
-                break
-        if scale >= _COST_BOUND or any(abs(c * scale) >= _COST_BOUND for c in vals):
+            c = v if type(v) is int else _as_fraction(v, f"edge {eid!r}")
+            read.append((index[eid], c))
+            if type(c) is not int:
+                scale = lcm(scale, c.denominator)
+                if scale >= _COST_BOUND:
+                    break
+        ints = [0] * len(inst.edges)
+        if scale < _COST_BOUND:
+            for i, c in read:
+                ints[i] = c.numerator * scale // c.denominator
+        if scale >= _COST_BOUND or any(abs(n) >= _COST_BOUND for n in ints):
             raise ValidationError(
                 f"costs need over {_COST_DIGITS} digits over a common denominator"
             )
-        reach = sum(abs(c * scale) * e.capacity for c, e in zip(vals, inst.edges))
+        reach = sum(abs(n) * e.capacity for n, e in zip(ints, inst.edges))
         if reach >= 10**_TOTAL_DIGITS:
             raise ValidationError(
                 f"costs times capacities reach over {_TOTAL_DIGITS} digits "
                 "over a common denominator"
             )
-        return cls(tuple(vals))
+        return cls(tuple(ints), scale)
 
     @classmethod
     def load(cls, inst: Instance, path: str | Path) -> "CostVector":
         return cls.from_doc(inst, _read_json(path))
 
     def cost_of(self, x: Assignment) -> Fraction:
-        return sum((c * v for c, v in zip(self.values, x.values)), Fraction(0))
-
-    def scaled_integers(self) -> tuple[tuple[int, ...], int]:
-        """Costs as integers after clearing denominators; returns (costs, scale)."""
-        scale = lcm(*(c.denominator for c in self.values)) if self.values else 1
-        return tuple(int(c * scale) for c in self.values), scale
+        return Fraction(sum(map(operator.mul, self.ints, x.values)), self.scale)
 
 
 def fraction_str(fr: Fraction) -> str:

@@ -9,7 +9,11 @@ and minimum-cost selection reduces to a minimum cut over the poset.
 The poset is built from one full route and one deferral route per
 rotation, on each connected part of the market that moves.  Stability
 is local to each vertex's edges, so the stable set of a market is the
-product of its parts' own and its poset is theirs side by side.
+product of its parts' own and its poset is theirs side by side.  A
+deferral route replays the full route up to the point where the two
+first pick differently, so it is walked from there on.  Minimum-cost
+selection weighs each rotation with the costs' integers over their
+common denominator.
 """
 
 from __future__ import annotations
@@ -248,18 +252,22 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
 def _build_connected(inst: Instance, xmin: Assignment, mode: str) -> RotationPoset:
     """The rotation poset of a connected market, from its minimum ``xmin``.
 
-    One full route fixes the occurrence counts and the (key, weight)
-    multiset.  For each rotation a route deferring it maximally locates
-    its occurrence points; the rotations applicable at each point give
-    the successor occurrences, read off one running count of the keys
-    the route has shifted so far.
+    One full route, the base route, fixes the occurrence counts and the
+    (key, weight) multiset.  For each rotation a route deferring it
+    maximally locates its occurrence points; the rotations applicable at
+    each point give the successor occurrences, read off one running
+    count of the keys the route has shifted so far.
 
-    These routes pass the same stable points many times, so each point
-    is searched once, from the view of the point searched before it, and
-    each step out of a point is weighed and shifted once.  A step interns
-    the point it reaches, so a replayed step neither copies nor hashes
-    the point's values.  The memos keep rotations, not the views the
-    searches carry.
+    A deferral route picks what the base route picks up to the first
+    point where the base route shifts the deferred key while another
+    rotation is offered.  So it is walked from that point only, behind
+    the base steps before it, which count toward its length monitor; its
+    checks run on the whole joined route.  The routes still pass the
+    same stable points many times, so each point is searched once, from
+    the view of the point searched before it, and each step out of a
+    point is weighed and shifted once.  A step interns the point it
+    reaches, so a replayed step neither copies nor hashes the point's
+    values.  The memos keep rotations, not the views the searches carry.
     """
     points = {xmin: xmin}
     rotations_at = functools.cache(carried_search(inst))
@@ -277,11 +285,19 @@ def _build_connected(inst: Instance, xmin: Assignment, mode: str) -> RotationPos
     pair_multiset = route_pairs(base)
     counts = Counter(step.rotation.key for step in base.steps)
 
+    branch: dict[tuple[str, ...], int] = {}  # where each key's deferral leaves
+    x = xmin
+    for i, s in enumerate(base.steps):
+        if len(rotations_at(x)) > 1:
+            branch.setdefault(s.rotation.key, i)
+        x = s.end
+
     elements: list[PosetElement] = []
     arcs: set[tuple[tuple, tuple]] = set()  # between (key, occurrence) pairs
     for key in sorted(counts):
         route = walk(
             pick=lambda rots, key=key: next((r for r in rots if r.key != key), rots[0]),
+            taken=base.steps[: branch.get(key, len(base.steps))],
         )
         if route.end.values != base.end.values:
             raise InvariantViolation(
@@ -489,7 +505,7 @@ def min_cost_stable(inst: Instance, costs: CostVector) -> MinCostResult:
     minimal optimal down-set.
     """
     poset = build_poset_gapless(inst)
-    ints, scale = costs.scaled_integers()
+    ints = costs.ints
     weights: list[int] = []
     for el in poset.elements:
         c = sum(ints[inst.edge_index[e]] for e in el.plus_edges) - sum(

@@ -757,15 +757,34 @@ def mincost_latin4(tmp_path):
     return ["mincost", write_json(tmp_path / "latin4.json", inst.to_dict()), costs]
 
 
+def latin4_file(*argv):
+    """A command that runs ``argv`` on Latin 4, cap 2, quota 4.
+
+    Its deferral routes leave its base route, so they walk steps of
+    their own; those of ring 4 and of Latin 4 at cap 1 never do.
+    """
+
+    def command(tmp_path):
+        inst = write_json(tmp_path / "latin4.json", latin(4, 2, 4).to_dict())
+        return [argv[0], inst, *argv[1:]]
+
+    return command
+
+
 def deferral_routes(change):
-    """A patch that applies ``change`` to each route walked with ``pick``."""
+    """A patch that applies ``change`` to each deferral route with steps of its own.
+
+    A deferral route is walked with ``pick``, behind the base steps it
+    replays (``taken``).
+    """
 
     def patch(monkeypatch):
         walk = galloc.poset.walk_route
 
         def broken(*args, **kwargs):
             route = walk(*args, **kwargs)
-            return change(route) if "pick" in kwargs else route
+            own = len(route.steps) > len(kwargs.get("taken", ()))
+            return change(route) if "pick" in kwargs and own else route
 
         monkeypatch.setattr(galloc.poset, "walk_route", broken)
 
@@ -835,12 +854,12 @@ def route_without_its_last_step(monkeypatch):
             "the two maximum pipelines disagree",
         ),
         (
-            ring4_file("poset", "--general"),
+            latin4_file("poset", "--general"),
             deferral_routes(drop_last_step),
             "a deferred route ended away from its component's maximum",
         ),
         (
-            ring4_file("poset", "--general"),
+            latin4_file("poset", "--general"),
             deferral_routes(heavier_last_step),
             "route weight multisets differ between full routes of a component",
         ),

@@ -26,7 +26,7 @@ from galloc import (
 )
 from galloc.choice import evaluator_for, total_choice_calls
 from galloc.genrand import GeneratorConfig, generate
-from galloc.lattice import build_reversal_sets, essential_f_pairs
+from galloc.lattice import Route, build_reversal_sets, essential_f_pairs, walk_route
 from galloc.stability import PointView
 from perfbench.corpus import oracle_corpus, random_complete
 
@@ -456,3 +456,20 @@ def test_capacity_reduction_does_not_ask_a_receiver_offered_what_it_kept(
         if doc is dense:
             assert repeats > 0
             assert calls < reference_calls
+
+
+def test_route_length_monitor_counts_the_steps_taken():
+    # Steps handed to walk_route as taken lead the route and count toward
+    # its length monitor, b_max * |E|^2 outside the gapless assumption.
+    inst = make_ring_instance(4)
+    xmin = xmin_by_capacity_reduction(inst).assignment
+    route = build_full_route(inst, xmin)
+    bound = inst.b_max * len(inst.edges) ** 2
+    first = route.steps[:1]
+    # bound steps that end at the maximum: the walk takes none more.
+    taken = first * (bound - len(route.steps)) + route.steps
+    assert walk_route(inst, xmin, taken=taken) == Route(xmin, taken, route.end)
+    # One more step, or bound steps that end where a rotation is offered.
+    for taken in (first + taken, first * bound):
+        with pytest.raises(InvariantViolation, match=f"length monitor of {bound} steps"):
+            walk_route(inst, xmin, taken=taken)

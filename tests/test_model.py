@@ -3,8 +3,11 @@ import itertools
 import json
 import pickle
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galloc import (
     Assignment,
@@ -19,7 +22,7 @@ from galloc import (
 )
 from galloc.choice import a3_filling, evaluator_for, iter_box
 from galloc.genrand import GeneratorConfig, generate
-from galloc.model import Edge, assignment_from_doc, shift
+from galloc.model import Edge, _as_fraction, assignment_from_doc, shift
 from perfbench.corpus import random_complete, rings
 
 from builders import latin, one_on_one, parallel_pair, two_swaps
@@ -182,16 +185,18 @@ def test_assignments_hash_as_their_values():
 def test_cost_vector_parsing_and_exactness():
     inst = parallel_pair(1)
     cv = CostVector.from_doc(inst, {"e1": 1, "e2": 0.1})
-    assert cv.values == (Fraction(1), Fraction(1, 10))
+    assert (cv.ints, cv.scale) == ((10, 1), 10)
     cv = CostVector.from_doc(inst, {"e1": "2/3"})
-    assert cv.values[0] == Fraction(2, 3)
+    assert (cv.ints, cv.scale) == ((2, 0), 3)
     with pytest.raises(ValidationError, match="unknown edge"):
         CostVector.from_doc(inst, {"zz": 1})
     for bad in (True, "abc", "1/0"):
         with pytest.raises(ValidationError, match="not a number"):
             CostVector.from_doc(inst, {"e1": bad})
-    ints, scale = CostVector.from_doc(inst, {"e1": 0.5, "e2": "1/3"}).scaled_integers()
-    assert ints == (3, 2) and scale == 6
+    cv = CostVector.from_doc(inst, {"e1": 0.5, "e2": "1/3"})
+    assert (cv.ints, cv.scale) == ((3, 2), 6)
+    cv = CostVector.from_doc(inst, {"e1": 4, "e2": "-6/3"})
+    assert (cv.ints, cv.scale) == ((4, -2), 1)
 
 
 def test_fraction_str_exact_forms():
@@ -207,6 +212,68 @@ def test_cost_of_is_a_dot_product():
     cv = CostVector.from_doc(inst, {"e1": "1/2", "e2": -1})
     assert cv.cost_of(inst.assignment((2, 1))) == Fraction(0)
     assert cv.cost_of(inst.assignment((1, 2))) == Fraction(-3, 2)
+
+
+def reference_costs(inst, doc):
+    """The costs read with plain Fractions: (ints, scale, costs), or the refusal."""
+    vals = [Fraction(0)] * len(inst.edges)
+    scale = 1
+    try:
+        for eid, v in doc.items():
+            if eid not in inst.edge_index:
+                raise ValidationError(f"cost references unknown edge {eid!r}")
+            c = vals[inst.edge_index[eid]] = _as_fraction(v, f"edge {eid!r}")
+            scale = lcm(scale, c.denominator)
+            if scale >= 10**1000:
+                break
+        if scale >= 10**1000 or any(abs(c * scale) >= 10**1000 for c in vals):
+            raise ValidationError("costs need over 1000 digits over a common denominator")
+        if sum(abs(c * scale) * e.capacity for c, e in zip(vals, inst.edges)) >= 10**1900:
+            raise ValidationError(
+                "costs times capacities reach over 1900 digits over a common denominator"
+            )
+    except ValidationError as exc:
+        return str(exc)
+    return tuple(int(c * scale) for c in vals), scale, vals
+
+
+def cost_values():
+    """Cost entries of every kind a document may hold, refusals included."""
+    prime_powers = st.tuples(st.sampled_from([2, 3, 7, 11, 13]), st.integers(0, 1300))
+    return st.one_of(
+        st.integers(-(10**6), 10**6),
+        st.sampled_from([10**999, -(10**999), -(10**1000), 10**1000 - 1]),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.decimals(allow_nan=False, allow_infinity=False).map(str),
+        st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-1100, 1100)),
+        st.builds("{}/{}".format, st.integers(-1000, 1000), st.integers(0, 10**6)),
+        prime_powers.map(lambda pk: f"1/{pk[0] ** pk[1]}"),
+        st.sampled_from([True, None, "abc", "1/0", "1e", [1]]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=st.dictionaries(st.sampled_from(["a1", "a2", "b1", "b2"] * 4 + ["zz"]), cost_values()),
+    x=st.tuples(*[st.integers(-5, 5)] * 4),
+)
+@example(doc={"b1": "1e999"}, x=(0, 0, 0, 0))
+@example(doc={"a1": "1/2", "b2": -(10**999)}, x=(0, 0, 0, 0))
+@example(doc={"a1": f"1/{3**700}", "a2": f"1/{7**700}"}, x=(0, 0, 0, 0))
+def test_costs_match_a_plain_fraction_reference(doc, x):
+    # b1 and b2 have capacity 10**950, so a cost of 10**950 over the common
+    # denominator already reaches over 1,900 digits.
+    inst = two_swaps(3, 10**950)
+    expected = reference_costs(inst, doc)
+    try:
+        cv = CostVector.from_doc(inst, doc)
+    except ValidationError as exc:
+        assert str(exc) == expected
+        return
+    assert isinstance(expected, tuple), expected
+    ints, scale, costs = expected
+    assert (cv.ints, cv.scale) == (ints, scale)
+    assert cv.cost_of(Assignment(x)) == sum(c * v for c, v in zip(costs, x))
 
 
 def test_assignment_reads_check_every_value():

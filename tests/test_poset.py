@@ -159,26 +159,38 @@ def test_builds_search_each_stable_point_exactly_once(monkeypatch, ring4):
 
 
 @pytest.mark.parametrize(
-    "make, general, searches",
+    "make, general, searches, walked",
     [
-        (lambda: latin(16, 2, 4), False, None),
+        # A 28-step base route, and 210 steps the deferral routes walk
+        # past their branch points; 56 distinct steps in all.
+        (lambda: latin(16, 2, 4), False, None, 28 + 210),
         # k disjoint rings of quota q: one search of the market at its
         # minimum finds the rings that move, and each ring is built on its
         # own, searching its minimum and the q points its base route
-        # reaches; every deferral route walks the ring through those.
-        (lambda: instance_from_dict(rings(12, 8).doc), True, 1 + 12 * (1 + 8)),
-        # Two parts, one of them with states that offer several rotations.
-        (lambda: disjoint_union(latin(4, 2, 4), make_ring_instance(4)), True, None),
+        # reaches.  A ring offers one rotation at each point, so its
+        # deferral route is its base route, replayed with no step walked.
+        (lambda: instance_from_dict(rings(12, 8).doc), True, 1 + 12 * (1 + 8), 12 * 8),
+        # Two parts, one of them with states that offer several rotations:
+        # the ring's 4 base steps, Latin 4's 4, and 6 that Latin 4's
+        # deferral routes walk; 12 distinct steps in all.
+        (
+            lambda: disjoint_union(latin(4, 2, 4), make_ring_instance(4)),
+            True,
+            None,
+            4 + 4 + 6,
+        ),
     ],
     ids=["latin16cap2", "rings12q8", "latin4cap2+ring4"],
 )
 def test_builds_shift_and_weigh_each_distinct_step_once(
-    monkeypatch, make, general, searches
+    monkeypatch, make, general, searches, walked
 ):
-    # Every deferred route replays the steps the routes before it took;
-    # a replayed step is a memo hit, so each distinct (point, key) step
-    # is shifted once and weighed once.  Points are keyed on the instance
-    # they belong to, the market or one of its parts.
+    # A deferral route is walked from where it leaves the base route,
+    # behind the base steps before that point; ``walked`` counts the
+    # steps the walks take.  They still pass steps that earlier routes
+    # took; a replayed step is a memo hit, so each distinct (point, key)
+    # step is shifted once and weighed once.  Points are keyed on the
+    # instance they belong to, the market or one of its parts.
     inst = make()
     steps, shifted, weighed = Counter(), Counter(), Counter()
     searched = set()
@@ -193,7 +205,7 @@ def test_builds_shift_and_weigh_each_distinct_step_once(
 
     def counting_walk(*args, **kwargs):
         route = walk(*args, **kwargs)
-        steps["taken"] += len(route.steps)
+        steps["walked"] += len(route.steps) - len(kwargs.get("taken", ()))
         return route
 
     def counted_apply(inst, x, rot, weight):
@@ -212,13 +224,16 @@ def test_builds_shift_and_weigh_each_distinct_step_once(
     assert set(shifted.values()) == {1}
     assert set(weighed.values()) == {1}
     assert set(weighed) == set(shifted)
-    assert len(shifted) < steps["taken"]
+    assert steps["walked"] == walked
     if searches is not None:
         assert len(searched) == searches
 
 
 def memo_free_corpus():
-    return [*acceptance_corpora(), *poset_corpus()]
+    # Latin 4 at quota 4 and Latin 6 at quota 3, both at capacity 2, have
+    # deferral routes that leave their base routes part way; the poset
+    # corpus, whose totals are checked below, comes last.
+    return [*acceptance_corpora(), latin(4, 2, 4), latin(6, 2, 3), *poset_corpus()]
 
 
 def build_outcome(inst, general):
@@ -234,10 +249,13 @@ def test_memoized_builds_equal_builds_with_memo_free_walks(monkeypatch):
     memoized = [build_outcome(inst, general) for inst in insts for general in modes]
     walk = galloc.poset.walk_route
 
-    def plain(inst, start, *, rotations_at, step_at=None, **how):
+    def plain(inst, start, *, rotations_at, step_at=None, taken=(), **how):
         # walk_route's own search and step, on the market or the part the
-        # build walks.
-        return walk(inst, start, **how)
+        # build walks, and every deferral route walked in full from the
+        # minimum: the base steps a build replays are the ones it takes.
+        route = walk(inst, start, **how)
+        assert route.steps[: len(taken)] == taken
+        return route
 
     monkeypatch.setattr(galloc.poset, "walk_route", plain)
     insts = memo_free_corpus()  # fresh instances, fresh evaluator memos
