@@ -127,7 +127,13 @@ def generate(config: GeneratorConfig) -> Instance:
     if config.family == "tableau-a3":
         if config.workers != 3 or config.firms != 3:
             raise ValidationError("the tableau-a3 family needs 3 workers and 3 firms")
-        return make_ring_instance(config.quota_bound)
+        q = config.quota_bound
+        if q % 2:
+            raise ValidationError(
+                f"the tableau-a3 family uses the quota bound (--quota-bound) as "
+                f"its ring's quota, which must be even; got {q}"
+            )
+        return make_ring_instance(q)
     import numpy as np  # only a random draw needs it
 
     rng = np.random.Generator(np.random.PCG64(config.seed))

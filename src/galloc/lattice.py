@@ -32,7 +32,7 @@ weights along the way.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable
 
@@ -61,10 +61,14 @@ class CapacityReductionRun:
         assignment: the stable extreme the proposing side prefers.
         iterations: worklist waves executed before the fixpoint (at
             least 1).
+
+    The run also keeps the view that certified the assignment stable, for
+    the first rotation search from it to read.
     """
 
     assignment: Assignment
     iterations: int
+    _view: PointView = field(repr=False, compare=False)
 
 
 def _capacity_reduction(inst: Instance, firms_propose: bool) -> CapacityReductionRun:
@@ -83,7 +87,9 @@ def _capacity_reduction(inst: Instance, firms_propose: bool) -> CapacityReductio
     so it cuts nothing.  Every wave but the last cuts a capacity unit,
     so the wave count is monitored against the |E| * b_max bound, and
     the fixpoint must be stable.  The firm side's certificate reads the
-    same view of the fixpoint as the stability check.
+    same view of the fixpoint as the stability check.  The run keeps
+    that view, so that the first rotation search from the fixpoint reads
+    it too.
     """
     edges = inst.edges
     if firms_propose:
@@ -138,7 +144,7 @@ def _capacity_reduction(inst: Instance, firms_propose: bool) -> CapacityReductio
         )
     if firms_propose and applicable_rotations(inst, out, view):
         raise InvariantViolation("a rotation applies at the firm-side fixpoint")
-    return CapacityReductionRun(out, waves)
+    return CapacityReductionRun(out, waves, view)
 
 
 def xmin_by_capacity_reduction(inst: Instance) -> CapacityReductionRun:
@@ -522,18 +528,24 @@ def route_pairs(route: Route) -> "Counter[tuple[tuple[str, ...], int]]":
     return Counter((s.rotation.key, s.weight) for s in route.steps)
 
 
-def carried_search(inst: Instance) -> Callable[[Assignment], tuple[Rotation, ...]]:
-    """``applicable_rotations`` at each point asked, from one carried view.
+def carried_search(
+    inst: Instance, view: PointView | None = None
+) -> Callable[[Assignment], tuple[Rotation, ...]]:
+    """``applicable_rotations`` at each point a walk asks, from one carried view.
 
-    The view of each point searched is built from the view of the point
-    searched before it, so a search recomputes only what differs between
-    the two; only the last view is kept.
+    A walk asks each point right after the point its step left, so each
+    point is searched from the view of the point searched before it, and
+    a search recomputes only what the step moved.  The first point asked
+    reads ``view`` when that is its view, as capacity reduction's view of
+    the minimum is; otherwise it is searched from ``view``, or from a full
+    build when there is none.  Only the last view is kept: each search
+    drops the one it carried from.
     """
-    view: PointView | None = None
 
     def search(x: Assignment) -> tuple[Rotation, ...]:
         nonlocal view
-        view = PointView(inst, x, view)
+        if view is None or view.x != x:
+            view = PointView(inst, x, view)
         return applicable_rotations(inst, x, view)
 
     return search
@@ -553,11 +565,15 @@ def walk_route(
 
     At each point ``pick`` chooses one of the applicable rotations (in
     canonical key order; the first by default), which is shifted by its
-    maximal weight.  The rotation search carries one view from each
-    point it searches to the next (``carried_search``).  ``rotations_at``
+    maximal weight.  Each point is asked right after the point its step
+    left, and the rotation search carries one view from each point it
+    searches to the next (``carried_search``): the view of the start is
+    built in full, and only the last view is kept.  ``rotations_at``
     stands in for the search, and ``step_at`` for the step, which gives
     the weight shifted and the point reached, when a caller memoizes
-    them or restricts them; a targeted route offers at most one
+    them or restricts them; a full route's search starts from capacity
+    reduction's view of the minimum, a poset build's searches carry
+    from the views it keeps, and a targeted route offers at most one
     rotation, and caps its weight, so as to stay below its target.
     Route length is monitored against (|W|+|F|)·|E|² under the gapless
     assumption, where a repeated rotation key raises GaplessnessError
@@ -611,11 +627,22 @@ def build_full_route(
     Picks the first applicable rotation in canonical key order, or a
     random one when ``rng`` (a numpy Generator) is given.  Under the
     gapless assumption a repeated rotation key aborts with
-    GaplessnessError; route length is monitored either way.
+    GaplessnessError; route length is monitored either way.  Without a
+    ``start`` the route starts at the minimum, whose first search reads
+    the view that capacity reduction certified it with.
     """
-    x = start if start is not None else xmin_by_capacity_reduction(inst).assignment
+    view = None
+    if start is None:
+        view = xmin_by_capacity_reduction(inst)._view
+        start = view.x
     pick = None if rng is None else (lambda rots: rots[int(rng.integers(len(rots)))])
-    return walk_route(inst, x, pick=pick, assume_gapless=assume_gapless)
+    return walk_route(
+        inst,
+        start,
+        pick=pick,
+        assume_gapless=assume_gapless,
+        rotations_at=carried_search(inst, view),
+    )
 
 
 def route_to_target(inst: Instance, start: Assignment, target: Assignment) -> Route:

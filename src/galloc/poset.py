@@ -30,11 +30,12 @@ import networkx as nx
 from networkx.algorithms.flow import edmonds_karp
 
 from .errors import GallocError, InvariantViolation, LimitError
-from .lattice import Route, carried_search, route_pairs, route_to_target, walk_route
+from .lattice import Route, route_pairs, route_to_target, walk_route
 from .lattice import xmin_by_capacity_reduction
 from .model import Assignment, CostVector, Instance
-from .rotation import Rotation, apply_rotation, max_feasible_weight
-from .stability import check_stability
+from .rotation import Rotation, applicable_rotations, apply_rotation
+from .rotation import max_feasible_weight
+from .stability import PointView, check_stability
 
 
 @dataclass(frozen=True)
@@ -201,22 +202,26 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
 
     Stability is local to each vertex's edges, so the stable set of a
     market is the product of its connected parts' own and its poset is
-    theirs side by side.  A connected market is built on itself.
-    Otherwise one search at the market's minimum finds the parts that
-    offer a rotation; the others are at their maximum already.  Each
-    part that moves is built on its own instance, its vertices with
-    their quotas, orders and firm specs and its edges in the market's
-    order, from the minimum's values on its edges.  Parts are built one
-    at a time, in order of their first edge, and their elements merged
-    in (key, occurrence) order.
+    theirs side by side.  A connected market is built on itself, from
+    the view capacity reduction certified its minimum with.  Otherwise
+    one search of that view finds the parts that offer a rotation; the
+    others are at their maximum already.  Each part that moves is built
+    on its own instance, its vertices with their quotas, orders and firm
+    specs and its edges in the market's order, from a full view of the
+    minimum's values on its edges.  Parts are built one at a time, in
+    order of their first edge, and their elements merged in (key,
+    occurrence) order.
     """
-    xmin = xmin_by_capacity_reduction(inst).assignment
+    first = xmin_by_capacity_reduction(inst)._view
+    xmin = first.x
     part_of = _components(inst)
     if len(set(part_of.values())) <= 1:
-        return _build_connected(inst, xmin, mode)
+        return _build_connected(inst, first, mode)
     moving = {
-        part_of[inst.edge(r.key[0]).worker] for r in carried_search(inst)(xmin)
+        part_of[inst.edge(r.key[0]).worker]
+        for r in applicable_rotations(inst, xmin, first)
     }
+    del first  # the parts carry their own views, not the market's
     members: dict[int, tuple[list[str], list[str]]] = {
         c: ([], []) for c in sorted(moving)
     }
@@ -238,7 +243,7 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
             {f: inst.firm_cfs[f] for f in firms},
         )
         start = Assignment(tuple(xmin.values[i] for i in at))
-        poset = _build_connected(part, start, mode)
+        poset = _build_connected(part, PointView(part, start), mode)
         for i, v in zip(at, poset.xmax.values):
             xmax[i] = v
         elements += poset.elements
@@ -249,8 +254,8 @@ def _build_poset(inst: Instance, mode: str) -> RotationPoset:
     return RotationPoset(tuple(elements), hasse, mode, xmin, Assignment(tuple(xmax)))
 
 
-def _build_connected(inst: Instance, xmin: Assignment, mode: str) -> RotationPoset:
-    """The rotation poset of a connected market, from its minimum ``xmin``.
+def _build_connected(inst: Instance, first: PointView, mode: str) -> RotationPoset:
+    """The rotation poset of a connected market, from its minimum's view ``first``.
 
     One full route, the base route, fixes the occurrence counts and the
     (key, weight) multiset.  For each rotation a route deferring it
@@ -263,20 +268,46 @@ def _build_connected(inst: Instance, xmin: Assignment, mode: str) -> RotationPos
     rotation is offered.  So it is walked from that point only, behind
     the base steps before it, which count toward its length monitor; its
     checks run on the whole joined route.  The routes still pass the
-    same stable points many times, so each point is searched once, from
-    the view of the point searched before it, and each step out of a
-    point is weighed and shifted once.  A step interns the point it
-    reaches, so a replayed step neither copies nor hashes the point's
-    values.  The memos keep rotations, not the views the searches carry.
+    same stable points many times, so each point is searched once and
+    each step out of a point is weighed and shifted once.  The minimum
+    is searched from ``first`` itself.  Every other point is searched
+    from the view of the point that the step which first reached it
+    left, as Gusfield & Irving's search advances from the matching it
+    left, so only the step's rotation moved; a point that no step of
+    the build reached is searched from ``first``.  A point's view is
+    kept while the point offers a rotation that no step has left it by.
+    After the last such step it is held only until the point that step
+    reached, if new, is searched, so a chain keeps none.  A step interns
+    the point it reaches, so a replayed step neither copies nor hashes
+    the point's values.
     """
+    xmin = first.x
     points = {xmin: xmin}
-    rotations_at = functools.cache(carried_search(inst))
+    came: dict[Assignment, PointView] = {}  # a new point: its step's parent's view
+    kept: dict[Assignment, list] = {}  # a view, and its rotations not stepped
+
+    @functools.cache
+    def rotations_at(x: Assignment) -> tuple[Rotation, ...]:
+        view = came.pop(x, first)
+        if view.x != x:
+            view = PointView(inst, x, view)
+        rotations = applicable_rotations(inst, x, view)
+        if rotations:
+            kept[x] = [view, len(rotations)]
+        return rotations
 
     @functools.cache
     def step_at(x: Assignment, rot: Rotation) -> tuple[int, Assignment]:
         tau = max_feasible_weight(inst, x, rot)
         y = apply_rotation(inst, x, rot, tau)
-        return tau, points.setdefault(y, y)
+        held = kept[x]
+        held[1] -= 1
+        if not held[1]:
+            del kept[x]
+        if y not in points:
+            points[y] = y
+            came[y] = held[0]
+        return tau, points[y]
 
     def walk(**how) -> Route:
         return walk_route(inst, xmin, rotations_at=rotations_at, step_at=step_at, **how)
@@ -346,8 +377,8 @@ def _build_connected(inst: Instance, xmin: Assignment, mode: str) -> RotationPos
             "poset weights do not carry the minimum to the maximum"
         )
     poset = RotationPoset(tuple(elements), tuple(sorted(edges)), mode, xmin, base.end)
-    first = {index[(r.key, 0)] for r in rotations_at(xmin)}
-    if set(poset.minimal_elements()) != first:
+    minimal = {index[(r.key, 0)] for r in rotations_at(xmin)}
+    if set(poset.minimal_elements()) != minimal:
         raise InvariantViolation(
             "minimal poset elements differ from the rotations applicable "
             "at the minimum"

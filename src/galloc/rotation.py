@@ -14,15 +14,20 @@ to the workers on cycles, then read off the cycles, as for
 stable-marriage rotations (Gusfield & Irving 1989, section 2.5).  The
 probes take the point's view (:class:`galloc.stability.PointView`)
 alone, read the moves from it and store them in it; only
-``applicable_rotations`` builds a view when none is given.  Routes
-carry one view from each point they search to the next.  Only the
-workers a shift moved, those whose move starts at a firm it moved, and
-those of the firms that do not weakly prefer their new share (the
-check's ``losing`` firms) search for their move again (see
-``_searched_again``); every other worker keeps the move it had, as
-Gusfield & Irving's all-rotations search keeps the pointers it has
-already advanced.  The cycles are carried the same way: a cycle of the
-last point none of whose workers changed its move is still a cycle, and
+``applicable_rotations`` builds a view when none is given.  A search
+at the minimum reads capacity reduction's view of it, and every other
+search carries the view of the point one step below, which the step
+left, as Gusfield & Irving's search advances from the matching it has
+just left (section 3.3).  Routes keep only their last view, and poset
+builds keep a point's view while some rotation it offers has not been
+stepped from it.  Only the workers a shift moved, those whose move
+starts at a firm it moved, and those of the firms that do not weakly
+prefer their new share (the check's ``losing`` firms) search for their
+move again (see ``_searched_again``); every other worker keeps the move
+it had, as Gusfield & Irving's all-rotations search keeps the pointers
+it has already advanced.  The cycles are carried the same way: a cycle
+of the point below none of whose workers changed its move is still a
+cycle, and
 the new ones are read only from the walks out of the workers that did
 (Gusfield & Irving keep the rotations already found, section 3.3).
 There is one search: a point with no searched parent, or whose every

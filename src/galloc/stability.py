@@ -35,10 +35,15 @@ Every worker of a losing firm is scanned as above, and every other
 dirty worker is asked only about its moved edges and the positions it
 newly wants; for a linear worker those lie between its old cut and its
 new one.  Without a stable parent every worker is scanned.
-Rotation searches carry one view from each point they search to the
-next, and store in it each filled worker's admissible move and the
-rotations found, which the next search keeps where nothing moved (see
-:mod:`galloc.rotation`).
+A rotation search at the minimum reads the view with which capacity
+reduction certified it.  Every other search starts from the view of the
+point one step below, the point its step left, so only that step's
+rotation is dirty and, going up the lattice, no firm is losing.  The
+search stores in the view each filled worker's admissible move and the
+rotations found, which a search from it keeps where nothing moved (see
+:mod:`galloc.rotation`).  A route keeps only its last view; a poset
+build keeps a point's view while the point offers a rotation that no
+step has left it by (see :func:`galloc.poset._build_connected`).
 """
 
 from __future__ import annotations

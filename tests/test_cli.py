@@ -396,6 +396,9 @@ INVALID = [
      "capacity and quota bounds must be positive"),
     ("gen-gapless-cap", ["gen", "--seed", "1", "--gapless-cap", "0"],
      "the gapless capacity cap must be positive"),
+    ("gen-a3-odd-quota", ["gen", "--seed", "1", "--family", "tableau-a3", "--quota-bound", "3"],
+     "the tableau-a3 family uses the quota bound (--quota-bound) as its ring's quota, "
+     "which must be even; got 3"),
 ]
 
 

@@ -44,6 +44,7 @@ from galloc.poset import (
     linear_extension,
 )
 from galloc.cli import main
+from galloc.stability import PointView
 from perfbench.corpus import rings
 
 from builders import (
@@ -143,14 +144,14 @@ def test_builds_search_each_stable_point_exactly_once(monkeypatch, ring4):
     # is keyed on the instance searched, the market or one of its parts,
     # as the two parts of two_swaps() reach equal values.
     searched = Counter()
-    search = galloc.lattice.applicable_rotations
+    search = galloc.poset.applicable_rotations
 
     def counted(inst, x, view=None):
         searched[(inst, inst.edges, x.values)] += 1
         return search(inst, x, view)
 
-    # The carried search of galloc.lattice runs every rotation search.
-    monkeypatch.setattr(galloc.lattice, "applicable_rotations", counted)
+    # The builder runs every rotation search of a build.
+    monkeypatch.setattr(galloc.poset, "applicable_rotations", counted)
     for inst, general in ((two_swaps(), False), (ring4, True)):
         searched.clear()
         build_poset(inst, general=general)
@@ -197,7 +198,7 @@ def test_builds_shift_and_weigh_each_distinct_step_once(
     walk = galloc.poset.walk_route
     apply = galloc.poset.apply_rotation
     weigh = galloc.poset.max_feasible_weight
-    search = galloc.lattice.applicable_rotations
+    search = galloc.poset.applicable_rotations
 
     def counted_search(inst, x, view=None):
         searched.add((inst, inst.edges, x.values))
@@ -219,7 +220,7 @@ def test_builds_shift_and_weigh_each_distinct_step_once(
     monkeypatch.setattr(galloc.poset, "walk_route", counting_walk)
     monkeypatch.setattr(galloc.poset, "apply_rotation", counted_apply)
     monkeypatch.setattr(galloc.poset, "max_feasible_weight", counted_weigh)
-    monkeypatch.setattr(galloc.lattice, "applicable_rotations", counted_search)
+    monkeypatch.setattr(galloc.poset, "applicable_rotations", counted_search)
     build_poset(inst, general=general)
     assert set(shifted.values()) == {1}
     assert set(weighed.values()) == {1}
@@ -227,6 +228,77 @@ def test_builds_shift_and_weigh_each_distinct_step_once(
     assert steps["walked"] == walked
     if searches is not None:
         assert len(searched) == searches
+
+
+def test_every_search_carries_from_the_view_its_step_left(monkeypatch):
+    # The first view built on the market is capacity reduction's, and on
+    # a part its minimum's; every later one is built from the view of the
+    # point one step below it, so only that step's rotation moved, and
+    # going up the lattice no firm loses.
+    views, steps = [], {}
+    init, apply = PointView.__init__, galloc.poset.apply_rotation
+
+    def recording(self, inst, x, parent=None):
+        init(self, inst, x, parent)
+        views.append((self, parent))
+
+    def recorded(inst, x, rot, weight):
+        y = apply(inst, x, rot, weight)
+        steps[(inst, x.values, y.values)] = rot
+        return y
+
+    monkeypatch.setattr(PointView, "__init__", recording)
+    monkeypatch.setattr(galloc.poset, "apply_rotation", recorded)
+    corpus = [latin(16, 2, 4), disjoint_union(latin(4, 2, 4), make_ring_instance(4))]
+    carried = 0
+    for inst in corpus + poset_corpus():
+        for general in (False, True):
+            views.clear()
+            steps.clear()
+            build_outcome(inst, general)
+            first = set()
+            for view, parent in views:
+                if id(view.inst) not in first:
+                    first.add(id(view.inst))
+                    assert parent is None
+                    continue
+                assert parent is not None and parent.inst is view.inst
+                rot = steps.get((view.inst, parent.x.values, view.x.values))
+                assert rot is not None, "not one step below"
+                assert view.moved == sorted(view.inst.edge_index[e] for e in rot.key)
+                assert view.losing == []
+                carried += 1
+    assert carried > 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: latin(16, 2, 4), lambda: instance_from_dict(rings(12, 8).doc)],
+    ids=["latin16cap2", "rings12q8"],
+)
+def test_a_build_searches_the_minimum_from_capacity_reductions_view(monkeypatch, make):
+    # Capacity reduction certifies the minimum with a full view, and the
+    # first search reads that view: the route, and both poset builds,
+    # the market search of a split market included, build no second one.
+    inst = make()
+    xmin = xmin_by_capacity_reduction(inst).assignment
+    full = Counter()
+    init = PointView.__init__
+
+    def counting(self, on, x, parent=None):
+        init(self, on, x, parent)
+        if on is inst and x == xmin and parent is None:
+            full["built"] += 1
+
+    monkeypatch.setattr(PointView, "__init__", counting)
+    for build in (
+        build_full_route,
+        lambda inst: build_outcome(inst, False),
+        lambda inst: build_outcome(inst, True),
+    ):
+        full.clear()
+        build(inst)
+        assert full["built"] == 1
 
 
 def memo_free_corpus():

@@ -75,8 +75,9 @@ def assert_view_is_full(inst, x, view):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Check every search the walks run; count views carried and built in full."""
-    search = galloc.lattice.applicable_rotations
+    """Check every search the walks and the poset builds run; count views
+    carried and built in full."""
+    search = galloc.rotation.applicable_rotations
     tally = Counter()
 
     def checking(inst, x, view=None):
@@ -87,6 +88,7 @@ def checked(monkeypatch):
         return got
 
     monkeypatch.setattr(galloc.lattice, "applicable_rotations", checking)
+    monkeypatch.setattr(galloc.poset, "applicable_rotations", checking)
     return tally
 
 
