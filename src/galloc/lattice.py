@@ -43,7 +43,6 @@ from .rotation import (
     Rotation,
     Tandem,
     _swaps,
-    admissible_edge,
     admissible_move,
     applicable_rotations,
     apply_rotation,
@@ -276,7 +275,7 @@ def stage1_find_stable(inst: Instance) -> Assignment:
         for w in inst.workers:
             if inst.size_at(x, w) >= inst.quota(w):
                 continue
-            if admissible_edge(view, w) is not None:
+            if admissible_move(view, w) is not None:
                 chosen = w
                 break
         if chosen is None:
@@ -567,14 +566,11 @@ def walk_route(
     canonical key order; the first by default), which is shifted by its
     maximal weight.  Each point is asked right after the point its step
     left, and the rotation search carries one view from each point it
-    searches to the next (``carried_search``): the view of the start is
-    built in full, and only the last view is kept.  ``rotations_at``
-    stands in for the search, and ``step_at`` for the step, which gives
-    the weight shifted and the point reached, when a caller memoizes
-    them or restricts them; a full route's search starts from capacity
-    reduction's view of the minimum, a poset build's searches carry
-    from the views it keeps, and a targeted route offers at most one
-    rotation, and caps its weight, so as to stay below its target.
+    searches to the next (``carried_search``).  ``rotations_at`` stands
+    in for the search, and ``step_at`` for the step, which gives the
+    weight shifted and the point reached, when a caller memoizes them or
+    restricts them; a targeted route offers at most one rotation, and
+    caps its weight, so as to stay below its target.
     Route length is monitored against (|W|+|F|)·|E|² under the gapless
     assumption, where a repeated rotation key raises GaplessnessError
     before its weight search, and against b_max·|E|² otherwise.  The

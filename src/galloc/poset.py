@@ -424,43 +424,42 @@ def closedness_problem(poset: RotationPoset, values: tuple[int, ...]) -> str | N
 def enumerate_closed_functions(
     poset: RotationPoset, limit: int = 10**6
 ) -> tuple[tuple[int, ...], ...]:
-    """All closed functions, sorted lexicographically."""
-    raw = 1
-    for el in poset.elements:
-        raw *= el.weight + 1
-    if raw > limit:
-        raise LimitError(
-            f"closed functions range over {raw} candidates, over the limit {limit}"
-        )
+    """All closed functions, sorted lexicographically.
+
+    Gives the elements their values in a linear extension, counting up
+    like an odometer: an element ranges over [0, weight] when its
+    predecessors are at full weight and is 0 otherwise.  Every prefix so
+    set extends to a closed function (the rest at 0), so no branch is
+    dead, and the walk refuses at the first closed function past
+    ``limit``: its work is O(limit · (elements + arcs)).
+    """
     topo = linear_extension(poset)
     preds: list[list[int]] = [[] for _ in poset.elements]
     for a, b in poset.hasse:
         preds[b].append(a)
     weights = [el.weight for el in poset.elements]
+    values = [0] * len(weights)
+    rising: list[int] = []  # the positions in topo whose element may still rise
     out: list[tuple[int, ...]] = []
-    _closed_from(0, topo, preds, weights, [0] * len(weights), out)
-    out.sort()
-    return tuple(out)
-
-
-def _closed_from(
-    k: int,
-    topo: tuple[int, ...],
-    preds: list[list[int]],
-    weights: list[int],
-    values: list[int],
-    out: list[tuple[int, ...]],
-) -> None:
-    """Extend ``values`` over ``topo[k:]`` in every closed way, into ``out``."""
-    if k == len(topo):
+    k = 0
+    while True:
+        for k in range(k, len(topo)):
+            i = topo[k]
+            values[i] = 0
+            if weights[i] and all(values[j] == weights[j] for j in preds[i]):
+                rising.append(k)
+        if len(out) == limit:
+            raise LimitError(f"over the limit of {limit} closed functions")
         out.append(tuple(values))
-        return
-    i = topo[k]
-    full = all(values[j] == weights[j] for j in preds[i])
-    for v in range(weights[i] + 1) if full else (0,):
-        values[i] = v
-        _closed_from(k + 1, topo, preds, weights, values, out)
-    values[i] = 0
+        if not rising:
+            out.sort()
+            return tuple(out)
+        k = rising[-1]
+        i = topo[k]
+        values[i] += 1
+        if values[i] == weights[i]:
+            rising.pop()
+        k += 1
 
 
 def to_closed_function(

@@ -18,21 +18,19 @@ alone, read the moves from it and store them in it; only
 at the minimum reads capacity reduction's view of it, and every other
 search carries the view of the point one step below, which the step
 left, as Gusfield & Irving's search advances from the matching it has
-just left (section 3.3).  Routes keep only their last view, and poset
-builds keep a point's view while some rotation it offers has not been
-stepped from it.  Only the workers a shift moved, those whose move
-starts at a firm it moved, and those of the firms that do not weakly
-prefer their new share (the check's ``losing`` firms) search for their
-move again (see ``_searched_again``); every other worker keeps the move
-it had, as Gusfield & Irving's all-rotations search keeps the pointers
-it has already advanced.  The cycles are carried the same way: a cycle
-of the point below none of whose workers changed its move is still a
-cycle, and
-the new ones are read only from the walks out of the workers that did
-(Gusfield & Irving keep the rotations already found, section 3.3).
-There is one search: a point with no searched parent, or whose every
-vertex moved, is searched as the child of a point with no moves and no
-cycles, so every move is changed and every cycle is read.  The maximal
+just left (section 3.3).  Only the workers a shift moved, those whose
+move starts at a firm it moved, and those of the firms that do not
+weakly prefer their new share (the check's ``losing`` firms) search for
+their move again (see ``_searched_again``); every other worker keeps
+the move it had, as Gusfield & Irving's all-rotations search keeps the
+pointers it has already advanced.  The cycles are carried the same way:
+a cycle of the point below none of whose workers changed its move is
+still a cycle, and the new ones are read only from the walks out of
+the workers that did (Gusfield & Irving keep the rotations already
+found, section 3.3).  There is one search: a point with no searched
+parent, or whose every vertex moved, is searched as the child of a
+point with no moves and no cycles, so every move is changed and every
+cycle is read.  The maximal
 shiftable weight is found per displacement pair by binary search; the
 number of fresh choice-function evaluations it spends is metered against
 a hard budget.
@@ -97,33 +95,20 @@ class Event:
     partner: str | None = None
 
 
-def _admissible_end(view: PointView, w: str) -> tuple[int, str, int] | None:
-    """The far end of the worker's admissible edge (see ``Instance.far_ends``)."""
-    ev = evaluator_for(view.inst, w)
-    return view.wanted_end(w, ev.order[ev.last_rank(view.local[w]) :])
-
-
-def admissible_edge(view: PointView, w: str) -> str | None:
-    """The worker's admissible edge at the view's point, if any.
-
-    Scans the worker's order from its least preferred supported edge on
-    down (its whole order when it holds nothing), returning the first
-    edge the far firm finds interesting.
-    """
-    end = _admissible_end(view, w)
-    return None if end is None else view.inst.edges[end[0]].id
-
-
 def admissible_move(view: PointView, w: str) -> Tandem | None:
     """The displacement pair the worker's admissible edge starts.
 
-    Its ``minus`` is None when the far firm absorbs the extra unit
-    outright; the result is None when the worker has no admissible edge.
+    The admissible edge is the first edge, scanning the worker's order
+    from its least preferred supported edge on down (its whole order when
+    it holds nothing), that the far firm finds interesting.  The pair's
+    ``minus`` is None when the far firm absorbs the extra unit outright;
+    the result is None when the worker has no admissible edge.
     """
-    end = _admissible_end(view, w)
+    inst = view.inst
+    ev = evaluator_for(inst, w)
+    end = view.wanted_end(w, ev.order[ev.last_rank(view.local[w]) :])
     if end is None:
         return None
-    inst = view.inst
     i, f, fpos = end
     a = inst.edges[i].id
     verdict, c_pos = evaluator_for(inst, f).unit_response(view.local[f], fpos)
@@ -279,46 +264,34 @@ def applicable_rotations(
 def _carried_rotations(view: PointView) -> tuple[Rotation, ...]:
     """The view's rotations, from its parent's and its changed workers.
 
-    The successor map differs from the parent's only at the changed
-    workers.  A parent cycle with no changed worker is still a cycle,
-    and every new cycle passes a changed worker.  The walks of the
-    parent's map from the changed workers close each parent cycle they
-    reach once; one that holds a changed worker is broken, and the
-    parent rotations kept are those whose first added edge is on no
-    broken cycle.  The new cycles are read by ``clean`` and
-    ``extract_rotations`` off the walks of the new map from the changed
-    workers, which stop at a worker with no successor or one already
-    walked.  A walk that runs into a kept cycle reads it again, and the
-    kept copy is dropped.  Below a parent with no moves every move is
-    changed, so the moves are read whole.
+    A parent rotation is kept exactly when its key shares no edge with
+    the changed workers' old added edges.  The key holds only edges of
+    its own workers, each one's old added edge among them, so that is
+    when none of its workers changed its move, and the successor map
+    differs from the parent's only at the changed workers.  Every new
+    cycle passes one of them, so the new cycles are read by ``clean``
+    and ``extract_rotations`` off the walks of the new map from the
+    changed workers, which stop at a worker with no successor or one
+    already walked.  A walk that runs into a kept cycle reads it again,
+    from the same first edge, and the kept copy is dropped.  Below a
+    parent with no moves every move is changed, so the moves are read
+    whole.
     """
     inst, moves, changed, parent = view.inst, view.moves, view.changed, view.parent
     old, rotations = ({}, ()) if parent is None else (parent.moves, parent.rotations)
-    drop: set[str] = set()  # the added edges of the broken cycles
+    gone = {old[w].plus for w in changed if w in old}
     walked: dict[str, Tandem] = moves
     if old:
-        ours, reached = set(changed), {}
-        for w in changed:
-            trail, v = [], w
-            while v not in reached and (u := _successor(inst, old.get(v))) is not None:
-                reached[v] = w
-                trail.append(v)
-                v = u
-            if reached.get(v) == w:  # this walk closed a parent cycle at v
-                cycle = trail[trail.index(v):]
-                if not ours.isdisjoint(cycle):
-                    drop.update(old[u].plus for u in cycle)
         walked = {}
         for w in changed:
             while w not in walked and (t := moves.get(w)) is not None:
                 walked[w] = t
                 w = _successor(inst, t)
     new = extract_rotations(inst, clean(inst, walked)) if walked else ()
-    if not drop and not new:
+    if not gone and not new:
         return rotations
-    # A kept cycle read anew starts at the same added edge.
-    drop.update(r.key[0] for r in new)
-    kept = [r for r in rotations if r.key[0] not in drop]
+    firsts = {r.key[0] for r in new}
+    kept = [r for r in rotations if gone.isdisjoint(r.key) and r.key[0] not in firsts]
     return tuple(sorted(kept + list(new), key=lambda r: r.key))
 
 

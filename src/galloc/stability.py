@@ -41,9 +41,7 @@ point one step below, the point its step left, so only that step's
 rotation is dirty and, going up the lattice, no firm is losing.  The
 search stores in the view each filled worker's admissible move and the
 rotations found, which a search from it keeps where nothing moved (see
-:mod:`galloc.rotation`).  A route keeps only its last view; a poset
-build keeps a point's view while the point offers a rotation that no
-step has left it by (see :func:`galloc.poset._build_connected`).
+:mod:`galloc.rotation`).
 """
 
 from __future__ import annotations

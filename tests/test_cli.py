@@ -144,6 +144,16 @@ def test_poset_needs_general_on_the_ring(ring_file, capsys):
     assert "#1" in out
 
 
+def test_poset_verify_counts_closed_functions_not_candidates(tmp_path, capsys):
+    # The q = 20 ring's poset is a chain of 20 elements: 21 closed
+    # functions, although their entries range over 2**20 candidates.
+    ring = write_json(tmp_path / "ring20.json", make_ring_instance(20).to_dict())
+    argv = ["poset", ring, "--general", "--verify", "--limit", str(10**15)]
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert len(json.loads(out)["elements"]) == 20
+
+
 def test_poset_plain_on_a_gapless_instance(swaps_file, capsys):
     rc, out, _ = run(capsys, ["poset", swaps_file, "--verify"])
     assert rc == 0

@@ -7,6 +7,7 @@ import pytest
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import galloc.lattice
 import galloc.poset
@@ -689,6 +690,35 @@ def test_enumeration_refuses_huge_posets():
     poset = build_poset(parallel_pair(7))
     with pytest.raises(LimitError, match="over the limit"):
         enumerate_closed_functions(poset, limit=4)
+
+
+def test_enumeration_is_bounded_by_the_closed_functions_it_lists():
+    # The limit counts closed functions, not the box of their entries:
+    # parallel_pair(7) has 8, and a chain of 2,000 unit elements has
+    # 2,001 among 2**2000 candidates; the walk does not recurse per element.
+    poset = build_poset(parallel_pair(7))
+    assert len(enumerate_closed_functions(poset, limit=8)) == 8
+    with pytest.raises(LimitError, match="over the limit"):
+        enumerate_closed_functions(poset, limit=7)
+    n = 2000
+    chain = galloc.poset.RotationPoset(
+        tuple(galloc.poset.PosetElement(("e",), i, 1) for i in range(n)),
+        tuple((i + 1, i) for i in range(n - 1)),
+        "general",
+        poset.xmin,
+        poset.xmax,
+    )
+    closed = enumerate_closed_functions(chain, limit=n + 1)
+    assert len(closed) == n + 1
+    assert closed[:2] == ((0,) * n, (0,) * (n - 1) + (1,)) and closed[-1] == (1,) * n
+    with pytest.raises(LimitError, match="over the limit"):
+        enumerate_closed_functions(chain, limit=100)
+    for inst in poset_corpus():
+        poset = build_poset_general(inst)
+        boxes = product(*(range(el.weight + 1) for el in poset.elements))
+        assert enumerate_closed_functions(poset) == tuple(
+            v for v in boxes if closedness_problem(poset, v) is None
+        )
 
 
 def test_closed_functions_match_the_ring_chain(ring4):

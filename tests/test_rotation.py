@@ -19,7 +19,7 @@ from galloc import (
 from galloc.choice import LinearChoice, total_choice_calls, total_fresh_evaluations
 from galloc.rotation import (
     Tandem,
-    admissible_edge,
+    admissible_move,
     build_auxiliary,
     clean,
     extract_rotations,
@@ -126,14 +126,14 @@ def test_auxiliary_requires_stability(ring4):
 def test_admissible_edge_scans_an_empty_worker_from_the_top():
     inst = one_on_one()
     x = inst.zero()
-    assert admissible_edge(PointView(inst, x), "w1") == "e1"
+    assert admissible_move(PointView(inst, x), "w1").plus == "e1"
     # At quota 0 the worker is full while holding nothing: it starts no
     # rotation, although its first edge is admissible.
     doc = inst.to_dict()
     doc["worker_quotas"]["w1"] = 0
     inst = instance_from_dict(doc)
     view = PointView(inst, x)
-    assert admissible_edge(view, "w1") == "e1"
+    assert admissible_move(view, "w1").plus == "e1"
     assert build_auxiliary(view) == {}
 
 

@@ -140,6 +140,52 @@ def test_views_advance_from_far_parents(name):
             prev = view
 
 
+def test_a_parent_rotation_is_kept_exactly_when_none_of_its_workers_changed(monkeypatch):
+    # A changed worker off every parent rotation may have an old successor
+    # chain that runs into one; that rotation is kept unless one of its own
+    # workers changed.  A changed worker on a parent rotation breaks it, and
+    # its key is gone.  Both must occur over routes, deferral routes and
+    # views carried from far parents.
+    carried = galloc.rotation._carried_rotations
+    seen = Counter()
+
+    def checking(view):
+        inst, parent = view.inst, view.parent
+        got = carried(view)
+        if parent is None:  # read whole, also by the fresh search below
+            return got
+        assert got == applicable_rotations(inst, view.x)
+        workers = {r: {inst.edge(a).worker for a in r.plus_edges} for r in parent.rotations}
+        for w in view.changed:
+            on = [r for r in parent.rotations if w in workers[r]]
+            for r in on:
+                assert r not in got
+                seen["broken"] += 1
+            chain, v = set(), w
+            while not on and v is not None and v not in chain:
+                chain.add(v)
+                v = galloc.rotation._successor(inst, parent.moves.get(v))
+                on = [r for r in parent.rotations if v in workers[r]]
+                if on and workers[on[0]].isdisjoint(view.changed):
+                    assert on[0] in got
+                    seen["run into and kept"] += 1
+        return got
+
+    monkeypatch.setattr(galloc.rotation, "_carried_rotations", checking)
+    for inst in poset_corpus() + [load(rings(4, 4)), load(latin(16, 2, 4))]:
+        route = build_full_route(inst)
+        for seed in (1, 2):
+            build_full_route(inst, rng=np.random.Generator(np.random.PCG64(seed)))
+        build_poset(inst, general=True)
+        points = [route.start] + [step.end for step in route.steps]
+        for x in points:  # every route point as a far parent, above or below
+            parent = PointView(inst, x)
+            applicable_rotations(inst, x, parent)
+            for y in points:
+                applicable_rotations(inst, y, PointView(inst, y, parent))
+    assert seen["broken"] and seen["run into and kept"], seen
+
+
 def test_a_child_of_a_parent_never_searched_is_searched_as_if_it_had_none():
     # Only the moves were built at the parent, so it has no rotations to
     # carry; the child must not read its changed workers off those moves.
