@@ -33,15 +33,20 @@ greedy rule down a strict order (Baïou & Balinski 2002, Math. OR
 27(4)) is settled by the total of the vector and the rank of its last
 supported position, so its interesting positions are a prefix of its
 order; a tableau rule, which keeps the quota-many smallest entries,
-by the total and the largest entry held.  The brute-force oracle, the
-axiom checks and the gapless check call the rule itself.
+by the total and the largest entry held.  That pair is the vector's
+shape.  It is measured once per vector (``_shape``, memoized), and a
+stability check's view (:class:`galloc.stability.PointView`) keeps the
+shape of each vertex's local vector, so the probes a step makes at a
+point take it from the view rather than looking it up again.  The
+brute-force oracle, the axiom checks and the gapless check call the
+rule itself.
 
 An evaluator is built on a vertex's first use from what loading the
 instance read once: the capacities, the worker's order already mapped
 to local positions, the firm's rule.  Each closed-form probe tests a
 vector against the box the first time it sees it, unless the caller
-has tested the whole point, as a stability check's view does through
-``interest_in_box``.
+has tested the whole point, as a view does when it measures the shapes
+of a point inside the box.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .errors import GallocError, InvariantViolation, LimitError, ValidationError
 from .model import Instance
 
 Vec = tuple[int, ...]
+Shape = tuple | None  # what ``ChoiceEvaluator._shape`` measures; None outside the box
 
 
 def iter_box(caps: Sequence[int]) -> Iterator[Vec]:
@@ -187,11 +193,13 @@ class ChoiceEvaluator:
     def _evaluate(self, z: Vec) -> Vec:
         raise NotImplementedError
 
-    def _shape(self, z: Vec, boxed: bool = False) -> tuple | None:
+    def _shape(self, z: Vec, boxed: bool = False) -> Shape:
         """What the closed-form probes read of ``z``, memoized; None
         outside the box, which is not tested when ``boxed`` says the
         caller has.  Computing it counts in ``fresh_total`` but is not a
-        call of the rule."""
+        call of the rule.  This is the one place a shape is measured: a
+        probe given a shape reads it, and one given none looks it up
+        here."""
         got = self._shapes.get(z)
         if got is None and (boxed or self._in_box(z)):
             self.fresh_total[0] += 1
@@ -208,40 +216,42 @@ class ChoiceEvaluator:
             and not any(map(operator.gt, z, self.caps))
         )
 
-    # The probes below ask the rule; the subclasses answer them in closed form.
+    # The probes below ask the rule; the subclasses answer them in closed
+    # form.  A probe may be given the shape of its vector (``_shape``), as
+    # a view holds it; the rule's probes have no use for it.
 
-    def accepts(self, z: Sequence[int]) -> bool:
+    def accepts(self, z: Sequence[int], shape: Shape = None) -> bool:
         return self(z) == tuple(z)
 
-    def interest(self, z: Sequence[int]) -> Callable[[int], bool]:
+    def interest(self, z: Sequence[int], shape: Shape = None) -> Callable[[int], bool]:
         """``interesting_at`` at ``z``, as a predicate on positions."""
         return functools.partial(interesting_at, self, tuple(z))
 
-    def interest_in_box(self, z: Vec) -> Callable[[int], bool]:
-        """``interest`` at a tuple the caller has tested against the box,
-        for the closed forms, which then skip that test."""
-        self._shape(z, True)
-        return self.interest(z)
-
-    def interesting_positions(self, z: Sequence[int]) -> list[int]:
+    def interesting_positions(self, z: Sequence[int], shape: Shape = None) -> list[int]:
         """The positions where one more unit is interesting at ``z``."""
-        return list(filter(self.interest(z), range(len(self.caps))))
+        return list(filter(self.interest(z, shape), range(len(self.caps))))
 
-    def newly_interesting(self, old: Sequence[int], z: Sequence[int]) -> list[int]:
+    def newly_interesting(
+        self, old: Sequence[int], z: Sequence[int], old_shape: Shape = None, shape: Shape = None
+    ) -> list[int]:
         """The positions where ``old`` and ``z`` agree and one more unit
         is interesting at ``z`` but not at ``old``."""
-        was, now = self.interest(old), self.interest(z)
+        was, now = self.interest(old, old_shape), self.interest(z, shape)
         return [
             pos
             for pos, (a, b) in enumerate(zip(old, z))
             if a == b and now(pos) and not was(pos)
         ]
 
-    def prefers(self, x: Sequence[int], y: Sequence[int]) -> bool:
+    def prefers(
+        self, x: Sequence[int], y: Sequence[int], x_shape: Shape = None, y_shape: Shape = None
+    ) -> bool:
         """Whether ``y`` is weakly preferred to ``x``: C(x ∨ y) = y."""
         return self(join(x, y)) == tuple(y)
 
-    def unit_response(self, z: Sequence[int], pos: int) -> tuple[str, int | None]:
+    def unit_response(
+        self, z: Sequence[int], pos: int, shape: Shape = None
+    ) -> tuple[str, int | None]:
         return single_unit_response(self, z, pos)
 
     def swaps(self, z: Sequence[int], plus: int, minus: int, mu: int) -> bool:
@@ -291,32 +301,34 @@ class LinearChoice(ChoiceEvaluator):
             return total, len(self.order)
         return total, max(itertools.compress(self._rank, z), default=0)
 
-    def accepts(self, z: Sequence[int]) -> bool:
+    def accepts(self, z: Sequence[int], shape: Shape = None) -> bool:
         zt = tuple(z)
-        shape = self._shape(zt)
+        shape = shape or self._shape(zt)
         if shape is None:
             return super().accepts(zt)
         return shape[0] <= self.quota
 
-    def interest(self, z: Sequence[int]) -> Callable[[int], bool]:
+    def interest(self, z: Sequence[int], shape: Shape = None) -> Callable[[int], bool]:
         zt = tuple(z)
-        shape = self._shape(zt)
+        shape = shape or self._shape(zt)
         if shape is None:
             return super().interest(zt)
         caps, rank, cut = self.caps, self._rank, shape[1]
         return lambda pos: zt[pos] < caps[pos] and rank[pos] < cut
 
-    def interesting_positions(self, z: Sequence[int]) -> list[int]:
+    def interesting_positions(self, z: Sequence[int], shape: Shape = None) -> list[int]:
         zt = tuple(z)
-        shape = self._shape(zt)
+        shape = shape or self._shape(zt)
         if shape is None:
             return super().interesting_positions(zt)
         caps = self.caps
         return [pos for pos in self.order[: shape[1]] if zt[pos] < caps[pos]]
 
-    def newly_interesting(self, old: Sequence[int], z: Sequence[int]) -> list[int]:
+    def newly_interesting(
+        self, old: Sequence[int], z: Sequence[int], old_shape: Shape = None, shape: Shape = None
+    ) -> list[int]:
         ot, zt = tuple(old), tuple(z)
-        was, now = self._shape(ot), self._shape(zt)
+        was, now = old_shape or self._shape(ot), shape or self._shape(zt)
         if was is None or now is None:
             return super().newly_interesting(ot, zt)
         caps = self.caps
@@ -326,26 +338,30 @@ class LinearChoice(ChoiceEvaluator):
             if zt[pos] < caps[pos] and ot[pos] == zt[pos]
         ]
 
-    def prefers(self, x: Sequence[int], y: Sequence[int]) -> bool:
+    def prefers(
+        self, x: Sequence[int], y: Sequence[int], x_shape: Shape = None, y_shape: Shape = None
+    ) -> bool:
         xt, yt = tuple(x), tuple(y)
-        shape = self._shape(yt)
-        if shape is None or shape[0] > self.quota or self._shape(xt) is None:
+        shape = y_shape or self._shape(yt)
+        if shape is None or shape[0] > self.quota or (x_shape or self._shape(xt)) is None:
             return super().prefers(xt, yt)
         before = self.order[: shape[1]]
         return all(map(operator.le, map(xt.__getitem__, before), map(yt.__getitem__, before)))
 
-    def last_rank(self, z: Sequence[int]) -> int:
+    def last_rank(self, z: Sequence[int], shape: Shape = None) -> int:
         """The rank in ``order`` of the last position ``z`` holds, 0 when
         it holds nothing; at the quota it is the cut."""
         zt = tuple(z)
-        shape = self._shape(zt)
+        shape = shape or self._shape(zt)
         if shape is not None and shape[0] == self.quota:
             return shape[1]
         return max(itertools.compress(self._rank, zt), default=0)
 
-    def unit_response(self, z: Sequence[int], pos: int) -> tuple[str, int | None]:
+    def unit_response(
+        self, z: Sequence[int], pos: int, shape: Shape = None
+    ) -> tuple[str, int | None]:
         zt = tuple(z)
-        shape = self._shape(zt)
+        shape = shape or self._shape(zt)
         if shape is None or zt[pos] >= self.caps[pos] or shape[0] > self.quota:
             return super().unit_response(zt, pos)
         total, cut = shape
@@ -402,16 +418,16 @@ class TableauChoice(ChoiceEvaluator):
         held = [(col[zj], j) for j, (col, zj) in enumerate(zip(self.filling, z)) if zj]
         return sum(z), max(held, default=None)
 
-    def accepts(self, z: Sequence[int]) -> bool:
+    def accepts(self, z: Sequence[int], shape: Shape = None) -> bool:
         zt = tuple(z)
-        shape = self._shape(zt)
+        shape = shape or self._shape(zt)
         if shape is None:
             return super().accepts(zt)
         return shape[0] <= self.quota
 
-    def interest(self, z: Sequence[int]) -> Callable[[int], bool]:
+    def interest(self, z: Sequence[int], shape: Shape = None) -> Callable[[int], bool]:
         zt = tuple(z)
-        shape = self._shape(zt)
+        shape = shape or self._shape(zt)
         if shape is None:
             return super().interest(zt)
         total, top = shape
@@ -422,10 +438,12 @@ class TableauChoice(ChoiceEvaluator):
             return lambda pos: False
         return lambda pos: zt[pos] < caps[pos] and filling[pos][zt[pos] + 1] < top[0]
 
-    def prefers(self, x: Sequence[int], y: Sequence[int]) -> bool:
+    def prefers(
+        self, x: Sequence[int], y: Sequence[int], x_shape: Shape = None, y_shape: Shape = None
+    ) -> bool:
         xt, yt = tuple(x), tuple(y)
-        shape = self._shape(yt)
-        if shape is None or shape[0] > self.quota or self._shape(xt) is None:
+        shape = y_shape or self._shape(yt)
+        if shape is None or shape[0] > self.quota or (x_shape or self._shape(xt)) is None:
             return super().prefers(xt, yt)
         total, top = shape
         filling = self.filling
@@ -434,9 +452,11 @@ class TableauChoice(ChoiceEvaluator):
             return True
         return total == self.quota and (top is None or min(extra) > top[0])
 
-    def unit_response(self, z: Sequence[int], pos: int) -> tuple[str, int | None]:
+    def unit_response(
+        self, z: Sequence[int], pos: int, shape: Shape = None
+    ) -> tuple[str, int | None]:
         zt = tuple(z)
-        shape = self._shape(zt)
+        shape = shape or self._shape(zt)
         if shape is None or zt[pos] >= self.caps[pos] or shape[0] > self.quota:
             return super().unit_response(zt, pos)
         total, top = shape

@@ -47,7 +47,7 @@ from .poset import (
     ClosedFunction,
 )
 from .rotation import applicable_rotations, max_feasible_weight
-from .stability import check_stability
+from .stability import PointView, check_stability
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,7 +190,8 @@ def _cmd_route(args) -> int:
 def _cmd_rotations(args) -> int:
     inst = load_instance(args.instance)
     x = load_assignment(inst, args.assignment)
-    rotations = applicable_rotations(inst, x)
+    view = PointView(inst, x)
+    rotations = applicable_rotations(inst, x, view)
     if args.dot:
         lines = ["digraph active {"]
         for rot in rotations:
@@ -207,7 +208,7 @@ def _cmd_rotations(args) -> int:
             "rotations": [
                 {
                     "cycle": list(rot.key),
-                    "weight": max_feasible_weight(inst, x, rot),
+                    "weight": max_feasible_weight(inst, x, rot, view),
                 }
                 for rot in rotations
             ]
@@ -335,7 +336,7 @@ def _cmd_bench(args) -> int:
         raise InvariantViolation("the two minimum pipelines disagree")
 
     t0 = time.perf_counter()
-    route = build_full_route(inst, ag.assignment)
+    route = build_full_route(inst, ag)
     timings["full_route"] = time.perf_counter() - t0
     results["route_length"] = len(route.steps)
     results["xmax"] = route.end.to_mapping(inst)

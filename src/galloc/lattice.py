@@ -42,7 +42,7 @@ from .model import Assignment, Instance, shift, shift_room
 from .rotation import (
     Rotation,
     Tandem,
-    _swaps,
+    _swaps_at,
     admissible_move,
     applicable_rotations,
     apply_rotation,
@@ -188,12 +188,13 @@ def _growth_invariants_broken(inst: Instance, x: Assignment) -> str | None:
         if inst.size_at(x, w) > inst.quota(w):
             return f"worker {w} over quota"
     view = PointView(inst, x)
+    local, shapes = view.local, view.shapes
     for f in inst.firms:
-        if not evaluator_for(inst, f).accepts(view.local[f]):
+        if not evaluator_for(inst, f).accepts(local[f], shapes[f]):
             return f"firm {f} rejects its restriction"
     for w in inst.workers:
         ev = evaluator_for(inst, w)
-        end = view.wanted_end(w, ev.order[: ev.last_rank(view.local[w])])
+        end = view.wanted_end(w, ev.order[: ev.last_rank(local[w], shapes[w])])
         if end is not None:
             eid = inst.edges[end[0]].id
             return f"edge {eid} above {w}'s last supported edge is interesting"
@@ -293,8 +294,10 @@ def stage1_find_stable(inst: Instance) -> Assignment:
         if is_path:
             nu = min(nu, inst.quota(chosen) - inst.size_at(x, chosen))
 
+        swaps = [_swaps_at(inst, x, t, view) for t in pairs]
+
         def feasible(mu: int) -> bool:
-            if not all(_swaps(inst, x, t, mu) for t in pairs):
+            if not all(pair_swaps(mu) for pair_swaps in swaps):
                 return False
             y = shift(inst, x, plus, minus, mu)
             return _growth_invariants_broken(inst, y) is None
@@ -527,9 +530,7 @@ def route_pairs(route: Route) -> "Counter[tuple[tuple[str, ...], int]]":
     return Counter((s.rotation.key, s.weight) for s in route.steps)
 
 
-def carried_search(
-    inst: Instance, view: PointView | None = None
-) -> Callable[[Assignment], tuple[Rotation, ...]]:
+class CarriedSearch:
     """``applicable_rotations`` at each point a walk asks, from one carried view.
 
     A walk asks each point right after the point its step left, so each
@@ -537,17 +538,21 @@ def carried_search(
     a search recomputes only what the step moved.  The first point asked
     reads ``view`` when that is its view, as capacity reduction's view of
     the minimum is; otherwise it is searched from ``view``, or from a full
-    build when there is none.  Only the last view is kept: each search
+    build when there is none.  Only the last view is kept, in ``view``,
+    where the step out of the point searched last reads it: each search
     drops the one it carried from.
     """
 
-    def search(x: Assignment) -> tuple[Rotation, ...]:
-        nonlocal view
-        if view is None or view.x != x:
-            view = PointView(inst, x, view)
-        return applicable_rotations(inst, x, view)
+    __slots__ = ("inst", "view")
 
-    return search
+    def __init__(self, inst: Instance, view: PointView | None = None) -> None:
+        self.inst, self.view = inst, view
+
+    def __call__(self, x: Assignment) -> tuple[Rotation, ...]:
+        view = self.view
+        if view is None or view.x != x:
+            view = self.view = PointView(self.inst, x, view)
+        return applicable_rotations(self.inst, x, view)
 
 
 def walk_route(
@@ -566,11 +571,12 @@ def walk_route(
     canonical key order; the first by default), which is shifted by its
     maximal weight.  Each point is asked right after the point its step
     left, and the rotation search carries one view from each point it
-    searches to the next (``carried_search``).  ``rotations_at`` stands
-    in for the search, and ``step_at`` for the step, which gives the
-    weight shifted and the point reached, when a caller memoizes them or
-    restricts them; a targeted route offers at most one rotation, and
-    caps its weight, so as to stay below its target.
+    searches to the next (``CarriedSearch``), which the weight search of
+    the step out of it reads.  ``rotations_at`` stands in for the
+    search, and ``step_at`` for the step, which gives the weight shifted
+    and the point reached, when a caller memoizes them or restricts
+    them; a targeted route offers at most one rotation, and caps its
+    weight, so as to stay below its target.
     Route length is monitored against (|W|+|F|)·|E|² under the gapless
     assumption, where a repeated rotation key raises GaplessnessError
     before its weight search, and against b_max·|E|² otherwise.  The
@@ -584,10 +590,13 @@ def walk_route(
     # The searches and the shift are looked up at call time, so rebinding
     # them is seen.
     def maximal(y: Assignment, rot: Rotation) -> tuple[int, Assignment]:
-        tau = max_feasible_weight(inst, y, rot)
+        tau = max_feasible_weight(inst, y, rot, carried and carried.view)
         return tau, apply_rotation(inst, y, rot, tau)
 
-    search = rotations_at or carried_search(inst)
+    search = rotations_at or CarriedSearch(inst)
+    # A carried search holds the view of the point it searched last, the
+    # one the step leaves.
+    carried = search if isinstance(search, CarriedSearch) else None
     step = step_at or maximal
     steps = list(taken)
     seen_keys = {s.rotation.key for s in taken}
@@ -613,7 +622,7 @@ def walk_route(
 
 def build_full_route(
     inst: Instance,
-    start: Assignment | None = None,
+    start: Assignment | CapacityReductionRun | None = None,
     *,
     assume_gapless: bool = False,
     rng=None,
@@ -624,12 +633,16 @@ def build_full_route(
     random one when ``rng`` (a numpy Generator) is given.  Under the
     gapless assumption a repeated rotation key aborts with
     GaplessnessError; route length is monitored either way.  Without a
-    ``start`` the route starts at the minimum, whose first search reads
-    the view that capacity reduction certified it with.
+    ``start`` the route starts at the minimum, from a capacity-reduction
+    run of its own; given such a run, it starts at the run's assignment.
+    Either way its first search reads the view that capacity reduction
+    certified the minimum with.
     """
     view = None
     if start is None:
-        view = xmin_by_capacity_reduction(inst)._view
+        start = xmin_by_capacity_reduction(inst)
+    if isinstance(start, CapacityReductionRun):
+        view = start._view
         start = view.x
     pick = None if rng is None else (lambda rots: rots[int(rng.integers(len(rots)))])
     return walk_route(
@@ -637,7 +650,7 @@ def build_full_route(
         start,
         pick=pick,
         assume_gapless=assume_gapless,
-        rotations_at=carried_search(inst, view),
+        rotations_at=CarriedSearch(inst, view),
     )
 
 
@@ -655,7 +668,7 @@ def route_to_target(inst: Instance, start: Assignment, target: Assignment) -> Ro
         y = apply_rotation(inst, x, rot, mu)
         return compare_F(inst, y, target) in ("less", "equal")
 
-    search = carried_search(inst)
+    search = CarriedSearch(inst)
 
     def toward(x: Assignment) -> tuple[Rotation, ...]:
         if x.values == target.values:
@@ -667,7 +680,7 @@ def route_to_target(inst: Instance, start: Assignment, target: Assignment) -> Ro
         # The points x + mu * rot form a chain, so staying weakly below
         # the target holds on a prefix of the weights.
         tau = largest_weight(
-            max_feasible_weight(inst, x, rot), lambda mu: below(x, rot, mu)
+            max_feasible_weight(inst, x, rot, search.view), lambda mu: below(x, rot, mu)
         )
         return tau, apply_rotation(inst, x, rot, tau)
 

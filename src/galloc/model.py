@@ -156,6 +156,7 @@ class Instance:
                 indices.append(i)
         self._worker_pos, self._firm_pos = worker_pos, firm_pos
         self.worker_index: dict[str, int] = {w: i for i, w in enumerate(self.workers)}
+        self._firm_index: dict[str, int] = {f: i for i, f in enumerate(self.firms)}
         self._indices_of: dict[str, tuple[int, ...]] = {
             v: tuple(indices) for v, indices in incident.items()
         }

@@ -298,9 +298,9 @@ def _build_connected(inst: Instance, first: PointView, mode: str) -> RotationPos
 
     @functools.cache
     def step_at(x: Assignment, rot: Rotation) -> tuple[int, Assignment]:
-        tau = max_feasible_weight(inst, x, rot)
-        y = apply_rotation(inst, x, rot, tau)
         held = kept[x]
+        tau = max_feasible_weight(inst, x, rot, held[0])
+        y = apply_rotation(inst, x, rot, tau)
         held[1] -= 1
         if not held[1]:
             del kept[x]

@@ -38,6 +38,7 @@ a hard budget.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -104,14 +105,14 @@ def admissible_move(view: PointView, w: str) -> Tandem | None:
     ``minus`` is None when the far firm absorbs the extra unit outright;
     the result is None when the worker has no admissible edge.
     """
-    inst = view.inst
+    inst, local, shapes = view.inst, view.local, view.shapes
     ev = evaluator_for(inst, w)
-    end = view.wanted_end(w, ev.order[ev.last_rank(view.local[w]) :])
+    end = view.wanted_end(w, ev.order[ev.last_rank(local[w], shapes[w]) :])
     if end is None:
         return None
     i, f, fpos = end
     a = inst.edges[i].id
-    verdict, c_pos = evaluator_for(inst, f).unit_response(view.local[f], fpos)
+    verdict, c_pos = evaluator_for(inst, f).unit_response(local[f], fpos, shapes[f])
     if verdict == "same":
         raise InvariantViolation(f"admissible edge {a} is not interesting for {f}")
     return Tandem(f, a, None if verdict == "absorb" else inst.edges_of(f)[c_pos])
@@ -150,9 +151,10 @@ def build_auxiliary(view: PointView) -> dict[str, Tandem]:
             view.parent = None  # nothing to carry: never searched, or all moved
         moves = dict(old)
         changed: list[str] = []
+        shapes = view.shapes  # a shape starts with its vector's total
         for w in stale:
             quota = inst.quota(w)
-            filled = quota and sum(view.local[w]) == quota
+            filled = quota and shapes[w][0] == quota
             move = admissible_move(view, w) if filled else None
             if move is None:
                 moves.pop(w, None)
@@ -178,7 +180,7 @@ def _searched_again(view: PointView) -> list[str]:
     which the check built).  Canonical order.
     """
     inst, dirty = view.inst, view.dirty
-    stale = {v for v in dirty if inst.is_worker(v)}
+    stale = set(view.dirty_workers)
     stale.update(view.losing_workers)
     stale.update(w for w, t in view.parent.moves.items() if t.firm in dirty)
     return sorted(stale, key=inst.worker_index.__getitem__)
@@ -301,17 +303,20 @@ def weight_budget(inst: Instance, rot: Rotation) -> int:
     return len(rot.plus_edges) * (b - 1).bit_length() + 2
 
 
-def _swaps(inst: Instance, x: Assignment, t: Tandem, mu: int) -> bool:
-    """Whether the pair still swaps at weight ``mu``.
+def _swaps_at(
+    inst: Instance, x: Assignment, t: Tandem, view: PointView | None = None
+) -> Callable[[int], bool]:
+    """Whether the pair still swaps at weight mu, as a predicate on mu.
 
-    That is, whether the firm takes ``mu`` more units on ``t.plus`` by
-    dropping ``mu`` units of ``t.minus``.
+    That is, whether the firm takes mu more units on ``t.plus`` by
+    dropping mu units of ``t.minus``.  The firm's evaluator, its share of
+    ``x`` (read from ``view``, the view of ``x``, when one is given) and
+    the two positions are resolved once, not once per weight probed.
     """
     f = t.firm
-    z = inst.local_values(x, f)
-    return evaluator_for(inst, f).swaps(
-        z, inst.local_pos(f, t.plus), inst.local_pos(f, t.minus), mu
-    )
+    z = inst.local_values(x, f) if view is None else view.local[f]
+    plus, minus = inst.local_pos(f, t.plus), inst.local_pos(f, t.minus)
+    return functools.partial(evaluator_for(inst, f).swaps, z, plus, minus)
 
 
 def largest_weight(nu: int, holds: Callable[[int], bool]) -> int:
@@ -330,26 +335,31 @@ def largest_weight(nu: int, holds: Callable[[int], bool]) -> int:
     return lo
 
 
-def max_feasible_weight(inst: Instance, x: Assignment, rot: Rotation) -> int:
+def max_feasible_weight(
+    inst: Instance, x: Assignment, rot: Rotation, view: PointView | None = None
+) -> int:
     """The largest weight the rotation can shift in one move.
 
     Bounded by the capacity room on added edges and the load on
     subtracted edges; within that, each displacement pair must keep
     answering a weight-mu bump with a weight-mu swap.  Each pair's
     threshold is found by binary search, which keeps the number of fresh
-    evaluations within ``weight_budget``.
+    evaluations within ``weight_budget``.  ``view``, the view of ``x``
+    when the caller holds one, gives the firms' local vectors; without
+    it they are read off ``x``.  The answer is the same.
     """
     tau = shift_room(inst, x, rot.plus_edges, rot.minus_edges)
     if tau < 1:
         raise GallocError("rotation is not applicable: no room for a unit shift")
     before = total_fresh_evaluations(inst)
     for t in rotation_tandems(inst, rot):
-        if not _swaps(inst, x, t, 1):
+        swaps = _swaps_at(inst, x, t, view)
+        if not swaps(1):
             raise GallocError(
                 f"rotation is not applicable: pair ({t.plus}, {t.minus}) "
                 f"does not swap at {t.firm}"
             )
-        tau = largest_weight(tau, lambda mu: _swaps(inst, x, t, mu))
+        tau = largest_weight(tau, swaps)
     spent = total_fresh_evaluations(inst) - before
     if spent > weight_budget(inst, rot):
         raise InvariantViolation(
@@ -369,12 +379,12 @@ def linear_scan_feasible_weight(
     feasible again after a failure (which would contradict the
     monotonicity the binary search relies on).
     """
-    tandems = rotation_tandems(inst, rot)
+    probes = [_swaps_at(inst, x, t) for t in rotation_tandems(inst, rot)]
     tau = 0
     gaps: list[int] = []
     failed = False
     for mu in range(1, shift_room(inst, x, rot.plus_edges, rot.minus_edges) + 1):
-        if all(_swaps(inst, x, t, mu) for t in tandems):
+        if all(swaps(mu) for swaps in probes):
             if failed:
                 gaps.append(mu)
             else:
@@ -406,7 +416,7 @@ def classify_events(
             events.append(Event("positive-saturated", a))
     for t in rotation_tandems(inst, rot):
         room = shift_room(inst, x, (t.plus,), (t.minus,))
-        if tau < room and not _swaps(inst, out, t, 1):
+        if tau < room and not _swaps_at(inst, out, t)(1):
             events.append(Event("tandem-destroyed", t.plus, t.minus))
     if not events:
         raise InvariantViolation(

@@ -14,9 +14,12 @@ elements with them, never reads the closed-form probes of linear
 evaluators.
 
 Every check and probe at a point reads one view of it (``PointView``):
-every vertex's local vector and interest predicate, built once.  The
-probes of :mod:`galloc.rotation` and :mod:`galloc.lattice` take the view
-alone, since it holds the instance and the point.  A stability check
+every vertex's local vector, its shape (what the closed-form probes of
+:mod:`galloc.choice` read of it) and its interest predicate, built once.
+The probes of :mod:`galloc.rotation` and :mod:`galloc.lattice` take the
+view alone, since it holds the instance and the point, and pass each
+vertex's shape from it to the evaluator; the weight search of a step
+out of the point reads the firms' vectors from it.  A stability check
 asks each worker where one more unit is interesting, which for a
 worker at its quota is the prefix of its order before its last
 supported edge (Baïou & Balinski's greedy rule), and asks the far firm
@@ -24,7 +27,8 @@ on those edges only, through the worker's row of far ends
 (``Instance.far_ends``).  A view built from the view of another stable
 point recomputes only the dirty vertices, the endpoints of the edges
 whose values differ between the two points, and checks acceptance at
-those only: every other vertex keeps its vector, so it stays accepted.
+those only: every other vertex keeps its vector and its shape, so it
+stays accepted.
 Blocking follows a delta rule, applied firm by firm.  Stable points
 form a lattice along which firms weakly gain and workers weakly lose
 (Alkan & Gale 2003), and a firm that weakly prefers its new share does
@@ -47,7 +51,7 @@ rotations found, which a search from it keeps where nothing moved (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count
 from operator import ne
 from typing import Callable, Iterable
 
@@ -80,12 +84,15 @@ class StabilityReport:
 class PointView:
     """What a stability check and a rotation search read at one point.
 
-    ``local`` and ``wants`` hold every vertex's local vector and interest
+    ``local``, ``shapes`` and ``wants`` hold every vertex's local vector,
+    its shape (what the closed-form probes read of it, measured once by
+    its evaluator's ``_shape``; None outside the box) and its interest
     predicate.  ``PointView(inst, x)`` builds them for every vertex;
     ``PointView(inst, x, parent)`` copies the parent's and rebuilds only
     ``dirty``, the endpoints of ``moved``, the edges whose values differ
     between the parent's point and ``x``, however far apart the two
-    points are.  The full build is the same code with every vertex
+    points are.  ``dirty_workers`` and ``dirty_firms`` list them in
+    canonical order.  The full build is the same code with every vertex
     dirty, and ``dirty`` is then None.  ``boxed`` records that every
     value lies between 0 and its capacity: the full build tests the whole
     point, a carried view its parent's answer and its moved edges.  Only
@@ -96,7 +103,10 @@ class PointView:
     The stability ``report`` is computed on first use.  Under a parent
     whose report was stable it checks acceptance at the dirty vertices
     only, and blocking by the delta rule (see ``_blocking``); otherwise
-    it checks everything.
+    it checks everything.  Every probe of the check, of the move search
+    (``admissible_move``) and of a weight search given the view
+    (``max_feasible_weight``) reads its vectors and shapes here, and the
+    check reads the parent's as the old ones.
 
     A rotation search stores its results in the view: ``moves``, each
     filled worker's admissible move; ``changed``, the searched workers
@@ -111,39 +121,44 @@ class PointView:
     """
 
     __slots__ = (
-        "inst", "x", "local", "wants", "dirty", "moved", "boxed", "losing",
-        "losing_workers", "_report", "parent", "moves", "changed", "rotations",
+        "inst", "x", "local", "shapes", "wants", "dirty", "dirty_workers", "dirty_firms",
+        "moved", "boxed", "losing", "losing_workers", "_report", "parent", "moves",
+        "changed", "rotations",
     )
 
     def __init__(self, inst: Instance, x: Assignment, parent: PointView | None = None) -> None:
         self.inst = inst
         self.x = x
-        vertices = inst.workers + inst.firms
+        workers, firms = inst.workers, inst.firms
         dirty: set[str] | None = None
         moved: list[int] = []
         if parent is not None:
             edges = inst.edges
             moved = list(compress(count(), map(ne, parent.x.values, x.values)))
-            dirty = set()
-            for i in moved:
-                dirty.add(edges[i].worker)
-                dirty.add(edges[i].firm)
-            if len(dirty) == len(vertices):
-                dirty = None  # the full build, without copying the parent first
+            dirty_workers = {edges[i].worker for i in moved}
+            dirty_firms = {edges[i].firm for i in moved}
+            # When every vertex moved, this is the full build, without copying the parent.
+            if len(dirty_workers) + len(dirty_firms) < len(workers) + len(firms):
+                dirty = dirty_workers | dirty_firms
+                workers = sorted(dirty_workers, key=inst.worker_index.__getitem__)
+                firms = sorted(dirty_firms, key=inst._firm_index.__getitem__)
         if dirty is None:
             boxed = inst.in_box(x)
+            local: dict[str, tuple[int, ...]] = {}
+            shapes: dict[str, tuple | None] = {}
+            wants: dict[str, Callable[[int], bool]] = {}
         else:
             vals, edges = x.values, inst.edges
             boxed = parent.boxed and all(0 <= vals[i] <= edges[i].capacity for i in moved)
+            local, shapes, wants = dict(parent.local), dict(parent.shapes), dict(parent.wants)
         self.dirty, self.moved, self.boxed = dirty, moved, boxed
-        local: dict[str, tuple[int, ...]] = {} if dirty is None else dict(parent.local)
-        wants: dict[str, Callable[[int], bool]] = {} if dirty is None else dict(parent.wants)
-        for v in vertices if dirty is None else dirty:
-            z = inst.local_values(x, v)
-            local[v] = z
+        self.dirty_workers, self.dirty_firms = workers, firms
+        for v in chain(workers, firms):
+            z = local[v] = inst.local_values(x, v)
             ev = evaluator_for(inst, v)
-            wants[v] = ev.interest_in_box(z) if boxed else ev.interest(z)
-        self.local, self.wants = local, wants
+            shape = shapes[v] = ev._shape(z, boxed)
+            wants[v] = ev.interest(z, shape)
+        self.local, self.shapes, self.wants = local, shapes, wants
         stable = parent is not None and parent._report is not None and parent._report.stable
         self.parent = parent if stable else None
         self.losing: list[str] | None = None
@@ -164,19 +179,17 @@ class PointView:
                 self._report = StabilityReport(not blocking, (), blocking)
         return self._report
 
-    def _dirty(self, vertices) -> list[str]:
-        """The vertices of ``vertices`` a stable parent leaves to check."""
-        dirty = self.dirty
-        if self.parent is None or dirty is None:
-            return list(vertices)
-        return [v for v in vertices if v in dirty]
-
     def _unacceptable(self) -> tuple[str, ...]:
         """Vertices (dirty ones under a stable parent) rejecting their
         local vector, canonical order."""
-        inst, local = self.inst, self.local
-        vertices = self._dirty(inst.workers + inst.firms)
-        return tuple(v for v in vertices if not evaluator_for(inst, v).accepts(local[v]))
+        inst, local, shapes = self.inst, self.local, self.shapes
+        if self.parent is None:
+            vertices = chain(inst.workers, inst.firms)
+        else:
+            vertices = chain(self.dirty_workers, self.dirty_firms)
+        return tuple(
+            [v for v in vertices if not evaluator_for(inst, v).accepts(local[v], shapes[v])]
+        )
 
     def _blocking(self) -> tuple[str, ...]:
         """Blocking edges at an acceptable point, canonical order.
@@ -199,27 +212,33 @@ class PointView:
         at the parent.  The parent being stable, its worker did not, so
         the worker moved and newly wants the edge.
         """
-        inst, local, parent = self.inst, self.local, self.parent
+        inst, local, shapes, parent = self.inst, self.local, self.shapes, self.parent
         edges = inst.edges
         found: list[int] = []
         scanned, asks = inst.workers, []  # asks: (worker, positions to ask)
         if parent is not None:
-            old, wants, pos = parent.local, self.wants, inst.local_pos
+            old, olds, wants = parent.local, parent.shapes, self.wants
             self.losing = [
-                f for f in self._dirty(inst.firms)
-                if not evaluator_for(inst, f).prefers(old[f], local[f])
+                f for f in self.dirty_firms
+                if not evaluator_for(inst, f).prefers(old[f], local[f], olds[f], shapes[f])
             ]
             scanned = self.losing_workers = _workers_of(inst, self.losing)
+            worker_pos, firm_pos = inst._worker_pos, inst._firm_pos
             for i in self.moved:
-                eid, w, f, _ = edges[i]
-                if w not in scanned and wants[w](pos(w, eid)) and wants[f](pos(f, eid)):
+                _, w, f, _ = edges[i]
+                if w not in scanned and wants[w](worker_pos[i]) and wants[f](firm_pos[i]):
                     found.append(i)
-            for w in self._dirty(inst.workers):
+            for w in self.dirty_workers:
                 if w not in scanned:
-                    newly = evaluator_for(inst, w).newly_interesting(old[w], local[w])
+                    newly = evaluator_for(inst, w).newly_interesting(
+                        old[w], local[w], olds[w], shapes[w]
+                    )
                     if newly:
                         asks.append((w, newly))
-        asks += [(w, evaluator_for(inst, w).interesting_positions(local[w])) for w in scanned]
+        asks += [
+            (w, evaluator_for(inst, w).interesting_positions(local[w], shapes[w]))
+            for w in scanned
+        ]
         for w, positions in asks:
             rest = iter(positions)
             while positions and (end := self.wanted_end(w, rest)) is not None:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -23,6 +24,7 @@ from galloc import (
 from galloc.choice import A3_QUOTA_LIMIT
 from galloc.genrand import FAMILIES, PAIR_LIMIT, TABLEAU_CELL_LIMIT, generate
 from galloc.cli import main
+from galloc.stability import PointView
 
 from builders import latin, one_on_one, two_swaps
 
@@ -675,6 +677,25 @@ def test_bench_reports_timings(ring_file, capsys):
     assert doc["results"]["route_length"] == 4
     assert doc["results"]["capacity_reduction_rounds"] >= 1
     assert doc["oracle_calls_total"] > 0
+
+
+def test_bench_routes_from_the_view_capacity_reduction_certified(tmp_path, capsys, monkeypatch):
+    # Capacity reduction certifies the minimum with a full view, and the
+    # staged pipeline's checks build theirs; the route's first search
+    # reads capacity reduction's, as `route` does, and builds none.
+    inst = latin(16, 2, 4)
+    path = write_json(tmp_path / "latin.json", inst.to_dict())
+    xmin = xmin_by_capacity_reduction(inst).assignment
+    init, full = PointView.__init__, Counter()
+
+    def counting(self, inst, x, parent=None):
+        init(self, inst, x, parent)
+        full[command] += parent is None and x == xmin
+
+    monkeypatch.setattr(PointView, "__init__", counting)
+    for command in ("bench", "route"):
+        assert run(capsys, [command, path])[0] == 0
+    assert full == {"bench": 5, "route": 1}
 
 
 def test_usage_errors_exit_one(capsys):

@@ -24,10 +24,12 @@ def test_the_output_digest_is_repeatable_and_reads_every_command():
         ("rings2", rings(2, 4).doc, False),
         ("two-swaps", two_swaps().to_dict(), True),
     ]
-    first, codes = tool.digest(three, tool.WITHOUT_FILES[:2])
-    again, same = tool.digest(three, tool.WITHOUT_FILES[:2])
+    refused = tool.duplicate_id_documents()
+    first, codes = tool.digest(three, tool.WITHOUT_FILES[:2], refused)
+    again, same = tool.digest(three, tool.WITHOUT_FILES[:2], refused)
     assert (first, codes) == (again, same)
-    assert sum(codes.values()) == 18 + 13 + 18 + 2
-    assert codes[0] > codes[1] > 0  # mincost and plain poset refuse the rings
-    fewer, _ = tool.digest(three[:2], tool.WITHOUT_FILES[:2])
+    assert sum(codes.values()) == 19 + 14 + 19 + 3 + 2
+    assert codes[0] > codes[1] > 3  # mincost and plain poset refuse the rings
+    assert tool.digest([], (), refused)[1] == {1: 3}  # loading refuses a repeated id
+    fewer, _ = tool.digest(three[:2], tool.WITHOUT_FILES[:2], refused)
     assert fewer != first

@@ -214,9 +214,9 @@ def test_builds_shift_and_weigh_each_distinct_step_once(
         shifted[(inst, inst.edges, x.values, rot.key)] += 1
         return apply(inst, x, rot, weight)
 
-    def counted_weigh(inst, x, rot):
+    def counted_weigh(inst, x, rot, view=None):
         weighed[(inst, inst.edges, x.values, rot.key)] += 1
-        return weigh(inst, x, rot)
+        return weigh(inst, x, rot, view)
 
     monkeypatch.setattr(galloc.poset, "walk_route", counting_walk)
     monkeypatch.setattr(galloc.poset, "apply_rotation", counted_apply)

@@ -8,6 +8,7 @@ from galloc import (
     applicable_rotations,
     apply_rotation,
     build_full_route,
+    build_poset_general,
     check_stability,
     classify_events,
     instance_from_dict,
@@ -26,7 +27,7 @@ from galloc.rotation import (
     weight_budget,
 )
 from galloc.stability import PointView
-from perfbench.corpus import rings
+from perfbench.corpus import latin, random_complete, rings
 
 from builders import one_on_one, parallel_pair, two_swaps
 
@@ -233,6 +234,25 @@ def test_weight_budget_meters_closed_form_probes(monkeypatch):
     with pytest.raises(InvariantViolation, match="over its budget 5"):
         max_feasible_weight(cold, x, rot)
     assert total_choice_calls(cold) == 0
+
+
+@pytest.mark.parametrize(
+    "build, built, fresh, calls",
+    [
+        (build_poset_general, lambda: latin(16, 2, 4), 512, 32),
+        (build_full_route, lambda: rings(12, 8), 720, 72),
+        (build_full_route, lambda: latin(40), 3280, 80),
+        (build_full_route, lambda: random_complete(64), 976, 714),
+    ],
+    ids=["latin16cap2-poset", "rings12q8-route", "latin40-route", "random64-route"],
+)
+def test_the_meters_a_weight_budget_reads_count_what_they_counted(build, built, fresh, calls):
+    # Shapes are measured once per vector, by the view that first holds
+    # it, and read from views afterwards: the fresh evaluations the
+    # budget meters and the rule calls stay as they were counted before.
+    inst = instance_from_dict(built().doc)
+    build(inst)
+    assert (total_fresh_evaluations(inst), total_choice_calls(inst)) == (fresh, calls)
 
 
 def test_weight_search_rejects_inapplicable_rotations(ring4):

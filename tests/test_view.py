@@ -4,7 +4,8 @@ A rotation search reads a view of its point built from the view of the
 point searched before it.  At every point of every walk the carried view
 must give what a fresh stability check and a fresh auxiliary build give,
 also when the parent lies far away, and an unstable child of a stable
-parent must fail as the full check fails.
+parent must fail as the full check fails.  The weight search of each
+step reads the view too, and must weigh as a search without one does.
 """
 
 import tracemalloc
@@ -30,7 +31,12 @@ from galloc import (
     route_to_target,
     solve_extremes,
 )
-from galloc.rotation import build_auxiliary, clean, extract_rotations
+from galloc.rotation import (
+    build_auxiliary,
+    clean,
+    extract_rotations,
+    linear_scan_feasible_weight,
+)
 from galloc.stability import PointView
 from perfbench.corpus import latin, oracle_corpus, random_complete, rings
 
@@ -65,6 +71,7 @@ def assert_view_is_full(inst, x, view):
     assert view.x == x
     fresh = PointView(inst, x)
     assert view.local == fresh.local
+    assert view.shapes == fresh.shapes
     assert view.report == check_stability(inst, x)
     got = applicable_rotations(inst, x, view)
     assert build_auxiliary(view) is view.moves  # the search left them whole
@@ -75,9 +82,11 @@ def assert_view_is_full(inst, x, view):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Check every search the walks and the poset builds run; count views
-    carried and built in full."""
+    """Check every search the walks and the poset builds run, and every
+    weight they take; count views carried and built in full, and weight
+    searches that read a view."""
     search = galloc.rotation.applicable_rotations
+    weigh = galloc.rotation.max_feasible_weight
     tally = Counter()
 
     def checking(inst, x, view=None):
@@ -87,8 +96,17 @@ def checked(monkeypatch):
         tally["carried" if view.dirty is not None else "full"] += 1
         return got
 
-    monkeypatch.setattr(galloc.lattice, "applicable_rotations", checking)
-    monkeypatch.setattr(galloc.poset, "applicable_rotations", checking)
+    def weighing(inst, x, rot, view=None):
+        assert view is not None and view.x == x
+        got = weigh(inst, x, rot, view)
+        assert got == weigh(inst, x, rot)
+        assert linear_scan_feasible_weight(inst, x, rot) == (got, ())
+        tally["weighed"] += 1
+        return got
+
+    for module in (galloc.lattice, galloc.poset):
+        monkeypatch.setattr(module, "applicable_rotations", checking)
+        monkeypatch.setattr(module, "max_feasible_weight", weighing)
     return tally
 
 
@@ -113,7 +131,7 @@ def test_carried_views_equal_full_recomputation_on_every_walk(name, checked):
         build_poset(inst, general=True)  # the base route and every deferred walk
         for target in targets(inst, route):
             route_to_target(inst, route.start, target)
-    assert checked["carried"] > 0
+    assert checked["carried"] > 0 and checked["weighed"] > 0
 
 
 @pytest.mark.parametrize("name", INSTANCES)

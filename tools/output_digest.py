@@ -9,8 +9,10 @@ are blanked before hashing; its other fields stay.
 The corpus covers every subcommand on the benchmark's builders (Latin
 40, random complete 64, Latin 16 cap 2 quota 4), rings(k, 8) for
 k = 1, 4, 12 and 48, the test suite's poset corpus, and oracle_corpus(1)
-with ``--verify`` on each checking command; then ``gen`` on each family,
-the ring, and a few refusals and usage errors.
+with ``--verify`` on each checking command, ``mincost`` also on costs
+given as floats and "p/q" strings; then ``solve`` on documents that
+repeat a worker, a firm or an edge id, which loading refuses; then
+``gen`` on each family, the ring, and a few refusals and usage errors.
 
 Run it from the repository root on two checkouts and compare the lines:
 
@@ -59,7 +61,9 @@ def instance_commands(name: str, doc: dict, verify: bool) -> list[list[str]]:
     """Every subcommand but ``gen`` on one instance document.
 
     The assignment files hold the minimum that capacity reduction finds,
-    and the cost file seeded integers in [-5, 5].
+    and the cost file seeded integers in [-5, 5]; a second cost file
+    gives every third of them as a float (plus 0.25) and every third as
+    a "p/q" string (over 3), which are read as exact fractions.
     """
     import numpy as np
 
@@ -69,8 +73,14 @@ def instance_commands(name: str, doc: dict, verify: bool) -> list[list[str]]:
     inst = instance_from_dict(doc)
     p = _write(f"{name}.json", doc)
     x = _write(f"{name}-min.json", xmin_by_capacity_reduction(inst).assignment.to_mapping(inst))
-    costs = _write(
-        f"{name}-costs.json", cost_vector(doc, np.random.Generator(np.random.PCG64(7)))
+    ints = cost_vector(doc, np.random.Generator(np.random.PCG64(7)))
+    costs = _write(f"{name}-costs.json", ints)
+    mixed = _write(
+        f"{name}-costs-mixed.json",
+        {
+            eid: (c + 0.25, f"{c}/3", c)[i % 3]
+            for i, (eid, c) in enumerate(ints.items())
+        },
     )
     commands = [
         ["solve", p],
@@ -84,6 +94,7 @@ def instance_commands(name: str, doc: dict, verify: bool) -> list[list[str]]:
         ["poset", p, "--general"],
         ["poset", p, "--general", "--dot"],
         ["mincost", p, costs],
+        ["mincost", p, mixed],
         ["bench", p],
         ["brute", p],
     ]
@@ -129,11 +140,28 @@ def corpus() -> list[tuple[str, dict, bool]]:
     return out
 
 
+def duplicate_id_documents() -> list[tuple[str, dict]]:
+    """(name, document) for the q = 2 ring with its first worker, its
+    first firm or its first edge listed twice."""
+    from galloc import make_ring_instance
+
+    ring = make_ring_instance(2).to_dict()
+    out = []
+    for key in ("workers", "firms", "edges"):
+        doc = json.loads(json.dumps(ring))
+        doc[key].append(doc[key][0])
+        out.append((f"duplicate-{key}", doc))
+    return out
+
+
 def digest(
-    instances: Sequence[tuple[str, dict, bool]], extra: Sequence[list[str]] = ()
+    instances: Sequence[tuple[str, dict, bool]],
+    extra: Sequence[list[str]] = (),
+    refused: Sequence[tuple[str, dict]] = (),
 ) -> tuple[str, Counter]:
-    """The SHA-256 over every command on ``instances``, then ``extra``,
-    and how many commands returned each exit code."""
+    """The SHA-256 over every command on ``instances``, then ``solve`` on
+    each document of ``refused``, then ``extra``, and how many commands
+    returned each exit code."""
     h = hashlib.sha256()
     codes: Counter = Counter()
     here = os.getcwd()
@@ -143,6 +171,8 @@ def digest(
             for name, doc, verify in instances:
                 for argv in instance_commands(name, doc, verify):
                     h.update(_record(argv, codes))
+            for name, doc in refused:
+                h.update(_record(["solve", _write(f"{name}.json", doc)], codes))
             for argv in extra:
                 h.update(_record(argv, codes))
         finally:
@@ -157,7 +187,7 @@ def _record(argv: list[str], codes: Counter) -> bytes:
 
 
 def main() -> int:
-    value, codes = digest(corpus(), WITHOUT_FILES)
+    value, codes = digest(corpus(), WITHOUT_FILES, duplicate_id_documents())
     tally = ", ".join(f"{n} exit {code}" for code, n in sorted(codes.items()))
     print(f"{value}  {sum(codes.values())} commands: {tally}")
     return 0
